@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,6 +41,18 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
 
     /// Read the entire file at `path`.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+
+    /// Read at most `len` leading bytes of the file at `path`, plus the
+    /// file's total length: what the chain index needs from each file.
+    /// The default reads the whole file through [`Self::read`]; a
+    /// backend that owns a real file (e.g. [`FsBackend`]) reads only the
+    /// prefix and takes the length from the file's metadata.
+    fn read_prefix(&self, path: &Path, len: usize) -> io::Result<(Vec<u8>, u64)> {
+        let mut bytes = self.read(path)?;
+        let total = bytes.len() as u64;
+        bytes.truncate(len);
+        Ok((bytes, total))
+    }
 
     /// Read the file at `path` as [`AlignedBytes`], mapping it into
     /// memory when the backend can. The default routes through
@@ -109,6 +121,14 @@ impl StorageBackend for FsBackend {
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
+    }
+
+    fn read_prefix(&self, path: &Path, len: usize) -> io::Result<(Vec<u8>, u64)> {
+        let file = fs::File::open(path)?;
+        let total = file.metadata()?.len();
+        let mut prefix = Vec::with_capacity(len);
+        file.take(len as u64).read_to_end(&mut prefix)?;
+        Ok((prefix, total))
     }
 
     fn map(&self, path: &Path) -> io::Result<AlignedBytes> {
@@ -206,9 +226,10 @@ impl FaultSchedule {
 ///
 /// Only `write`/`append` and `read` suffer scheduled faults — they carry
 /// the payload bytes, which is where ENOSPC, torn writes and bit rot
-/// live. Metadata operations pass straight through, but *every*
-/// operation counts toward [`FaultSchedule::die_after_ops`], so a kill
-/// sweep covers rename/sync/list boundaries too.
+/// live. Metadata operations, header prefix reads included, pass
+/// straight through, but *every* operation counts toward
+/// [`FaultSchedule::die_after_ops`], so a kill sweep covers
+/// rename/sync/list boundaries too.
 #[derive(Debug)]
 pub struct FaultyBackend {
     inner: Arc<dyn StorageBackend>,
@@ -336,6 +357,11 @@ impl StorageBackend for FaultyBackend {
         }
     }
 
+    fn read_prefix(&self, path: &Path, len: usize) -> io::Result<(Vec<u8>, u64)> {
+        self.count_op();
+        self.inner.read_prefix(path, len)
+    }
+
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         self.count_op();
         self.inner.remove_file(path)
@@ -371,6 +397,22 @@ mod tests {
         assert_eq!(names, vec!["b.bin"]);
         b.remove_file(&q).unwrap();
         assert!(b.list_dir(&tmp.0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn read_prefix_returns_the_head_and_the_whole_length() {
+        let tmp = TempDir::new("backend-prefix");
+        let p = tmp.0.join("x");
+        FsBackend.write(&p, b"abcdefgh").unwrap();
+        assert_eq!(FsBackend.read_prefix(&p, 3).unwrap(), (b"abc".to_vec(), 8));
+        assert_eq!(FsBackend.read_prefix(&p, 64).unwrap(), (b"abcdefgh".to_vec(), 8));
+        // A replicated store answers with the plurality prefix.
+        let replicated =
+            crate::replicated::ReplicatedBackend::with_fs_replicas(&tmp.0, 1, 1).unwrap();
+        let q = tmp.0.join("y");
+        replicated.write(&q, b"abcdefgh").unwrap();
+        assert_eq!(replicated.read_prefix(&q, 3).unwrap(), (b"abc".to_vec(), 8));
+        assert!(FsBackend.read_prefix(&tmp.0.join("missing"), 3).is_err());
     }
 
     #[test]

@@ -144,6 +144,41 @@ pub fn sniff_version(data: &[u8]) -> Result<u16, NumarckError> {
     Ok(u16::from_le_bytes(data[4..6].try_into().expect("2 bytes")))
 }
 
+/// Length of the header prefix every container version shares: magic,
+/// version, kind byte, iteration, variable count and delta span sit at
+/// the same offsets in v1 and v2.
+pub const HEADER_PREFIX_LEN: usize = 24;
+
+/// What a file's header prefix says about its place in a chain, read
+/// without parsing (or CRC-checking) anything else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeaderFacts {
+    /// True when the payload is a full checkpoint.
+    pub is_full: bool,
+    /// Effective span, as [`CheckpointFile::span`] reports it: 0 for a
+    /// full, ≥ 1 for a delta (the legacy value 0 reads as 1).
+    pub span: u64,
+}
+
+/// Peek the chain facts out of the first [`HEADER_PREFIX_LEN`] bytes of
+/// a checkpoint file. `None` when the prefix is short, carries the wrong
+/// magic or an unknown version, or names no known kind — the full parse
+/// then rejects the file with the precise reason.
+pub fn peek_header(prefix: &[u8]) -> Option<HeaderFacts> {
+    let version = sniff_version(prefix).ok()?;
+    if prefix.len() < HEADER_PREFIX_LEN || AnyCodec::for_version(version).is_err() {
+        return None;
+    }
+    match prefix[6] {
+        0 => Some(HeaderFacts { is_full: true, span: 0 }),
+        1 => {
+            let span = u32::from_le_bytes(prefix[20..24].try_into().expect("4 bytes"));
+            Some(HeaderFacts { is_full: false, span: u64::from(span.max(1)) })
+        }
+        _ => None,
+    }
+}
+
 /// One variable's section size, as reported by [`describe`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionInfo {
@@ -499,5 +534,32 @@ mod tests {
             Err(NumarckError::VersionMismatch { found: 1, .. }) => {}
             other => panic!("expected version mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn header_peek_agrees_with_the_parse_in_both_versions() {
+        let full = CheckpointFile::new(7, CheckpointKind::Full(sample_vars()));
+        let mut merged = sample_delta();
+        merged.delta_span = 5;
+        for file in [full, sample_delta(), merged] {
+            for bytes in [file.to_bytes(), file.to_bytes_v1()] {
+                let facts = peek_header(&bytes[..HEADER_PREFIX_LEN]).unwrap();
+                let parsed = CheckpointFile::from_bytes(&bytes).unwrap();
+                assert_eq!(facts.is_full, matches!(parsed.kind, CheckpointKind::Full(_)));
+                assert_eq!(facts.span, parsed.span());
+            }
+        }
+    }
+
+    #[test]
+    fn header_peek_rejects_garbage() {
+        assert_eq!(peek_header(b"junk"), None);
+        assert_eq!(peek_header(&[]), None);
+        let mut bytes = sample_delta().to_bytes();
+        assert_eq!(peek_header(&bytes[..HEADER_PREFIX_LEN - 1]), None, "short prefix");
+        bytes[6] = 9;
+        assert_eq!(peek_header(&bytes), None, "unknown kind");
+        bytes[4] = 3;
+        assert_eq!(peek_header(&bytes), None, "unknown version");
     }
 }

@@ -17,10 +17,15 @@
 //!   iterations, NUMARCK deltas in between (change ratios computed
 //!   against the *exact* previous iteration, as in the paper), plus
 //!   bounded exponential-backoff retry for transient write faults.
-//! * [`restart`] — the read side: locate the newest full checkpoint at or
-//!   before the requested iteration and replay the delta chain on top,
-//!   reproducing the paper's restart equation (including its error
-//!   accumulation behaviour). Degraded restart
+//! * [`chain`] — the chain index: every stored file's kind, span and
+//!   length from its header alone, and the one backward walk
+//!   ([`chain::ChainIndex::resolve`]) that names the files a restart
+//!   reads. Restart, compaction, placement and GC all resolve through
+//!   it.
+//! * [`restart`] — the read side: resolve the requested iteration's path
+//!   to its base full checkpoint, pin those files, and replay the delta
+//!   chain on top, reproducing the paper's restart equation (including
+//!   its error accumulation behaviour). Degraded restart
 //!   ([`restart::RestartEngine::restart_at_or_before`]) falls back to
 //!   the newest intact iteration when the requested one is damaged.
 //! * [`scrub`] — offline integrity pass: CRC-verify every stored file,
@@ -34,6 +39,7 @@
 //!   silently.
 
 pub mod backend;
+pub mod chain;
 pub mod fault;
 pub mod format;
 pub mod manager;
@@ -45,6 +51,7 @@ pub mod scrub;
 pub mod store;
 
 pub use backend::{FaultSchedule, FaultyBackend, FsBackend, ReadFault, StorageBackend, WriteFault};
+pub use chain::{ChainIndex, StoredFile};
 pub use format::{
     describe, sniff_version, AnyCodec, CheckpointFile, CheckpointKind, ContainerInfo,
     MappedCheckpoint, SectionInfo, VERSION_V1, VERSION_V2, WRITE_VERSION,

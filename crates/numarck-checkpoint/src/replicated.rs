@@ -129,6 +129,44 @@ impl ReplicatedBackend {
         Ok(())
     }
 
+    /// Run a read on every replica and return the plurality result; a
+    /// tie goes to the group containing the lowest replica index, so the
+    /// result is deterministic. Failed replicas are counted and only
+    /// surface when no replica answered.
+    fn plurality<T: PartialEq>(
+        &self,
+        what: &str,
+        op: impl Fn(usize) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let mut groups: Vec<(T, usize)> = Vec::new();
+        let mut first_err: Option<io::Error> = None;
+        for i in 0..self.replicas.len() {
+            match op(i) {
+                Ok(data) => {
+                    if let Some(g) = groups.iter_mut().find(|(d, _)| *d == data) {
+                        g.1 += 1;
+                    } else {
+                        groups.push((data, 1));
+                    }
+                }
+                Err(e) => {
+                    self.errors[i].fetch_add(1, Ordering::Relaxed);
+                    if first_err.is_none() {
+                        first_err = Some(e);
+                    }
+                }
+            }
+        }
+        // Earlier-inserted groups win ties: strictly-greater keeps the
+        // lowest-index group in front.
+        match groups.into_iter().reduce(|best, g| if g.1 > best.1 { g } else { best }) {
+            Some((data, _)) => Ok(data),
+            None => {
+                Err(first_err.unwrap_or_else(|| io::Error::other(format!("{what}: no replicas"))))
+            }
+        }
+    }
+
     /// Fan a mutating operation out to every replica; succeed iff at
     /// least `write_quorum` replicas succeed, otherwise surface the
     /// first error. Per-replica failures are counted regardless.
@@ -195,34 +233,13 @@ impl StorageBackend for ReplicatedBackend {
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        // Read every replica and return the plurality byte-content; a
-        // tie goes to the group containing the lowest replica index, so
-        // the result is deterministic.
-        let mut groups: Vec<(Vec<u8>, usize)> = Vec::new();
-        let mut first_err: Option<io::Error> = None;
-        for (i, _) in self.replicas.iter().enumerate() {
-            match self.read_replica(i, path) {
-                Ok(data) => {
-                    if let Some(g) = groups.iter_mut().find(|(d, _)| *d == data) {
-                        g.1 += 1;
-                    } else {
-                        groups.push((data, 1));
-                    }
-                }
-                Err(e) => {
-                    self.errors[i].fetch_add(1, Ordering::Relaxed);
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        // Earlier-inserted groups win ties: strictly-greater keeps the
-        // lowest-index group in front.
-        match groups.into_iter().reduce(|best, g| if g.1 > best.1 { g } else { best }) {
-            Some((data, _)) => Ok(data),
-            None => Err(first_err.unwrap_or_else(|| io::Error::other("read: no replicas"))),
-        }
+        self.plurality("read", |i| self.read_replica(i, path))
+    }
+
+    fn read_prefix(&self, path: &Path, len: usize) -> io::Result<(Vec<u8>, u64)> {
+        self.plurality("read_prefix", |i| {
+            self.replicas[i].backend.read_prefix(&self.rebase(i, path)?, len)
+        })
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {

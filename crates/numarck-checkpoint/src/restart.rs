@@ -6,13 +6,28 @@
 //! the restart file." Replaying deltas against *reconstructed* state is
 //! what accumulates error with distance from the full checkpoint — the
 //! effect Fig. 8 measures.
+//!
+//! A restart runs in two steps. It *pins* the path — resolves it with a
+//! [`ChainIndex`] and maps every file on it, the only step that touches
+//! the store — and then parses, verifies and decodes from the pinned
+//! bytes alone. A caller that shares the store with writers pins under
+//! their lock and decodes after releasing it
+//! ([`RestartEngine::restart_at_or_before_locked`]).
+
+use std::path::{Path, PathBuf};
 
 use numarck::decode;
 use numarck::error::NumarckError;
 
+use crate::chain::{ChainIndex, ChainPath, StoredFile};
 use crate::format::{sniff_version, CheckpointFile, CheckpointKind, MappedCheckpoint, VERSION_V2};
+use crate::mmapio::AlignedBytes;
 use crate::store::CheckpointStore;
 use crate::VariableSet;
+
+/// How many times [`RestartEngine::restart_at`] re-resolves after a
+/// failure that coincided with a change to the store.
+const STALE_INDEX_RETRIES: usize = 4;
 
 /// One file on a restart chain, in whichever shape its container
 /// version decodes best: v2 files stay as a [`MappedCheckpoint`] and
@@ -28,52 +43,48 @@ enum ChainFile {
 }
 
 impl ChainFile {
-    fn iteration(&self) -> u64 {
-        match self {
+    /// Parse pinned bytes through the versioned seam: v2 files stay
+    /// mapped for zero-copy decode, v1 files parse through the frozen
+    /// codec.
+    fn parse(name: &Path, iteration: u64, bytes: AlignedBytes) -> Result<Self, NumarckError> {
+        let file = match sniff_version(&bytes)? {
+            VERSION_V2 => Self::Mapped(MappedCheckpoint::parse(bytes)?),
+            _ => Self::Parsed(CheckpointFile::from_bytes(&bytes)?),
+        };
+        let claimed = match &file {
             Self::Parsed(f) => f.iteration,
             Self::Mapped(m) => m.iteration(),
+        };
+        if claimed != iteration {
+            return Err(NumarckError::Corrupt(format!(
+                "file {} claims iteration {claimed}, expected {iteration}",
+                name.display()
+            )));
         }
+        Ok(file)
     }
 
-    fn is_full_payload(&self) -> bool {
+    fn into_full_variables(self, iteration: u64) -> Result<VariableSet, NumarckError> {
         match self {
-            Self::Parsed(f) => matches!(f.kind, CheckpointKind::Full(_)),
-            Self::Mapped(m) => m.is_full(),
-        }
-    }
-
-    fn span(&self) -> u64 {
-        match self {
-            Self::Parsed(f) => f.span(),
-            Self::Mapped(m) => m.span(),
-        }
-    }
-
-    fn into_full_variables(self) -> Result<VariableSet, NumarckError> {
-        match self {
-            Self::Parsed(f) => match f.kind {
-                CheckpointKind::Full(vars) => Ok(vars),
-                CheckpointKind::Delta(_) => unreachable!("caller checked is_full_payload"),
-            },
-            Self::Mapped(m) => m.full_variables(),
+            Self::Parsed(CheckpointFile { kind: CheckpointKind::Full(vars), .. }) => Ok(vars),
+            Self::Mapped(m) if m.is_full() => m.full_variables(),
+            _ => Err(NumarckError::Corrupt(format!("base {iteration} holds no full payload"))),
         }
     }
 
     /// Apply this delta file in place to `vars`.
-    fn apply(&self, vars: &mut VariableSet) -> Result<(), NumarckError> {
+    fn apply(&self, iteration: u64, vars: &mut VariableSet) -> Result<(), NumarckError> {
         let mismatch = || {
             NumarckError::Corrupt(format!(
-                "delta {} variable set does not match the chain",
-                self.iteration()
+                "delta {iteration} variable set does not match the chain"
             ))
         };
+        let full_payload =
+            || NumarckError::Corrupt(format!("delta {iteration} holds a full payload"));
         match self {
             Self::Parsed(f) => {
-                let blocks = match &f.kind {
-                    CheckpointKind::Delta(blocks) => blocks,
-                    CheckpointKind::Full(_) => {
-                        unreachable!("resolve_chain collects only deltas")
-                    }
+                let CheckpointKind::Delta(blocks) = &f.kind else {
+                    return Err(full_payload());
                 };
                 if blocks.len() != vars.len()
                     || !blocks.keys().zip(vars.keys()).all(|(a, b)| a == b)
@@ -86,6 +97,9 @@ impl ChainFile {
                 }
             }
             Self::Mapped(m) => {
+                if m.is_full() {
+                    return Err(full_payload());
+                }
                 if m.num_variables() != vars.len()
                     || !m.variable_names().zip(vars.keys()).all(|(a, b)| a == b.as_str())
                 {
@@ -98,6 +112,41 @@ impl ChainFile {
             }
         }
         Ok(())
+    }
+}
+
+/// A resolved restart path with every file on it held: mapped on
+/// filesystem stores (a mapping survives a later unlink), copied on
+/// other backends. Replaying it reads nothing more from the store.
+#[derive(Debug)]
+struct PinnedChain {
+    path: ChainPath,
+    /// `(file name, bytes)` per file, in [`ChainPath::files`] order.
+    files: Vec<(PathBuf, AlignedBytes)>,
+}
+
+impl PinnedChain {
+    /// The iteration this chain restarts.
+    fn target(&self) -> u64 {
+        self.path.target
+    }
+
+    /// Parse, verify and decode the pinned files: the base full, then
+    /// every delta forwards.
+    fn replay(self) -> Result<RestartResult, NumarckError> {
+        let Self { path, files } = self;
+        let mut steps = path.files().zip(files);
+        let ((base, _), (name, bytes)) = steps.next().expect("a path starts at its base");
+        let mut vars = ChainFile::parse(&name, base, bytes)?.into_full_variables(base)?;
+        for ((it, _), (name, bytes)) in steps {
+            ChainFile::parse(&name, it, bytes)?.apply(it, &mut vars)?;
+        }
+        Ok(RestartResult {
+            vars,
+            iteration: path.target,
+            base_iteration: path.base,
+            deltas_applied: path.deltas.len() as u64,
+        })
     }
 }
 
@@ -167,104 +216,72 @@ impl RestartEngine {
 
     /// Rebuild the state at `target` iteration.
     ///
-    /// The chain is resolved **backwards** from `target`: a full
-    /// checkpoint at the cursor ends the walk; otherwise the delta at
-    /// the cursor is collected and the cursor steps back by that
-    /// delta's span ([`crate::format::CheckpointFile::span`]). For a
-    /// plain chain (span-1 deltas) this reads exactly the files the old
-    /// forward walk read; for a compacted chain it naturally skips the
-    /// iterations a merged delta superseded and GC may have removed.
-    /// The collected path is then replayed forwards from the base full.
+    /// Loads a [`ChainIndex`], resolves `target`'s path with
+    /// [`ChainIndex::resolve`] (a full ends the backward walk, a delta
+    /// steps back by its span, so a compacted chain skips the iterations
+    /// a merged delta superseded), pins the files on it and replays them
+    /// forwards from the base full.
     ///
     /// Fails loudly if the chain hits an iteration with no stored file,
-    /// any file is corrupt, a span points before iteration 0, or
-    /// variable sets don't line up.
+    /// any file is corrupt or disagrees with its index entry, a span
+    /// points before iteration 0, or variable sets don't line up. With
+    /// no lock against writers, a failure is only reported once a fresh
+    /// index shows the store stood still across the attempt; otherwise
+    /// the path is resolved again.
     pub fn restart_at(&self, target: u64) -> Result<RestartResult, NumarckError> {
-        let (path, base_iteration, mut vars) = self.resolve_chain(target)?;
-        let deltas_applied = path.len() as u64;
-        for file in path.iter().rev() {
-            file.apply(&mut vars)?;
-        }
-        Ok(RestartResult { vars, iteration: target, base_iteration, deltas_applied })
-    }
-
-    /// Open the file for `iteration` through the versioned seam: map the
-    /// bytes (a real `mmap` on plain filesystem stores), sniff the
-    /// container version, and keep v2 files mapped for zero-copy decode
-    /// while v1 files parse through the frozen codec.
-    fn read_chain_file(&self, iteration: u64, is_full: bool) -> Result<ChainFile, NumarckError> {
-        let path = self.store.path_of(iteration, is_full);
-        let bytes = self
-            .store
-            .map_raw(iteration, is_full)
-            .map_err(|e| NumarckError::Io(format!("cannot read {}: {e}", path.display())))?;
-        let file = match sniff_version(&bytes)? {
-            VERSION_V2 => ChainFile::Mapped(MappedCheckpoint::parse(bytes)?),
-            _ => ChainFile::Parsed(CheckpointFile::from_bytes(&bytes)?),
-        };
-        if file.iteration() != iteration {
-            return Err(NumarckError::Corrupt(format!(
-                "file {} claims iteration {}, expected {iteration}",
-                path.display(),
-                file.iteration()
-            )));
-        }
-        Ok(file)
-    }
-
-    /// Walk backwards from `target` to the base full checkpoint,
-    /// returning the delta files on the path (newest first), the base
-    /// iteration, and the base variables.
-    fn resolve_chain(
-        &self,
-        target: u64,
-    ) -> Result<(Vec<ChainFile>, u64, VariableSet), NumarckError> {
-        let entries = self
-            .store
-            .list()
-            .map_err(|e| NumarckError::Corrupt(format!("store listing failed: {e}")))?;
-        let mut has_full = std::collections::HashSet::new();
-        let mut has_delta = std::collections::HashSet::new();
-        for e in &entries {
-            if e.is_full {
-                has_full.insert(e.iteration);
-            } else {
-                has_delta.insert(e.iteration);
-            }
-        }
-        let mut path = Vec::new();
-        let mut cur = target;
+        let mut index = self.index()?;
+        let mut retries = 0;
         loop {
-            if has_full.contains(&cur) {
-                let base = self.read_chain_file(cur, true)?;
-                if !base.is_full_payload() {
+            let err = match self.restart_with(&index, target) {
+                Ok(result) => return Ok(result),
+                Err(err) => err,
+            };
+            let now = self.index()?;
+            if now == index || retries == STALE_INDEX_RETRIES {
+                return Err(err);
+            }
+            index = now;
+            retries += 1;
+        }
+    }
+
+    /// Rebuild the state at `target` along the path `index` resolves.
+    pub fn restart_with(
+        &self,
+        index: &ChainIndex,
+        target: u64,
+    ) -> Result<RestartResult, NumarckError> {
+        self.pin(index, target)?.replay()
+    }
+
+    /// Resolve `target` with `index` and map every file on its path. A
+    /// mapped file whose length or header disagrees with its index entry
+    /// is [`NumarckError::Corrupt`].
+    fn pin(&self, index: &ChainIndex, target: u64) -> Result<PinnedChain, NumarckError> {
+        let path = index.resolve(target)?;
+        let files = path
+            .files()
+            .map(|(it, is_full)| {
+                let name = self.store.path_of(it, is_full);
+                let bytes = self
+                    .store
+                    .map_raw(it, is_full)
+                    .map_err(|e| NumarckError::Io(format!("cannot read {}: {e}", name.display())))?;
+                if index.file(it, is_full) != Some(StoredFile::of(&bytes)) {
                     return Err(NumarckError::Corrupt(format!(
-                        "checkpoint {cur} has .full name but delta payload"
+                        "{} does not match its chain index entry",
+                        name.display()
                     )));
                 }
-                return Ok((path, cur, base.into_full_variables()?));
-            }
-            if !has_delta.contains(&cur) {
-                return Err(NumarckError::Corrupt(format!(
-                    "chain to {target} broken at iteration {cur}: no checkpoint file stored"
-                )));
-            }
-            let file = self.read_chain_file(cur, false)?;
-            if file.is_full_payload() {
-                // A full payload under a delta name: inconsistent store
-                // state. Be permissive: adopt it as the base, as the
-                // forward walk used to.
-                return Ok((path, cur, file.into_full_variables()?));
-            }
-            let span = file.span();
-            if span > cur {
-                return Err(NumarckError::Corrupt(format!(
-                    "delta {cur} spans {span} iterations, past the start of the chain"
-                )));
-            }
-            cur -= span;
-            path.push(file);
-        }
+                Ok((name, bytes))
+            })
+            .collect::<Result<_, NumarckError>>()?;
+        Ok(PinnedChain { path, files })
+    }
+
+    fn index(&self) -> Result<ChainIndex, NumarckError> {
+        ChainIndex::load(&self.store)
+            .map_err(|e| NumarckError::Io(format!("store listing failed: {e}")))
     }
 
     /// Degraded restart: recover the newest intact iteration at or
@@ -276,33 +293,66 @@ impl RestartEngine {
     /// describing what was achieved and what was lost; errs only when
     /// *no* iteration at or before `target` can be rebuilt.
     pub fn restart_at_or_before(&self, target: u64) -> Result<DegradedRestart, NumarckError> {
-        let mut candidates: Vec<u64> = self
-            .store
-            .list()
-            .map_err(|e| NumarckError::Io(format!("store listing failed: {e}")))?
-            .into_iter()
-            .map(|e| e.iteration)
-            .filter(|&it| it <= target)
-            .collect();
-        candidates.dedup();
-        candidates.reverse();
+        self.restart_at_or_before_locked(target, || ())
+    }
+
+    /// [`Self::restart_at_or_before`] against a store that writers
+    /// change under a lock: `lock()` is held while the index is loaded
+    /// and the chosen chain is pinned, and released before anything is
+    /// parsed or decoded. A writer that removes files only under the
+    /// same lock (numarck-serve's ingest and maintenance) can then never
+    /// delete a file between the resolve and the open, so the restart
+    /// never degrades because a file vanished. A pinned chain that fails
+    /// to replay is recorded as lost, and the next older candidate is
+    /// pinned under the lock again.
+    pub fn restart_at_or_before_locked<G>(
+        &self,
+        target: u64,
+        lock: impl Fn() -> G,
+    ) -> Result<DegradedRestart, NumarckError> {
         let mut lost = Vec::new();
-        if candidates.first() != Some(&target) {
-            lost.push(LostIteration {
-                iteration: target,
-                reason: "no checkpoint file stored for this iteration".into(),
-            });
-        }
-        for it in candidates {
-            match self.restart_at(it) {
+        let mut bound = Some(target);
+        while let Some(b) = bound {
+            let pinned = {
+                let _guard = lock();
+                let index = self.index()?;
+                if b == target && index.entry(target).is_none() {
+                    lost.push(LostIteration {
+                        iteration: target,
+                        reason: "no checkpoint file stored for this iteration".into(),
+                    });
+                }
+                self.pin_newest(&index, b, &mut lost)
+            };
+            let Some(pinned) = pinned else { break };
+            let it = pinned.target();
+            match pinned.replay() {
                 Ok(result) => return Ok(DegradedRestart { requested: target, result, lost }),
                 Err(e) => lost.push(LostIteration { iteration: it, reason: e.to_string() }),
             }
+            bound = it.checked_sub(1);
         }
         Err(NumarckError::Io(format!(
             "no restartable iteration at or before {target}: {} candidate(s) failed",
             lost.len()
         )))
+    }
+
+    /// Pin the newest iteration at or before `bound` whose path resolves
+    /// and maps, recording every candidate passed over in `lost`.
+    fn pin_newest(
+        &self,
+        index: &ChainIndex,
+        bound: u64,
+        lost: &mut Vec<LostIteration>,
+    ) -> Option<PinnedChain> {
+        for it in index.iterations_at_or_before(bound).rev() {
+            match self.pin(index, it) {
+                Ok(pinned) => return Some(pinned),
+                Err(e) => lost.push(LostIteration { iteration: it, reason: e.to_string() }),
+            }
+        }
+        None
     }
 }
 

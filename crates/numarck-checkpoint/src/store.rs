@@ -157,16 +157,6 @@ impl CheckpointStore {
         Ok(entries)
     }
 
-    /// Latest full checkpoint at or before `iteration`, if any.
-    pub fn latest_full_at_or_before(&self, iteration: u64) -> std::io::Result<Option<u64>> {
-        Ok(self
-            .list()?
-            .into_iter()
-            .filter(|e| e.is_full && e.iteration <= iteration)
-            .map(|e| e.iteration)
-            .max())
-    }
-
     /// Delete the file for `iteration`.
     pub fn remove(&self, iteration: u64, is_full: bool) -> std::io::Result<()> {
         self.backend.remove_file(&self.path_of(iteration, is_full))
@@ -191,36 +181,6 @@ impl CheckpointStore {
             let _ = self.remove(e.iteration, e.is_full);
         }
         Ok(())
-    }
-
-    /// Retention: keep only the newest `keep_chains` restart chains.
-    ///
-    /// A *chain* is a full checkpoint plus the deltas up to (excluding)
-    /// the next full. Everything older than the `keep_chains`-th newest
-    /// full checkpoint is deleted; every kept iteration remains
-    /// restartable because chains are only removed whole. Returns the
-    /// number of files deleted.
-    ///
-    /// `keep_chains == 0` is rejected — it would delete the ability to
-    /// restart at all.
-    pub fn prune(&self, keep_chains: usize) -> std::io::Result<usize> {
-        assert!(keep_chains >= 1, "must keep at least one chain");
-        let entries = self.list()?;
-        let mut fulls: Vec<u64> =
-            entries.iter().filter(|e| e.is_full).map(|e| e.iteration).collect();
-        fulls.sort_unstable();
-        if fulls.len() <= keep_chains {
-            return Ok(0);
-        }
-        let cutoff = fulls[fulls.len() - keep_chains];
-        let mut removed = 0;
-        for e in entries {
-            if e.iteration < cutoff {
-                self.remove(e.iteration, e.is_full)?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
     }
 }
 
@@ -294,20 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn latest_full_lookup() {
-        let tmp = TempDir::new("store-latest");
-        let store = CheckpointStore::open(&tmp.0).unwrap();
-        for i in [0u64, 4, 8] {
-            store.write(&full(i)).unwrap();
-        }
-        assert_eq!(store.latest_full_at_or_before(6).unwrap(), Some(4));
-        assert_eq!(store.latest_full_at_or_before(8).unwrap(), Some(8));
-        assert_eq!(store.latest_full_at_or_before(100).unwrap(), Some(8));
-        let empty = CheckpointStore::open(tmp.0.join("sub")).unwrap();
-        assert_eq!(empty.latest_full_at_or_before(5).unwrap(), None);
-    }
-
-    #[test]
     fn reading_missing_file_errors() {
         let tmp = TempDir::new("store-missing");
         let store = CheckpointStore::open(&tmp.0).unwrap();
@@ -354,51 +300,6 @@ mod tests {
         // Listing no longer sees it; the healthy file remains.
         let iters: Vec<u64> = store.list().unwrap().iter().map(|e| e.iteration).collect();
         assert_eq!(iters, vec![5]);
-    }
-
-    #[test]
-    fn prune_keeps_the_newest_chains_whole() {
-        use crate::format::CheckpointKind;
-        use crate::VariableSet;
-        let tmp = TempDir::new("store-prune");
-        let store = CheckpointStore::open(&tmp.0).unwrap();
-        // Fulls at 0, 4, 8; deltas elsewhere up to 10.
-        for it in 0..=10u64 {
-            let kind = if it % 4 == 0 {
-                CheckpointKind::Full({
-                    let mut v = VariableSet::new();
-                    v.insert("x".into(), vec![it as f64; 4]);
-                    v
-                })
-            } else {
-                // A delta payload isn't needed for pruning tests; write a
-                // full-shaped file under the delta name via the format
-                // API would be wrong, so build a real (trivial) delta.
-                let cfg = crate::manager::test_support::trivial_config();
-                let prev = vec![1.0, 2.0, 3.0, 4.0];
-                let curr = vec![1.001, 2.002, 3.003, 4.004];
-                let (block, _) = numarck::encode::encode(&prev, &curr, &cfg).unwrap();
-                let mut m = std::collections::BTreeMap::new();
-                m.insert("x".to_string(), block);
-                CheckpointKind::Delta(m)
-            };
-            store.write(&CheckpointFile::new(it, kind)).unwrap();
-        }
-        let removed = store.prune(2).unwrap();
-        // Cutoff at full 4: iterations 0..=3 go (4 files).
-        assert_eq!(removed, 4);
-        let left: Vec<u64> = store.list().unwrap().iter().map(|e| e.iteration).collect();
-        assert_eq!(left, vec![4, 5, 6, 7, 8, 9, 10]);
-        // Keeping more chains than exist is a no-op.
-        assert_eq!(store.prune(5).unwrap(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one chain")]
-    fn prune_zero_rejected() {
-        let tmp = TempDir::new("store-prune-zero");
-        let store = CheckpointStore::open(&tmp.0).unwrap();
-        let _ = store.prune(0);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! bytes on disk, the variables inside, and the modeled restart cost.
 
 use numarck::NumarckError;
-use numarck_checkpoint::CheckpointStore;
-use numarck_compact::{ChainView, CompactionConfig, Compactor, CostModel};
+use numarck_checkpoint::{ChainIndex, CheckpointStore};
+use numarck_compact::{CompactionConfig, Compactor, CostModel};
 
 use crate::commands::{open_store, parse_args, replica_count};
 use crate::{CliError, CliResult};
@@ -114,35 +114,35 @@ pub fn chain(raw: &[String]) -> CliResult {
     let p = parse_args(raw, &["replicas"], &[])?;
     let dir = &p.expect_positionals(1, "checkpoint store directory").map_err(CliError::usage)?[0];
     let store = open_store(dir, replica_count(&p)?)?;
-    let view = ChainView::load(&store).map_err(|e| format!("cannot list {dir}: {e}"))?;
-    if view.is_empty() {
+    let index = ChainIndex::load(&store).map_err(|e| format!("cannot list {dir}: {e}"))?;
+    if index.is_empty() {
         return Ok(format!("chain for {dir}: empty (no checkpoint files)\n"));
     }
     let model = CostModel::default();
     let mut out = format!(
         "chain for {dir}: {} iteration(s), {} full(s), {} bytes\n",
-        view.iterations().count(),
-        view.fulls().len(),
-        view.total_bytes()
+        index.iterations().count(),
+        index.fulls().len(),
+        index.total_bytes()
     );
     out.push_str(&format!(
         "{:>10}  {:<12} {:>4}  {:>3}  {:>9}  {:>12}  sections\n",
         "iter", "kind", "span", "ver", "bytes", "est-restart"
     ));
-    for it in view.iterations() {
-        let entry = view.entry(it).expect("iterations() only yields stored entries");
-        let cost = fmt_cost(view.restart_cost_ns(it, &model));
-        if let Some(bytes) = entry.full_bytes {
-            out.push_str(&row(&store, it, true, "full", 0, bytes, &cost));
+    for it in index.iterations() {
+        let entry = index.entry(it).expect("iterations() only yields stored entries");
+        let cost = fmt_cost(model.restart_cost_ns(&index, it));
+        if let Some(full) = entry.full {
+            out.push_str(&row(&store, it, true, "full", 0, full.bytes, &cost));
         }
-        if let Some(bytes) = entry.delta_bytes {
-            let kind = if entry.delta_span >= 2 { "delta merged" } else { "delta" };
-            out.push_str(&row(&store, it, false, kind, entry.delta_span, bytes, &cost));
+        if let Some(delta) = entry.delta {
+            let kind = if delta.span() >= 2 { "delta merged" } else { "delta" };
+            out.push_str(&row(&store, it, false, kind, delta.span(), delta.bytes, &cost));
         }
     }
     out.push_str(&format!(
         "worst-case modeled restart: {} (model: {} ns/byte full decode + {} ns/delta hop)\n",
-        fmt_cost(view.worst_case_cost_ns(&model)),
+        fmt_cost(model.worst_case_cost_ns(&index)),
         model.full_ns_per_byte,
         model.delta_replay_ns
     ));

@@ -331,6 +331,37 @@ mod tests {
     }
 
     #[test]
+    fn verify_budget_follows_each_points_change_ratio() {
+        // Every point drops tenfold at iteration 2. A ratio error of E
+        // in that step is a relative error of 10·E in the state, which a
+        // budget assuming |Δ| ≤ E cannot cover; the per-point budget
+        // ∏(1 + E/|x_k/x_{k−1}|) − 1 does.
+        let tmp = TempDir::new("verify-drop");
+        let data = tmp.path("drop.f64s");
+        let chain = tmp.path("drop.nmkc");
+        let restored = tmp.path("drop-restored.f64s");
+        let mut state: Vec<f64> = (0..512).map(|j| 1.0 + (j % 17) as f64).collect();
+        let mut seq = vec![state.clone()];
+        for it in 1..5u64 {
+            // Spread the drop's ratios wider than 2^B − 1 bins of width
+            // 2E can cover, so the quantized ones carry errors near E.
+            let spread = if it == 2 { 0.3 } else { 0.06 };
+            for (j, v) in state.iter_mut().enumerate() {
+                let u = ((j as u64 * 7919 + it * 104_729) % 1000) as f64 / 1000.0 - 0.5;
+                *v *= if it == 2 { 0.1 } else { 1.0 } * (1.0 + spread * u);
+            }
+            seq.push(state.clone());
+        }
+        crate::seqfile::write(std::path::Path::new(&data), &seq).unwrap();
+        run(&argv(&["compress", &data, "--out", &chain, "--bits", "4", "--tolerance", "0.001"]))
+            .unwrap();
+        run(&argv(&["decompress", &chain, "--out", &restored])).unwrap();
+        let out = run(&argv(&["verify", &data, &restored, "--tolerance", "0.001"]))
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert!(out.contains("PASS"), "{out}");
+    }
+
+    #[test]
     fn verify_fails_on_mismatched_data() {
         let tmp = TempDir::new("verify-fail");
         let a = tmp.path("a.f64s");

@@ -54,6 +54,10 @@ pub fn aggregate(
         out.idle_disconnects += r.idle_disconnects;
         out.replica_repairs += r.replica_repairs;
         out.replica_quorum_failures += r.replica_quorum_failures;
+        out.compact_runs += r.compact_runs;
+        out.compact_deltas_merged += r.compact_deltas_merged;
+        out.compact_bytes_reclaimed += r.compact_bytes_reclaimed;
+        out.gc_files_removed += r.gc_files_removed;
         for s in &r.sessions {
             let entry = sessions.entry(s.name.clone()).or_insert_with(|| SessionStat {
                 id: gateway_id(&s.name).unwrap_or(s.id),
@@ -112,11 +116,27 @@ mod tests {
     fn counters_sum_and_sessions_merge_by_name() {
         // The same session replicated on two shards under different
         // local ids; one replica is one iteration behind.
-        let a = shard_reply(1, "ha", Some(7), 8);
-        let b = shard_reply(3, "ha", Some(6), 7);
+        let a = StatsReply {
+            compact_runs: 3,
+            compact_deltas_merged: 8,
+            compact_bytes_reclaimed: 1000,
+            gc_files_removed: 5,
+            ..shard_reply(1, "ha", Some(7), 8)
+        };
+        let b = StatsReply {
+            compact_runs: 2,
+            compact_deltas_merged: 4,
+            compact_bytes_reclaimed: 500,
+            gc_files_removed: 1,
+            ..shard_reply(3, "ha", Some(6), 7)
+        };
         let merged = aggregate(&[a, b], |name| (name == "ha").then_some(42), false);
         assert_eq!(merged.iterations_ingested, 15, "shard-side work sums");
         assert_eq!(merged.accepted, 2);
+        assert_eq!(merged.compact_runs, 5, "maintenance counters sum too");
+        assert_eq!(merged.compact_deltas_merged, 12);
+        assert_eq!(merged.compact_bytes_reclaimed, 1500);
+        assert_eq!(merged.gc_files_removed, 6);
         assert_eq!(merged.sessions.len(), 1, "merged by name, not id");
         let s = &merged.sessions[0];
         assert_eq!(s.id, 42, "gateway id wins");

@@ -1,192 +1,37 @@
-//! Chain-shape inspection and the restart cost model.
+//! Chain-shape policy over a [`ChainIndex`]: the merge units and the
+//! restart cost model.
 //!
-//! A [`ChainView`] is a cheap structural snapshot of a checkpoint
-//! store: which iterations hold fulls, which hold deltas, how many
-//! bytes each file occupies, and how far back each delta's base state
-//! lives (its span). Resolution mirrors
-//! [`numarck_checkpoint::restart::RestartEngine`]'s backward walk but
-//! works from headers alone — no payload decoding — so policy decisions
-//! and the `numarck chain` inspector stay O(files).
-//!
-//! The [`CostModel`] turns a resolved chain into a modeled restart
-//! latency: the base full's decode cost (proportional to its size) plus
-//! a per-delta replay cost, seeded from the measured
-//! `numarck_decode_ns` timings in the global registry when available.
+//! The index (numarck-checkpoint's [`ChainIndex`]) is the one model of
+//! chain shape — header facts per file and the restart engine's own
+//! backward walk. This module only adds policy on top of it:
+//! [`plain_runs`] finds what compaction may merge, and the [`CostModel`]
+//! turns a resolved path into a modeled restart latency: the base full's
+//! decode cost (proportional to its size) plus a per-delta replay cost,
+//! seeded from the measured `numarck_decode_ns` timings in the global
+//! registry when available.
 
-use std::collections::BTreeMap;
-use std::io;
+use numarck_checkpoint::chain::ChainIndex;
 
-use numarck_checkpoint::store::CheckpointStore;
-
-/// One iteration's stored artefacts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChainEntry {
-    /// Size of the `.full` file, if one exists.
-    pub full_bytes: Option<u64>,
-    /// Size of the `.delta` file, if one exists.
-    pub delta_bytes: Option<u64>,
-    /// The delta's span (≥ 1; legacy files normalise 0 → 1). 0 when no
-    /// delta is stored.
-    pub delta_span: u64,
-}
-
-/// How a chain walk from one iteration resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedChain {
-    /// The base full checkpoint the walk ended at.
-    pub base: u64,
-    /// Size of the base full, bytes.
-    pub base_bytes: u64,
-    /// Delta iterations on the path, newest first.
-    pub path: Vec<u64>,
-}
-
-/// Structural snapshot of a store's chain shape.
-#[derive(Debug, Clone, Default)]
-pub struct ChainView {
-    entries: BTreeMap<u64, ChainEntry>,
-}
-
-impl ChainView {
-    /// Snapshot `store`. Reads every file's bytes once (for sizes and
-    /// header spans) but decodes no payloads; unparseable files keep a
-    /// span of 1 — resolution through them then fails the same way
-    /// restart would.
-    pub fn load(store: &CheckpointStore) -> io::Result<Self> {
-        let mut entries: BTreeMap<u64, ChainEntry> = BTreeMap::new();
-        for e in store.list()? {
-            let bytes = match store.read_raw(e.iteration, e.is_full) {
-                Ok(b) => b,
-                // Racing a concurrent delete is not an error: the file
-                // simply is not part of the snapshot.
-                Err(err) if err.kind() == io::ErrorKind::NotFound => continue,
-                Err(err) => return Err(err),
-            };
-            let entry = entries.entry(e.iteration).or_default();
-            if e.is_full {
-                entry.full_bytes = Some(bytes.len() as u64);
-            } else {
-                entry.delta_bytes = Some(bytes.len() as u64);
-                entry.delta_span = peek_span(&bytes);
+/// Maximal runs `[a, b]` of consecutive iterations that hold only a
+/// plain span-1 delta (no full) — the units compaction merges.
+pub fn plain_runs(index: &ChainIndex) -> Vec<(u64, u64)> {
+    let mut runs = Vec::new();
+    let mut cur: Option<(u64, u64)> = None;
+    for it in index.iterations() {
+        let e = index.entry(it).expect("iterated key");
+        let plain =
+            e.full.is_none() && e.delta.is_some_and(|d| !d.holds_full() && d.span() <= 1);
+        match (plain, cur) {
+            (true, Some((a, b))) if it == b + 1 => cur = Some((a, it)),
+            (true, _) => {
+                runs.extend(cur.take());
+                cur = Some((it, it));
             }
-        }
-        Ok(Self { entries })
-    }
-
-    /// True when the store holds no checkpoint files at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterations with at least one stored file, ascending.
-    pub fn iterations(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.keys().copied()
-    }
-
-    /// The entry at `iteration`, if any file is stored there.
-    pub fn entry(&self, iteration: u64) -> Option<&ChainEntry> {
-        self.entries.get(&iteration)
-    }
-
-    /// The newest stored iteration.
-    pub fn latest(&self) -> Option<u64> {
-        self.entries.keys().next_back().copied()
-    }
-
-    /// Iterations holding a full checkpoint, ascending.
-    pub fn fulls(&self) -> Vec<u64> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.full_bytes.is_some())
-            .map(|(&it, _)| it)
-            .collect()
-    }
-
-    /// Resolve the restart chain for `target` by the same backward walk
-    /// the restart engine performs: a full ends the walk, a delta steps
-    /// back by its span. `None` when the chain is broken (a needed
-    /// iteration has no stored file, or a span points past iteration 0).
-    pub fn resolve(&self, target: u64) -> Option<ResolvedChain> {
-        let mut path = Vec::new();
-        let mut cur = target;
-        loop {
-            let entry = self.entries.get(&cur)?;
-            if let Some(bytes) = entry.full_bytes {
-                return Some(ResolvedChain { base: cur, base_bytes: bytes, path });
-            }
-            entry.delta_bytes?;
-            let span = entry.delta_span.max(1);
-            if span > cur {
-                return None;
-            }
-            path.push(cur);
-            cur -= span;
+            (false, _) => runs.extend(cur.take()),
         }
     }
-
-    /// Maximal runs `[a, b]` of consecutive iterations that hold only a
-    /// plain span-1 delta (no full) — the units compaction merges.
-    pub fn plain_runs(&self) -> Vec<(u64, u64)> {
-        let mut runs = Vec::new();
-        let mut cur: Option<(u64, u64)> = None;
-        for (&it, e) in &self.entries {
-            let plain = e.full_bytes.is_none() && e.delta_bytes.is_some() && e.delta_span <= 1;
-            match (plain, cur) {
-                (true, Some((a, b))) if it == b + 1 => cur = Some((a, it)),
-                (true, _) => {
-                    if let Some(run) = cur.take() {
-                        runs.push(run);
-                    }
-                    cur = Some((it, it));
-                }
-                (false, _) => {
-                    if let Some(run) = cur.take() {
-                        runs.push(run);
-                    }
-                }
-            }
-        }
-        if let Some(run) = cur {
-            runs.push(run);
-        }
-        runs
-    }
-
-    /// Modeled restart cost for `target`, or `None` when its chain is
-    /// broken.
-    pub fn restart_cost_ns(&self, target: u64, model: &CostModel) -> Option<u64> {
-        let chain = self.resolve(target)?;
-        Some(model.cost_ns(chain.base_bytes, chain.path.len() as u64))
-    }
-
-    /// The worst modeled restart cost over every *resolvable* stored
-    /// iteration. Broken chains are excluded — they cannot restart at
-    /// any cost.
-    pub fn worst_case_cost_ns(&self, model: &CostModel) -> Option<u64> {
-        self.entries
-            .keys()
-            .filter_map(|&it| self.restart_cost_ns(it, model))
-            .max()
-    }
-
-    /// Total bytes stored across all checkpoint files.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries
-            .values()
-            .map(|e| e.full_bytes.unwrap_or(0) + e.delta_bytes.unwrap_or(0))
-            .sum()
-    }
-}
-
-/// Read a delta's span straight out of the container header (bytes
-/// [20..24) of the NCKP layout), without parsing the payload. Anything
-/// unrecognisable reads as a plain span-1 delta.
-pub fn peek_span(bytes: &[u8]) -> u64 {
-    if bytes.len() >= 24 && bytes[0..4] == *b"NCKP" && bytes[6] == 1 {
-        u64::from(u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"))).max(1)
-    } else {
-        1
-    }
+    runs.extend(cur);
+    runs
 }
 
 /// Linear restart-latency model: full-decode cost proportional to the
@@ -229,6 +74,20 @@ impl CostModel {
     pub fn cost_ns(&self, base_bytes: u64, hops: u64) -> u64 {
         (base_bytes as f64 * self.full_ns_per_byte + hops as f64 * self.delta_replay_ns) as u64
     }
+
+    /// Modeled restart cost for `target`, or `None` when its chain is
+    /// broken.
+    pub fn restart_cost_ns(&self, index: &ChainIndex, target: u64) -> Option<u64> {
+        let path = index.resolve(target).ok()?;
+        Some(self.cost_ns(path.base_bytes, path.deltas.len() as u64))
+    }
+
+    /// The worst modeled restart cost over every *resolvable* stored
+    /// iteration. Broken chains are excluded — they cannot restart at
+    /// any cost.
+    pub fn worst_case_cost_ns(&self, index: &ChainIndex) -> Option<u64> {
+        index.iterations().filter_map(|it| self.restart_cost_ns(index, it)).max()
+    }
 }
 
 impl Default for CostModel {
@@ -243,61 +102,26 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numarck_checkpoint::format::HeaderFacts;
+    use numarck_checkpoint::StoredFile;
 
-    fn view(entries: &[(u64, Option<u64>, Option<(u64, u64)>)]) -> ChainView {
-        // (iteration, full bytes, (delta bytes, span))
-        let mut map = BTreeMap::new();
-        for &(it, full, delta) in entries {
-            map.insert(
-                it,
-                ChainEntry {
-                    full_bytes: full,
-                    delta_bytes: delta.map(|(b, _)| b),
-                    delta_span: delta.map(|(_, s)| s).unwrap_or(0),
-                },
-            );
-        }
-        ChainView { entries: map }
+    fn full(bytes: u64) -> StoredFile {
+        StoredFile { bytes, header: Some(HeaderFacts { is_full: true, span: 0 }) }
     }
 
-    #[test]
-    fn resolve_walks_spans_and_prefers_fulls() {
-        let v = view(&[
-            (0, Some(1000), None),
-            (3, None, Some((100, 3))),
-            (4, None, Some((100, 1))),
-            (5, Some(1000), Some((100, 1))),
-            (6, None, Some((100, 1))),
-        ]);
-        let r = v.resolve(4).unwrap();
-        assert_eq!((r.base, r.path.clone()), (0, vec![4, 3]));
-        // The full at 5 wins over its own delta.
-        assert_eq!(v.resolve(5).unwrap().path, Vec::<u64>::new());
-        assert_eq!(v.resolve(6).unwrap().base, 5);
-    }
-
-    #[test]
-    fn broken_chains_resolve_to_none() {
-        let v = view(&[(0, Some(1000), None), (2, None, Some((100, 1)))]);
-        assert!(v.resolve(2).is_none(), "hole at 1");
-        assert!(v.resolve(9).is_none(), "nothing stored");
-        let over = view(&[(2, None, Some((100, 5)))]);
-        assert!(over.resolve(2).is_none(), "span past iteration 0");
+    fn delta(bytes: u64, span: u64) -> StoredFile {
+        StoredFile { bytes, header: Some(HeaderFacts { is_full: false, span }) }
     }
 
     #[test]
     fn plain_runs_split_on_fulls_and_merged_deltas() {
-        let v = view(&[
-            (0, Some(1000), None),
-            (1, None, Some((100, 1))),
-            (2, None, Some((100, 1))),
-            (3, None, Some((100, 3))), // merged: breaks the run
-            (4, None, Some((100, 1))),
-            (5, Some(1000), Some((100, 1))), // full: breaks the run
-            (6, None, Some((100, 1))),
-            (7, None, Some((100, 1))),
-        ]);
-        assert_eq!(v.plain_runs(), vec![(1, 2), (4, 4), (6, 7)]);
+        let mut index = ChainIndex::default();
+        index.insert(0, true, full(1000));
+        for (it, span) in [(1, 1), (2, 1), (3, 3), (4, 1), (5, 1), (6, 1), (7, 1)] {
+            index.insert(it, false, delta(100, span)); // 3 is merged: breaks the run
+        }
+        index.insert(5, true, full(1000)); // full: breaks the run
+        assert_eq!(plain_runs(&index), vec![(1, 2), (4, 4), (6, 7)]);
     }
 
     #[test]
@@ -305,29 +129,14 @@ mod tests {
         let m = CostModel { full_ns_per_byte: 2.0, delta_replay_ns: 10.0 };
         assert_eq!(m.cost_ns(100, 0), 200);
         assert_eq!(m.cost_ns(100, 5), 250);
-        let v = view(&[
-            (0, Some(100), None),
-            (1, None, Some((10, 1))),
-            (2, None, Some((10, 1))),
-        ]);
-        assert_eq!(v.restart_cost_ns(2, &m), Some(220));
-        assert_eq!(v.worst_case_cost_ns(&m), Some(220));
-    }
-
-    #[test]
-    fn peek_span_tolerates_garbage() {
-        assert_eq!(peek_span(b"junk"), 1);
-        assert_eq!(peek_span(&[]), 1);
-        let mut hdr = Vec::new();
-        hdr.extend_from_slice(b"NCKP");
-        hdr.extend_from_slice(&1u16.to_le_bytes());
-        hdr.push(1); // delta
-        hdr.push(0);
-        hdr.extend_from_slice(&9u64.to_le_bytes());
-        hdr.extend_from_slice(&1u32.to_le_bytes());
-        hdr.extend_from_slice(&7u32.to_le_bytes());
-        assert_eq!(peek_span(&hdr), 7);
-        hdr[6] = 0; // full: span slot ignored
-        assert_eq!(peek_span(&hdr), 1);
+        let mut index = ChainIndex::default();
+        index.insert(0, true, full(100));
+        index.insert(1, false, delta(10, 1));
+        index.insert(2, false, delta(10, 1));
+        assert_eq!(m.restart_cost_ns(&index, 2), Some(220));
+        assert_eq!(m.worst_case_cost_ns(&index), Some(220));
+        index.remove(1, false);
+        assert_eq!(m.restart_cost_ns(&index, 2), None, "broken chains have no cost");
+        assert_eq!(m.worst_case_cost_ns(&index), Some(200));
     }
 }

@@ -7,11 +7,11 @@
 //! * every stored iteration divisible by `keep_every` (when set).
 //!
 //! *Liveness* is then reachability: a file is live iff it lies on the
-//! resolved restart chain of some retained iteration — the same
-//! backward span walk restart itself performs, so GC can never delete
-//! a file restart would read. Everything else is dead: plain deltas a
-//! merged delta superseded, deltas shadowed by a promoted full, whole
-//! chains older than the retention horizon.
+//! resolved restart path of some retained iteration — resolved by
+//! [`ChainIndex::resolve`], the walk restart itself performs, so GC can
+//! never delete a file restart would read. Everything else is dead:
+//! plain deltas a merged delta superseded, deltas shadowed by a promoted
+//! full, whole chains older than the retention horizon.
 //!
 //! Safety invariants, in order:
 //!
@@ -24,16 +24,18 @@
 //!    first. Replacements were written fsync-durable (temp file +
 //!    rename + dir fsync) by the store.
 //! 3. A dead file younger than `min_age_secs` survives; unknown age
-//!    (metadata error) counts as young. This keeps GC from racing an
-//!    ingest or compaction that has not settled.
+//!    (metadata error) counts as young. This is a retention setting, not
+//!    a reader guard: in-flight restarts are protected by pinning their
+//!    files under the same lock GC runs under (numarck-serve's session
+//!    lock), so a file on a pinned path is already mapped or copied
+//!    before GC can unlink it.
 
 use std::collections::HashSet;
 use std::time::{Duration, SystemTime};
 
 use numarck::error::NumarckError;
+use numarck_checkpoint::chain::ChainIndex;
 use numarck_checkpoint::store::CheckpointStore;
-
-use crate::chain::ChainView;
 
 /// What one GC pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,23 +61,35 @@ pub fn collect(
     keep_every: u64,
     min_age_secs: u64,
 ) -> Result<GcReport, NumarckError> {
+    let mut index = ChainIndex::load(store)
+        .map_err(|e| NumarckError::Io(format!("chain index load failed: {e}")))?;
+    collect_in(store, &mut index, keep_last_fulls, keep_every, min_age_secs)
+}
+
+/// [`collect`] over an index the caller just loaded; every file the
+/// pass deletes leaves `index` too.
+pub(crate) fn collect_in(
+    store: &CheckpointStore,
+    index: &mut ChainIndex,
+    keep_last_fulls: usize,
+    keep_every: u64,
+    min_age_secs: u64,
+) -> Result<GcReport, NumarckError> {
     assert!(keep_last_fulls >= 1, "retention must keep at least one full checkpoint");
-    let view = ChainView::load(store)
-        .map_err(|e| NumarckError::Io(format!("chain snapshot failed: {e}")))?;
     let mut report = GcReport::default();
-    let Some(latest) = view.latest() else {
+    let Some(latest) = index.latest() else {
         return Ok(report); // empty store: nothing to retain, nothing to delete
     };
 
     // Retained iterations.
     let mut retained: HashSet<u64> = HashSet::new();
     retained.insert(latest);
-    let fulls = view.fulls();
+    let fulls = index.fulls();
     for &f in fulls.iter().rev().take(keep_last_fulls) {
         retained.insert(f);
     }
     if keep_every > 0 {
-        for it in view.iterations() {
+        for it in index.iterations() {
             if it % keep_every == 0 {
                 retained.insert(it);
             }
@@ -86,14 +100,9 @@ pub fn collect(
     // chain aborts the pass (invariant 1).
     let mut live: HashSet<(u64, bool)> = HashSet::new();
     for &t in &retained {
-        match view.resolve(t) {
-            Some(chain) => {
-                live.insert((chain.base, true));
-                for d in chain.path {
-                    live.insert((d, false));
-                }
-            }
-            None => report.unresolvable += 1,
+        match index.resolve(t) {
+            Ok(path) => live.extend(path.files()),
+            Err(_) => report.unresolvable += 1,
         }
     }
     if report.unresolvable > 0 {
@@ -114,13 +123,11 @@ pub fn collect(
     // Delete dead files old enough to be settled.
     let now = SystemTime::now();
     let min_age = Duration::from_secs(min_age_secs);
-    for it in view.iterations().collect::<Vec<_>>() {
-        let entry = *view.entry(it).expect("iterated key");
-        for (present, is_full, bytes) in [
-            (entry.full_bytes.is_some(), true, entry.full_bytes.unwrap_or(0)),
-            (entry.delta_bytes.is_some(), false, entry.delta_bytes.unwrap_or(0)),
-        ] {
-            if !present || live.contains(&(it, is_full)) {
+    for it in index.iterations().collect::<Vec<_>>() {
+        let entry = *index.entry(it).expect("iterated key");
+        for (is_full, file) in [(true, entry.full), (false, entry.delta)] {
+            let Some(file) = file else { continue };
+            if live.contains(&(it, is_full)) {
                 continue;
             }
             if min_age_secs > 0 && !old_enough(store, it, is_full, now, min_age) {
@@ -130,7 +137,7 @@ pub fn collect(
             match store.remove(it, is_full) {
                 Ok(()) => {
                     report.removed += 1;
-                    report.bytes_removed += bytes;
+                    report.bytes_removed += file.bytes;
                 }
                 // Already gone (e.g. a concurrent pass): that is the goal.
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -140,6 +147,7 @@ pub fn collect(
                     )))
                 }
             }
+            index.remove(it, is_full);
         }
     }
     Ok(report)

@@ -15,8 +15,9 @@
 //!   restart engine's backward walk follows spans natively.
 //! * [`chain`] + [`policy`] — **tiered full placement**: a linear
 //!   [`chain::CostModel`] (seeded from measured `numarck_decode_ns`
-//!   timings) models each iteration's restart latency; fulls are
-//!   promoted until the worst case meets a configurable SLO.
+//!   timings) models each iteration's restart latency over the path
+//!   numarck-checkpoint's `ChainIndex` resolves; fulls are promoted until
+//!   the worst case meets a configurable SLO.
 //! * [`gc`] — **retention GC**: keep-last-N-fulls / keep-every-kth /
 //!   min-age rules compute the retained iterations, reachability over
 //!   the span graph computes liveness, and deletion happens only after
@@ -35,7 +36,7 @@ pub mod merge;
 pub mod obs;
 pub mod policy;
 
-pub use chain::{ChainEntry, ChainView, CostModel, ResolvedChain};
+pub use chain::{plain_runs, CostModel};
 pub use gc::GcReport;
 pub use merge::{build_merged_block, merge_window, MergeStats, MergedDelta};
 pub use policy::{CompactionConfig, CompactionReport, Compactor, IntentLog, NoJournal};

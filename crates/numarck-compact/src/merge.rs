@@ -33,6 +33,7 @@ use numarck::decode;
 use numarck::encode::{pack_codes_serial, CompressedIteration, ESCAPE};
 use numarck::error::NumarckError;
 use numarck::table::BinTable;
+use numarck_checkpoint::chain::ChainIndex;
 use numarck_checkpoint::format::{CheckpointFile, CheckpointKind};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
@@ -202,14 +203,16 @@ pub struct MergedDelta {
 /// Merge the deltas `(end − span, end]` of the chain in `store` into
 /// one span-`span` delta at `end`, verified end to end.
 ///
-/// Both endpoint states are obtained by replaying the *current* chain,
-/// so the merged delta reproduces exactly what a restart reproduces
-/// today — quantization error already baked into the chain and all.
+/// Both endpoint states are obtained by replaying the *current* chain
+/// along the paths `index` resolves, so the merged delta reproduces
+/// exactly what a restart reproduces today — quantization error already
+/// baked into the chain and all.
 /// Before returning, the serialised bytes are re-parsed and replayed
 /// against the base state and bit-compared with the original replay;
 /// an artefact that fails that proof never reaches the caller.
 pub fn merge_window(
     store: &CheckpointStore,
+    index: &ChainIndex,
     end: u64,
     span: u64,
 ) -> Result<MergedDelta, NumarckError> {
@@ -225,8 +228,8 @@ pub fn merge_window(
         return Err(NumarckError::InvalidConfig(format!("merge span {span} exceeds u32")));
     }
     let engine = RestartEngine::new(store.clone());
-    let base = engine.restart_at(end - span)?.vars;
-    let fin = engine.restart_at(end)?.vars;
+    let base = engine.restart_with(index, end - span)?.vars;
+    let fin = engine.restart_with(index, end)?.vars;
     if base.len() != fin.len() || !base.keys().zip(fin.keys()).all(|(a, b)| a == b) {
         return Err(NumarckError::Corrupt(format!(
             "variable sets differ between iterations {} and {end}",

@@ -16,11 +16,12 @@
 use std::io;
 
 use numarck::error::NumarckError;
+use numarck_checkpoint::chain::{ChainIndex, StoredFile};
 use numarck_checkpoint::format::{CheckpointFile, CheckpointKind};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
 
-use crate::chain::{ChainView, CostModel};
+use crate::chain::{plain_runs, CostModel};
 use crate::gc::{self, GcReport};
 use crate::merge::{self, MergeStats};
 use crate::obs;
@@ -129,8 +130,11 @@ impl Compactor {
     /// fulls until the modeled worst-case restart cost meets the SLO,
     /// then collect superseded artefacts.
     ///
-    /// The caller owns mutual exclusion with ingest and scrub (the
-    /// serve worker holds the session lock, exactly as scrub does).
+    /// The pass loads one [`ChainIndex`] and keeps it current as its own
+    /// writes land; GC loads a fresh one, so deletion is always judged
+    /// against the store as it is. The caller owns mutual exclusion with
+    /// ingest, scrub and restart pinning (the serve worker holds the
+    /// session lock, exactly as scrub does).
     pub fn run(
         &self,
         store: &CheckpointStore,
@@ -139,19 +143,20 @@ impl Compactor {
         obs::runs_total().inc();
         let _span = obs::run_ns().span();
         let mut report = CompactionReport::default();
-        let bytes_before = ChainView::load(store)
-            .map_err(|e| NumarckError::Io(format!("chain snapshot failed: {e}")))?
-            .total_bytes();
+        let mut index = load_index(store)?;
+        let bytes_before = index.total_bytes();
 
         if self.config.merge_window >= 2 {
-            self.compact(store, journal, &mut report)?;
+            self.compact(store, journal, &mut index, &mut report)?;
         }
         if let Some(slo) = self.config.restart_slo_ns {
-            self.place(store, journal, slo, &mut report)?;
+            self.place(store, journal, &mut index, slo, &mut report)?;
         }
         if self.config.keep_last_fulls > 0 {
-            report.gc = gc::collect(
+            index = load_index(store)?;
+            report.gc = gc::collect_in(
                 store,
+                &mut index,
                 self.config.keep_last_fulls,
                 self.config.keep_every,
                 self.config.min_age_secs,
@@ -159,11 +164,9 @@ impl Compactor {
             obs::gc_files_removed_total().add(report.gc.removed);
         }
 
-        let after = ChainView::load(store)
-            .map_err(|e| NumarckError::Io(format!("chain snapshot failed: {e}")))?;
-        report.bytes_reclaimed = bytes_before.saturating_sub(after.total_bytes());
+        report.bytes_reclaimed = bytes_before.saturating_sub(index.total_bytes());
         obs::bytes_reclaimed_total().add(report.bytes_reclaimed);
-        report.worst_case_cost_ns = after.worst_case_cost_ns(&self.config.cost);
+        report.worst_case_cost_ns = self.config.cost.worst_case_cost_ns(&index);
         Ok(report)
     }
 
@@ -175,16 +178,15 @@ impl Compactor {
         &self,
         store: &CheckpointStore,
         journal: &mut dyn IntentLog,
+        index: &mut ChainIndex,
         report: &mut CompactionReport,
     ) -> Result<(), NumarckError> {
         let w = self.config.merge_window;
-        let view = ChainView::load(store)
-            .map_err(|e| NumarckError::Io(format!("chain snapshot failed: {e}")))?;
-        for (a, b) in view.plain_runs() {
+        for (a, b) in plain_runs(index) {
             let mut start = a;
             while start + w - 1 <= b {
                 let end = start + w - 1;
-                let merged = merge::merge_window(store, end, w)?;
+                let merged = merge::merge_window(store, index, end, w)?;
                 journaled_write(
                     store,
                     journal,
@@ -193,6 +195,7 @@ impl Compactor {
                     &merged.bytes,
                     merged.content_crc,
                 )?;
+                index.insert(end, false, StoredFile::of(&merged.bytes));
                 report.merges += 1;
                 report.deltas_merged += w;
                 report.merge_stats.unchanged += merged.stats.unchanged;
@@ -210,54 +213,44 @@ impl Compactor {
     /// modeled restart cost is within `slo` — walking iterations in
     /// order and materialising a full at the first offender, exactly
     /// the "materialize a fresh full" trick repair uses, but as policy
-    /// rather than emergency.
+    /// rather than emergency. Each promotion enters the index, so later
+    /// iterations resolve to it.
     fn place(
         &self,
         store: &CheckpointStore,
         journal: &mut dyn IntentLog,
+        index: &mut ChainIndex,
         slo: u64,
         report: &mut CompactionReport,
     ) -> Result<(), NumarckError> {
         let model = &self.config.cost;
-        let view = ChainView::load(store)
-            .map_err(|e| NumarckError::Io(format!("chain snapshot failed: {e}")))?;
-        // (hops, base full bytes) per iteration, updated as promotions
-        // land so downstream costs see the new fulls.
-        let mut memo: std::collections::BTreeMap<u64, (u64, u64)> =
-            std::collections::BTreeMap::new();
         let engine = RestartEngine::new(store.clone());
-        for it in view.iterations().collect::<Vec<_>>() {
-            let entry = *view.entry(it).expect("iterated key");
-            let resolved = if let Some(bytes) = entry.full_bytes {
-                Some((0u64, bytes))
-            } else if entry.delta_bytes.is_some() {
-                let span = entry.delta_span.max(1);
-                it.checked_sub(span)
-                    .and_then(|base| memo.get(&base).copied())
-                    .map(|(hops, base_bytes)| (hops + 1, base_bytes))
-            } else {
-                None
-            };
-            let Some((hops, base_bytes)) = resolved else { continue };
-            let cost = model.cost_ns(base_bytes, hops);
+        for it in index.iterations().collect::<Vec<_>>() {
+            let Ok(path) = index.resolve(it) else { continue };
+            let hops = path.deltas.len() as u64;
             // Promote only when a full would actually fix it: if the
             // full-decode cost alone already blows the SLO, promotion
             // per iteration would bloat the store without meeting it.
-            if cost > slo && hops >= 1 && model.cost_ns(base_bytes, 0) <= slo {
-                let vars = engine.restart_at(it)?.vars;
+            if model.cost_ns(path.base_bytes, hops) > slo
+                && hops >= 1
+                && model.cost_ns(path.base_bytes, 0) <= slo
+            {
+                let vars = engine.restart_with(index, it)?.vars;
                 let file = CheckpointFile::new(it, CheckpointKind::Full(vars));
                 let bytes = file.to_bytes();
                 let crc = numarck::serialize::crc32(&bytes);
                 journaled_write(store, journal, it, true, &bytes, crc)?;
+                index.insert(it, true, StoredFile::of(&bytes));
                 report.fulls_promoted += 1;
                 obs::fulls_promoted_total().inc();
-                memo.insert(it, (0, bytes.len() as u64));
-            } else {
-                memo.insert(it, (hops, base_bytes));
             }
         }
         Ok(())
     }
+}
+
+fn load_index(store: &CheckpointStore) -> Result<ChainIndex, NumarckError> {
+    ChainIndex::load(store).map_err(|e| NumarckError::Io(format!("chain index load failed: {e}")))
 }
 
 /// The shared write discipline: journal intent → atomic store write →

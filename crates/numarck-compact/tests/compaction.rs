@@ -10,8 +10,9 @@ use numarck::{Config, Strategy};
 use numarck_checkpoint::manager::{CheckpointManager, ManagerPolicy};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
-use numarck_checkpoint::{repair, FaultSchedule, FaultyBackend, FsBackend, VariableSet, WriteFault};
-use numarck_compact::chain::ChainView;
+use numarck_checkpoint::{
+    repair, ChainIndex, FaultSchedule, FaultyBackend, FsBackend, VariableSet, WriteFault,
+};
 use numarck_compact::merge::vars_bits_equal;
 use numarck_compact::{gc, CompactionConfig, Compactor, CostModel, NoJournal};
 
@@ -55,7 +56,7 @@ fn truth_sequence(iters: u64, n: usize) -> Vec<VariableSet> {
         }
         let z: Vec<f64> = (0..n)
             .map(|i| {
-                if (i as u64 + it) % 4 == 0 {
+                if (i as u64 + it).is_multiple_of(4) {
                     0.0
                 } else {
                     // Per-point, per-iteration values: ratios rarely repeat,
@@ -186,8 +187,8 @@ fn placement_bounds_worst_case_cost_under_slo() {
     // free. SLO of 5 ms allows at most 5 hops to the nearest full.
     let cost = CostModel { full_ns_per_byte: 0.0, delta_replay_ns: 1_000_000.0 };
     let slo = 5_000_000u64;
-    let view = ChainView::load(&store).unwrap();
-    assert!(view.worst_case_cost_ns(&cost).unwrap() > slo, "chain must start in violation");
+    let index = ChainIndex::load(&store).unwrap();
+    assert!(cost.worst_case_cost_ns(&index).unwrap() > slo, "chain must start in violation");
 
     let report = Compactor::new(CompactionConfig {
         merge_window: 0, // isolate the placement policy

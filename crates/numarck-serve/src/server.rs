@@ -460,9 +460,10 @@ impl Server {
 /// Background chain maintenance: every `compact_interval`, run one
 /// compaction/placement/GC pass over each open session. Each pass holds
 /// that session's lock (exactly as scrub does), so maintenance never
-/// races the session's own ingest, and its writes go through the
-/// session's write-ahead intent journal — to crash recovery they are
-/// indistinguishable from ingest writes. Exits when drain is triggered.
+/// races the session's own ingest or a restart pinning its chain, and
+/// its writes go through the session's write-ahead intent journal — to
+/// crash recovery they are indistinguishable from ingest writes. Exits
+/// when drain is triggered.
 fn maintenance_loop(shared: &Shared, compaction: CompactionConfig) {
     let mut last_sweep = Instant::now();
     loop {
@@ -926,13 +927,14 @@ fn restart(id: u64, at_or_before: u64, shared: &Shared) -> Response {
         Ok(h) => h,
         Err(resp) => return resp,
     };
-    let store = {
-        let sess = handle.lock().expect("session lock");
-        sess.manager.store().clone()
-    };
-    // The chain replay runs on a clone of the store *outside* the
-    // session lock: restarts are reads and must not stall ingest.
-    match RestartEngine::new(store).restart_at_or_before(at_or_before) {
+    let store = handle.lock().expect("session lock").manager.store().clone();
+    // Pin the chain under the session lock — the lock ingest and
+    // maintenance (GC included) hold while they change the store — so no
+    // file on it can be collected between the resolve and the open. The
+    // parse and decode run after the lock is released: restarts are
+    // reads and must not stall ingest.
+    let pin_lock = || handle.lock().expect("session lock");
+    match RestartEngine::new(store).restart_at_or_before_locked(at_or_before, pin_lock) {
         Ok(degraded) => Response::RestartData {
             achieved: degraded.achieved(),
             base: degraded.result.base_iteration,
