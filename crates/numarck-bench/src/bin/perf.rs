@@ -1,12 +1,15 @@
 //! `perf` — the reproducible encode/decode throughput harness.
 //!
-//! Times the three stages of the compression path — change-ratio
-//! transform, full encode (transform + table fit + rank-partitioned
-//! packing), and parallel decode — over FLASH- and climate-shaped
-//! workloads at thread counts 1, 2, and all available cores, then emits
-//! `BENCH_encode.json` (transform + encode rows) and `BENCH_decode.json`
-//! (decode rows) so every future change has a throughput trajectory to
-//! regress against.
+//! Times the stages of the compression path — change-ratio transform,
+//! representative-table fit, full encode (transform + fit +
+//! rank-partitioned packing), and parallel decode — over FLASH- and
+//! climate-shaped workloads at thread counts 1, 2, and all available
+//! cores, then emits `BENCH_encode.json` (transform, fit and encode rows)
+//! and `BENCH_decode.json` (decode rows) so every future change has a
+//! throughput trajectory to regress against. The fit row times the
+//! 1-D K-means fit alone on the variable's fit sample; its `points` are
+//! the variable's, like every other row, so its rate compares directly
+//! with the encode row's.
 //!
 //! Usage:
 //!
@@ -23,7 +26,7 @@ use std::time::Instant;
 use climate_sim::ClimateVar;
 use flash_sim::FlashVar;
 
-use numarck::{decode, encode, ratio, Config, Strategy};
+use numarck::{decode, encode, ratio, strategy, Config, Strategy};
 use numarck_bench::data::{climate_sequence, flash_sequence, tile_to, FlashConfig};
 use numarck_bench::report::{host_meta_json, print_table};
 use numarck_obs::{render_json as obs_metrics_json, set_timing_enabled, Registry};
@@ -109,6 +112,20 @@ fn main() {
                 let r = with_threads(t, || ratio::compute(prev, curr, config.tolerance()));
                 std::hint::black_box(r.expect("finite bench data"));
             });
+            let sample = ratio::compute(prev, curr, config.tolerance())
+                .expect("finite bench data")
+                .fit_sample;
+            let fit_secs = best_of(reps, || {
+                let table = with_threads(t, || {
+                    strategy::fit_table(
+                        config.strategy(),
+                        &sample,
+                        config.max_table_len(),
+                        &config.clustering(),
+                    )
+                });
+                std::hint::black_box(table);
+            });
             let encode_secs = best_of(reps, || {
                 let r = with_threads(t, || encode::encode(prev, curr, &config));
                 std::hint::black_box(r.expect("finite bench data"));
@@ -119,9 +136,12 @@ fn main() {
                 std::hint::black_box(r.expect("self-produced block decodes"));
             });
 
-            for (stage, secs) in
-                [("transform", transform_secs), ("encode", encode_secs), ("decode", decode_secs)]
-            {
+            for (stage, secs) in [
+                ("transform", transform_secs),
+                ("fit", fit_secs),
+                ("encode", encode_secs),
+                ("decode", decode_secs),
+            ] {
                 let base = samples
                     .iter()
                     .find(|s| s.workload == name && s.stage == stage && s.threads == 1)

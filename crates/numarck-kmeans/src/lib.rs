@@ -5,14 +5,18 @@
 //! `k = 2^B − 1` clusters, seeded from the equal-width histogram to avoid
 //! the classic sensitivity of Lloyd's algorithm to its initial centres.
 //! The paper uses the authors' MPI-parallel K-means package; this crate is
-//! the shared-memory equivalent.
+//! the shared-memory equivalent, and its 1-D fit follows the sort-once,
+//! prefix-sum form of Yuan et al. (arXiv:1703.02438).
 //!
 //! Two implementations are provided:
 //!
 //! * [`lloyd1d`] — the production path. Exploits the 1-D structure: with
-//!   centres kept sorted, nearest-centre assignment reduces to a binary
-//!   search over the `k − 1` midpoints (O(log k) per point instead of
-//!   O(k)), and the update step is a chunk-parallel partial-sum merge.
+//!   centres kept sorted, every cluster is an interval between adjacent
+//!   midpoints. The fit sorts the sample once and builds prefix sums, so
+//!   a Lloyd iteration is `k − 1` binary searches over the sorted sample
+//!   plus O(k) prefix-sum differences, O(k log n) instead of a pass over
+//!   all `n` points; nearest-centre queries are a binary search over the
+//!   midpoints (O(log k) per point instead of O(k)).
 //! * [`general`] — a straightforward dense d-dimensional Lloyd iteration,
 //!   used as a test oracle for the 1-D path and available for callers that
 //!   cluster multi-variable records.

@@ -49,10 +49,13 @@ pub fn encode_group(
     config: &Config,
 ) -> Result<(Vec<CompressedIteration>, GroupStats), NumarckError> {
     let tolerance = config.tolerance();
+    crate::obs::encodes_total().add(pairs.len() as u64);
+    crate::obs::points_encoded_total().add(pairs.iter().map(|(p, _)| p.len() as u64).sum());
     // Transform every variable first (so validation errors surface
     // before any work). Each transform is internally parallel.
     let mut transforms = Vec::with_capacity(pairs.len());
     for (prev, curr) in pairs {
+        let _span = crate::obs::transform_ns().span();
         transforms.push(ratio::compute(prev, curr, tolerance)?);
     }
     // Pool the fit samples the same way the encoder's packer partitions
@@ -65,12 +68,15 @@ pub fn encode_group(
     par_for_each(windows.into_iter().zip(&transforms), |_, (dst, r)| {
         dst.copy_from_slice(&r.fit_sample)
     });
-    let table = strategy::fit_table(
-        config.strategy(),
-        &pooled,
-        config.max_table_len(),
-        &config.clustering(),
-    );
+    let table = {
+        let _span = crate::obs::fit_ns().span();
+        strategy::fit_table(
+            config.strategy(),
+            &pooled,
+            config.max_table_len(),
+            &config.clustering(),
+        )
+    };
 
     let mut blocks = Vec::with_capacity(pairs.len());
     let mut per_variable = Vec::with_capacity(pairs.len());

@@ -11,7 +11,8 @@
 //! * `numarck_encodes_total`, `numarck_decodes_total` — blocks encoded
 //!   and decoded;
 //! * `numarck_points_encoded_total` — data points pushed through
-//!   [`crate::encode::encode`];
+//!   [`crate::encode::encode`] and [`crate::group::encode_group`] (which
+//!   counts one encode per variable and times its pooled fit once);
 //! * `numarck_encode_transform_ns`, `numarck_encode_fit_ns`,
 //!   `numarck_encode_classify_ns`, `numarck_encode_pack_ns`,
 //!   `numarck_decode_ns` — per-phase wall time histograms.
@@ -72,5 +73,25 @@ mod tests {
         assert!(encodes_total().get() > before_enc);
         assert!(fit_ns().count() > before_fit);
         assert!(decode_ns().count() > before_dec);
+    }
+
+    #[test]
+    fn group_encode_records_its_phases() {
+        use crate::{Config, Strategy};
+        let before_enc = encodes_total().get();
+        let before_points = points_encoded_total().get();
+        let before_transform = transform_ns().count();
+        let before_fit = fit_ns().count();
+
+        let prev: Vec<f64> = (0..512).map(|i| 1.0 + (i % 13) as f64).collect();
+        let curr: Vec<f64> = prev.iter().map(|v| v * 1.01).collect();
+        let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
+        crate::group::encode_group(&[(&prev, &curr), (&prev, &curr)], &cfg).unwrap();
+
+        // Other tests encode concurrently: lower bounds only.
+        assert!(encodes_total().get() >= before_enc + 2);
+        assert!(points_encoded_total().get() >= before_points + 1024);
+        assert!(transform_ns().count() > before_transform);
+        assert!(fit_ns().count() > before_fit);
     }
 }
