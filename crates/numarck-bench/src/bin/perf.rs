@@ -188,13 +188,15 @@ fn main() {
     let mut krows = vec![vec![
         "kernel".to_string(),
         "level".to_string(),
-        "Mpoints/s".to_string(),
+        "unit".to_string(),
+        "M units/s".to_string(),
     ]];
     for k in &kernels {
         krows.push(vec![
             k.kernel.to_string(),
             k.level.to_string(),
-            format!("{:.2}", k.points as f64 / k.secs / 1e6),
+            k.unit.to_string(),
+            format!("{:.2}", k.count as f64 / k.secs / 1e6),
         ]);
     }
     print_table(&krows);
@@ -251,17 +253,21 @@ fn main() {
 struct KernelSample {
     kernel: &'static str,
     level: &'static str,
-    points: usize,
+    /// What `count` counts: `"points"` for the lane kernels, `"bytes"`
+    /// for the checksum.
+    unit: &'static str,
+    count: usize,
     secs: f64,
 }
 
-/// Time the four lane kernels at every dispatch level the host supports.
+/// Time the five `numarck-simd` kernels at every dispatch level the host supports.
 ///
 /// Inputs are shaped like real encoder traffic: ratios spread over a
 /// 255-entry representative table with a mix of small changes and
-/// escapes, and an 8-bit packed index stream for the unpack kernel.
+/// escapes, an 8-bit packed index stream for the unpack kernel, and the
+/// `8 × points` bytes of the variable itself for the CRC.
 fn kernel_microbench(points: usize, reps: usize) -> Vec<KernelSample> {
-    use numarck_simd::{popcount, quantize, transform, unpack};
+    use numarck_simd::{crc, popcount, quantize, transform, unpack};
 
     let prev: Vec<f64> = (0..points).map(|i| 1.0 + ((i * 31) % 1009) as f64 / 100.0).collect();
     let curr: Vec<f64> =
@@ -272,6 +278,7 @@ fn kernel_microbench(points: usize, reps: usize) -> Vec<KernelSample> {
     let words = vec![0x9E37_79B9_7F4A_7C15u64; points / 64 + 1];
     let bits = 8u8;
     let packed_words = vec![0x0102_0304_0506_0708u64; (points * bits as usize).div_ceil(64) + 1];
+    let raw: Vec<u8> = curr.iter().flat_map(|v| v.to_le_bytes()).collect();
 
     let mut out = Vec::new();
     for level in numarck_simd::Level::all_supported() {
@@ -294,13 +301,17 @@ fn kernel_microbench(points: usize, reps: usize) -> Vec<KernelSample> {
             unpack::unpack_with(level, &packed_words, bits, 0, &mut unpacked);
             std::hint::black_box(unpacked.last());
         });
-        for (kernel, secs) in [
-            ("transform", transform_secs),
-            ("quantize", quantize_secs),
-            ("popcount", popcount_secs),
-            ("unpack", unpack_secs),
+        let crc_secs = best_of(reps, || {
+            std::hint::black_box(crc::crc32_update_with(level, 0, std::hint::black_box(&raw)));
+        });
+        for (kernel, unit, count, secs) in [
+            ("transform", "points", points, transform_secs),
+            ("quantize", "points", points, quantize_secs),
+            ("popcount", "points", points, popcount_secs),
+            ("unpack", "points", points, unpack_secs),
+            ("crc", "bytes", raw.len(), crc_secs),
         ] {
-            out.push(KernelSample { kernel, level: name, points, secs });
+            out.push(KernelSample { kernel, level: name, unit, count, secs });
         }
     }
     out
@@ -359,13 +370,14 @@ fn render_json(
             let comma = if i + 1 == ks.len() { "" } else { "," };
             let _ = writeln!(
                 s,
-                "    {{\"kernel\": \"{}\", \"level\": \"{}\", \"points\": {}, \
-                 \"secs\": {:.6}, \"points_per_sec\": {:.1}}}{comma}",
+                "    {{\"kernel\": \"{}\", \"level\": \"{}\", \"{unit}\": {}, \
+                 \"secs\": {:.6}, \"{unit}_per_sec\": {:.1}}}{comma}",
                 k.kernel,
                 k.level,
-                k.points,
+                k.count,
                 k.secs,
-                k.points as f64 / k.secs,
+                k.count as f64 / k.secs,
+                unit = k.unit,
             );
         }
         let _ = writeln!(s, "  ],");

@@ -7,7 +7,10 @@
 //! `NUMARCK_FORCE_SCALAR=1` must produce **byte-identical** `.nmkc`
 //! artefacts, and both must decompress to byte-identical `.f64s`
 //! output. The env knob is read per process, which is exactly why this
-//! lives as a subprocess test and not a unit test.
+//! lives as a subprocess test and not a unit test. The container CRC
+//! goes through the same dispatch, so the byte-equal artefacts also pin
+//! the CRC kernel's output per level, and each pinned process must
+//! still reject a bit-flipped artefact with its own CRC check.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -37,14 +40,19 @@ impl Drop for TempDir {
     }
 }
 
-/// Run the CLI with extra env vars; panic with full output on failure.
-fn run(args: &[&str], env: &[(&str, &str)]) {
+/// Run the CLI with extra env vars and return its output.
+fn output(args: &[&str], env: &[(&str, &str)]) -> std::process::Output {
     let mut cmd = Command::new(BIN);
     cmd.args(args);
     for (k, v) in env {
         cmd.env(k, v);
     }
-    let out = cmd.output().expect("spawn numarck");
+    cmd.output().expect("spawn numarck")
+}
+
+/// Run the CLI with extra env vars; panic with full output on failure.
+fn run(args: &[&str], env: &[(&str, &str)]) {
+    let out = output(args, env);
     assert!(
         out.status.success(),
         "numarck {args:?} env={env:?} failed:\nstdout: {}\nstderr: {}",
@@ -84,7 +92,28 @@ fn forced_scalar_subprocess_produces_identical_artifacts() {
             &["decompress", nmkc.to_str().unwrap(), "--out", back.to_str().unwrap()],
             env,
         );
-        compressed.push((label.to_string(), std::fs::read(&nmkc).expect("read nmkc")));
+        let bytes = std::fs::read(&nmkc).expect("read nmkc");
+
+        // The same process kind, pinned the same way, must catch a
+        // single flipped bit with its CRC.
+        let mut flipped = bytes.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x08;
+        let bad = tmp.0.join(format!("{label}-flipped.nmkc"));
+        std::fs::write(&bad, &flipped).expect("write flipped nmkc");
+        let junk = tmp.0.join(format!("{label}-flipped.f64s"));
+        let out = output(
+            &["decompress", bad.to_str().unwrap(), "--out", junk.to_str().unwrap()],
+            env,
+        );
+        assert!(!out.status.success(), "'{label}' decompressed a bit-flipped artefact");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("crc mismatch"),
+            "'{label}' rejected the flipped artefact without a CRC error: {}",
+            String::from_utf8_lossy(&out.stderr),
+        );
+
+        compressed.push((label.to_string(), bytes));
         restored.push((label.to_string(), std::fs::read(&back).expect("read f64s")));
     }
 

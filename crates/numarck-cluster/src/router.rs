@@ -50,10 +50,15 @@
 //! * `Stats` fans out to every live shard and folds into one reply
 //!   ([`crate::stats::aggregate`]).
 //!
-//! Session ids travel in the first 8 payload bytes of the session ops,
-//! so forwarding patches them per shard and reseals the frame CRC
-//! ([`wire::patch_session_id`]) — the payload itself is never decoded
-//! on the ingest path.
+//! A client frame is CRC-checked once, when it is read. Its verified
+//! bytes are then forwarded as they are: each replica gets a copy (the
+//! last one the original buffer) with the session id in the first 8
+//! payload bytes patched to that shard's id and the CRC resealed
+//! ([`wire::patch_session_id`]). The payload itself is never decoded on
+//! the ingest path. Shard responses whose request id already echoes
+//! the forwarded request (put acks, restart data) go back to the client
+//! verbatim; only merged replies (open, scrub, stats, close) are
+//! encoded by the router.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -417,6 +422,24 @@ fn flush_buf(stream: &mut TcpStream, wbuf: &mut Vec<u8>, wpos: &mut usize) -> Fl
     FlushOutcome::Done
 }
 
+/// Append `bytes` to a write queue, taking the buffer over instead of
+/// copying it when the queue is empty (as it is between requests).
+fn enqueue(wbuf: &mut Vec<u8>, bytes: Vec<u8>) {
+    if wbuf.is_empty() {
+        *wbuf = bytes;
+    } else {
+        wbuf.extend_from_slice(&bytes);
+    }
+}
+
+/// `n ≥ 1` copies of a frame for a fan-out: clones for all but the
+/// last, which takes the original buffer.
+fn copies(bytes: Vec<u8>, n: usize) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = (1..n).map(|_| bytes.clone()).collect();
+    out.push(bytes);
+    out
+}
+
 enum ReadStatus {
     Progress,
     Closed,
@@ -443,7 +466,7 @@ fn error_response_from(results: &[(usize, ShardResult)]) -> Response {
     }
     for (_, r) in results {
         if let ShardResult::Frame(f) = r {
-            if f.opcode == opcode::ERROR {
+            if f.opcode() == opcode::ERROR {
                 if let Ok(resp) = Response::from_frame(f) {
                     return resp;
                 }
@@ -467,7 +490,7 @@ fn finish_scrub(primary: usize, results: &[(usize, ShardResult)]) -> Response {
     let mut decoded: Vec<(usize, u32, u32, Option<u64>, u32)> = Vec::new();
     for (shard, r) in results {
         if let ShardResult::Frame(f) = r {
-            if f.opcode == opcode::SCRUB_DONE {
+            if f.opcode() == opcode::SCRUB_DONE {
                 if let Ok(Response::ScrubDone { checked, quarantined, anchored_at, lost }) =
                     Response::from_frame(f)
                 {
@@ -667,12 +690,9 @@ impl EventLoop {
                 if c.pending.is_some() || c.close_after_flush {
                     return;
                 }
-                match wire::frame_from_bytes(&c.rbuf) {
+                match wire::frame_from_bytes(&mut c.rbuf) {
                     Ok(None) => return,
-                    Ok(Some((frame, used))) => {
-                        c.rbuf.drain(..used);
-                        Ok(frame)
-                    }
+                    Ok(Some(frame)) => Ok(frame),
                     Err(e) => Err(e),
                 }
             };
@@ -690,16 +710,16 @@ impl EventLoop {
 
     fn handle_request(&mut self, token: usize, frame: Frame) {
         self.instruments.requests.inc();
-        if self.draining() && frame.opcode != opcode::SHUTDOWN {
+        if self.draining() && frame.opcode() != opcode::SHUTDOWN {
             self.respond(
                 token,
                 &Response::Error { code: ErrorCode::Draining, message: "router is draining".into() },
-                frame.req_id,
+                frame.req_id(),
             );
             self.close_after_flush(token);
             return;
         }
-        match frame.opcode {
+        match frame.opcode() {
             opcode::OPEN_SESSION => self.handle_open(token, frame),
             opcode::PUT_ITERATIONS | opcode::RESTART | opcode::SCRUB | opcode::CLOSE_SESSION => {
                 self.handle_session_op(token, frame)
@@ -708,7 +728,7 @@ impl EventLoop {
             opcode::SHUTDOWN => {
                 // Drains the *router*; shards are managed independently.
                 self.shared.draining.store(true, Ordering::SeqCst);
-                self.respond(token, &Response::ShuttingDown, frame.req_id);
+                self.respond(token, &Response::ShuttingDown, frame.req_id());
                 self.close_after_flush(token);
             }
             other => {
@@ -719,7 +739,7 @@ impl EventLoop {
                         code: ErrorCode::Malformed,
                         message: format!("unknown request opcode {other:#x}"),
                     },
-                    frame.req_id,
+                    frame.req_id(),
                 );
                 self.close_after_flush(token);
             }
@@ -727,6 +747,7 @@ impl EventLoop {
     }
 
     fn handle_open(&mut self, token: usize, frame: Frame) {
+        let req_id = frame.req_id();
         let name = match Request::from_frame(&frame) {
             Ok(Request::OpenSession { name }) => name,
             _ => {
@@ -734,7 +755,7 @@ impl EventLoop {
                 self.respond(
                     token,
                     &Response::Error { code: ErrorCode::Malformed, message: "bad open payload".into() },
-                    frame.req_id,
+                    req_id,
                 );
                 self.close_after_flush(token);
                 return;
@@ -747,32 +768,27 @@ impl EventLoop {
             self.respond(
                 token,
                 &Response::Error { code: ErrorCode::Io, message: "no live shard for session".into() },
-                frame.req_id,
+                req_id,
             );
             return;
         }
-        let raw = wire::encode_frame(frame.opcode, frame.req_id, &frame.payload);
-        let sends: Vec<(usize, Vec<u8>)> = live.iter().map(|&s| (s, raw.clone())).collect();
-        self.start_fanout(
-            token,
-            frame.req_id,
-            PendingKind::Open { name, planned: planned.len() },
-            sends,
-        );
+        let sends = live.iter().copied().zip(copies(frame.into_bytes(), live.len())).collect();
+        self.start_fanout(token, req_id, PendingKind::Open { name, planned: planned.len() }, sends);
     }
 
     fn handle_session_op(&mut self, token: usize, frame: Frame) {
-        if frame.payload.len() < 8 {
+        let (op, req_id) = (frame.opcode(), frame.req_id());
+        if frame.payload().len() < 8 {
             self.instruments.malformed.inc();
             self.respond(
                 token,
                 &Response::Error { code: ErrorCode::Malformed, message: "payload too short".into() },
-                frame.req_id,
+                req_id,
             );
             self.close_after_flush(token);
             return;
         }
-        let session = u64::from_le_bytes(frame.payload[0..8].try_into().expect("8 bytes"));
+        let session = u64::from_le_bytes(frame.payload()[0..8].try_into().expect("8 bytes"));
         let Some(sess) = self.sessions.get(&session) else {
             self.respond(
                 token,
@@ -780,7 +796,7 @@ impl EventLoop {
                     code: ErrorCode::UnknownSession,
                     message: format!("session {session} is not open on this router"),
                 },
-                frame.req_id,
+                req_id,
             );
             return;
         };
@@ -797,39 +813,33 @@ impl EventLoop {
                     code: ErrorCode::Io,
                     message: format!("no live replica for session {session}"),
                 },
-                frame.req_id,
+                req_id,
             );
             return;
         }
-        let raw = wire::encode_frame(frame.opcode, frame.req_id, &frame.payload);
-        let patched = |sid: u64| {
-            let mut b = raw.clone();
-            wire::patch_session_id(&mut b, sid).expect("session opcode");
-            b
-        };
-        let (kind, sends): (PendingKind, Vec<(usize, Vec<u8>)>) = match frame.opcode {
-            opcode::PUT_ITERATIONS => (
-                PendingKind::Put { primary: live[0].0 },
-                live.iter().map(|&(s, sid)| (s, patched(sid))).collect(),
+        // One resealed copy per replica: `targets` is every live replica,
+        // except for a restart, which asks the first and keeps the
+        // unpatched frame to fail over down the rest.
+        let raw = frame.into_bytes();
+        let (kind, targets) = match op {
+            opcode::PUT_ITERATIONS => (PendingKind::Put { primary: live[0].0 }, &live[..]),
+            opcode::RESTART => (
+                PendingKind::Restart { template: raw.clone(), remaining: live[1..].to_vec() },
+                &live[..1],
             ),
-            opcode::RESTART => {
-                let (&(first, first_sid), rest) = live.split_first().expect("non-empty");
-                (
-                    PendingKind::Restart { template: raw.clone(), remaining: rest.to_vec() },
-                    vec![(first, patched(first_sid))],
-                )
-            }
-            opcode::SCRUB => (
-                PendingKind::Scrub { primary: live[0].0 },
-                live.iter().map(|&(s, sid)| (s, patched(sid))).collect(),
-            ),
-            opcode::CLOSE_SESSION => (
-                PendingKind::Close { session },
-                live.iter().map(|&(s, sid)| (s, patched(sid))).collect(),
-            ),
+            opcode::SCRUB => (PendingKind::Scrub { primary: live[0].0 }, &live[..]),
+            opcode::CLOSE_SESSION => (PendingKind::Close { session }, &live[..]),
             _ => unreachable!("caller matched session opcodes"),
         };
-        self.start_fanout(token, frame.req_id, kind, sends);
+        let sends = targets
+            .iter()
+            .zip(copies(raw, targets.len()))
+            .map(|(&(shard, sid), mut bytes)| {
+                wire::patch_session_id(&mut bytes, sid).expect("session opcode");
+                (shard, bytes)
+            })
+            .collect();
+        self.start_fanout(token, req_id, kind, sends);
     }
 
     fn handle_stats(&mut self, token: usize, frame: Frame) {
@@ -839,13 +849,13 @@ impl EventLoop {
             self.respond(
                 token,
                 &Response::Error { code: ErrorCode::Io, message: "no live shard".into() },
-                frame.req_id,
+                frame.req_id(),
             );
             return;
         }
-        let raw = wire::encode_frame(frame.opcode, frame.req_id, &frame.payload);
-        let sends: Vec<(usize, Vec<u8>)> = live.iter().map(|&s| (s, raw.clone())).collect();
-        self.start_fanout(token, frame.req_id, PendingKind::Stats, sends);
+        let req_id = frame.req_id();
+        let sends = live.iter().copied().zip(copies(frame.into_bytes(), live.len())).collect();
+        self.start_fanout(token, req_id, PendingKind::Stats, sends);
     }
 
     // -- fan-out --------------------------------------------------------
@@ -892,7 +902,7 @@ impl EventLoop {
             let Some(Entry::Upstream(u)) = self.entries[up_token].as_mut() else {
                 return Err("upstream vanished".into());
             };
-            u.wbuf.extend_from_slice(&bytes);
+            enqueue(&mut u.wbuf, bytes);
             u.in_flight = true;
         }
         self.instruments.forwarded.inc();
@@ -950,7 +960,7 @@ impl EventLoop {
             };
             let Some(p) = c.pending.as_mut() else { return };
             if let ShardResult::Frame(f) = &result {
-                if f.opcode != opcode::BUSY && f.req_id != p.req_id {
+                if f.opcode() != opcode::BUSY && f.req_id() != p.req_id {
                     return; // stale response from a superseded request
                 }
             }
@@ -1005,7 +1015,7 @@ impl EventLoop {
         let mut successes: Vec<(usize, u64)> = Vec::new();
         for (shard, r) in results {
             if let ShardResult::Frame(f) = r {
-                if f.opcode == opcode::SESSION_OPENED {
+                if f.opcode() == opcode::SESSION_OPENED {
                     if let Ok(Response::SessionOpened { session }) = Response::from_frame(f) {
                         successes.push((*shard, session));
                     }
@@ -1043,36 +1053,34 @@ impl EventLoop {
 
     fn finish_put(&mut self, token: usize, req_id: u64, primary: usize, results: Vec<(usize, ShardResult)>) {
         for (shard, r) in &results {
-            let ok = matches!(r, ShardResult::Frame(f) if f.opcode == opcode::PUT_DONE);
+            let ok = matches!(r, ShardResult::Frame(f) if f.opcode() == opcode::PUT_DONE);
             if *shard != primary && !ok {
                 self.instruments.replica_put_failures.inc();
             }
         }
         // The primary's ack is the client's ack; a replica ack stands
         // in when the primary died mid-batch (the data is durable on
-        // the replica — that is what replication is for).
+        // the replica — that is what replication is for). Either goes
+        // back verbatim: its request id echoes the forwarded request.
         let primary_frame = results.iter().find_map(|(s, r)| match r {
             ShardResult::Frame(f) if *s == primary => Some(f),
             _ => None,
         });
         match primary_frame {
-            Some(f) if f.opcode == opcode::PUT_DONE => {
-                let bytes = wire::encode_frame(f.opcode, f.req_id, &f.payload);
-                self.queue_bytes(token, &bytes);
+            Some(f) if f.opcode() == opcode::PUT_DONE => {
+                self.queue_bytes(token, f.as_bytes().to_vec());
             }
             other => {
                 let replica_ack = results.iter().find_map(|(s, r)| match r {
-                    ShardResult::Frame(f) if *s != primary && f.opcode == opcode::PUT_DONE => Some(f),
+                    ShardResult::Frame(f) if *s != primary && f.opcode() == opcode::PUT_DONE => Some(f),
                     _ => None,
                 });
                 if let Some(f) = replica_ack {
                     self.instruments.failovers.inc();
-                    let bytes = wire::encode_frame(f.opcode, f.req_id, &f.payload);
-                    self.queue_bytes(token, &bytes);
+                    self.queue_bytes(token, f.as_bytes().to_vec());
                 } else if let Some(f) = other {
                     // Primary answered with a typed error: forward it.
-                    let bytes = wire::encode_frame(f.opcode, f.req_id, &f.payload);
-                    self.queue_bytes(token, &bytes);
+                    self.queue_bytes(token, f.as_bytes().to_vec());
                 } else {
                     let resp = error_response_from(&results);
                     self.respond(token, &resp, req_id);
@@ -1087,15 +1095,15 @@ impl EventLoop {
         req_id: u64,
         template: Vec<u8>,
         mut remaining: Vec<(usize, u64)>,
-        results: Vec<(usize, ShardResult)>,
+        mut results: Vec<(usize, ShardResult)>,
     ) {
-        let success = results.iter().find_map(|(_, r)| match r {
-            ShardResult::Frame(f) if f.opcode != opcode::ERROR && f.opcode != opcode::BUSY => Some(f),
-            _ => None,
+        let success = results.iter().position(|(_, r)| {
+            matches!(r, ShardResult::Frame(f) if f.opcode() != opcode::ERROR && f.opcode() != opcode::BUSY)
         });
-        if let Some(f) = success {
-            let bytes = wire::encode_frame(f.opcode, f.req_id, &f.payload);
-            self.queue_bytes(token, &bytes);
+        if let Some(i) = success {
+            // The restart data goes back verbatim, without a copy.
+            let ShardResult::Frame(f) = results.swap_remove(i).1 else { unreachable!("matched a frame") };
+            self.queue_bytes(token, f.into_bytes());
             return;
         }
         if !remaining.is_empty() {
@@ -1127,7 +1135,7 @@ impl EventLoop {
         let mut replies: Vec<StatsReply> = Vec::new();
         for (_, r) in results {
             if let ShardResult::Frame(f) = r {
-                if f.opcode == opcode::STATS_DATA {
+                if f.opcode() == opcode::STATS_DATA {
                     if let Ok(Response::StatsData(s)) = Response::from_frame(f) {
                         replies.push(*s);
                     }
@@ -1145,7 +1153,7 @@ impl EventLoop {
     fn finish_close(&mut self, session: u64, results: &[(usize, ShardResult)]) -> Response {
         let any_closed = results
             .iter()
-            .any(|(_, r)| matches!(r, ShardResult::Frame(f) if f.opcode == opcode::SESSION_CLOSED));
+            .any(|(_, r)| matches!(r, ShardResult::Frame(f) if f.opcode() == opcode::SESSION_CLOSED));
         if !any_closed {
             return error_response_from(results);
         }
@@ -1176,12 +1184,7 @@ impl EventLoop {
             loop {
                 let parsed = {
                     let Some(Entry::Upstream(u)) = self.entries[token].as_mut() else { return };
-                    wire::frame_from_bytes(&u.rbuf).map(|opt| {
-                        opt.map(|(frame, used)| {
-                            u.rbuf.drain(..used);
-                            frame
-                        })
-                    })
+                    wire::frame_from_bytes(&mut u.rbuf)
                 };
                 match parsed {
                     Ok(Some(frame)) => self.on_upstream_frame(token, frame),
@@ -1202,7 +1205,7 @@ impl EventLoop {
         let (client, shard, busy) = {
             let Some(Entry::Upstream(u)) = self.entries[token].as_mut() else { return };
             u.in_flight = false;
-            (u.client, u.shard, frame.opcode == opcode::BUSY)
+            (u.client, u.shard, frame.opcode() == opcode::BUSY)
         };
         if busy {
             // The shard's acceptor is saturated and will close on us;
@@ -1261,14 +1264,13 @@ impl EventLoop {
         if is_busy {
             self.instruments.busy.inc();
         }
-        let bytes = wire::encode_frame(resp.opcode(), req_id, &resp.payload());
-        self.queue_bytes(token, &bytes);
+        self.queue_bytes(token, wire::encode_frame(resp.opcode(), req_id, &resp.payload()));
     }
 
-    fn queue_bytes(&mut self, token: usize, bytes: &[u8]) {
+    fn queue_bytes(&mut self, token: usize, bytes: Vec<u8>) {
         {
             let Some(Entry::Client(c)) = self.entries[token].as_mut() else { return };
-            c.wbuf.extend_from_slice(bytes);
+            enqueue(&mut c.wbuf, bytes);
             c.last_activity = Instant::now();
         }
         self.flush_client(token);

@@ -99,11 +99,11 @@ fn serve_connection(mut stream: TcpStream, stats_payload: &[u8]) {
             Ok(f) => f,
             Err(_) => return, // peer hung up or went quiet
         };
-        let reply = match frame.opcode {
-            opcode::STATS => wire::encode_frame(opcode::STATS_DATA, frame.req_id, stats_payload),
+        let reply = match frame.opcode() {
+            opcode::STATS => wire::encode_frame(opcode::STATS_DATA, frame.req_id(), stats_payload),
             other => wire::encode_frame(
                 opcode::ERROR,
-                frame.req_id,
+                frame.req_id(),
                 &error_payload(&format!("fake shard only speaks Stats, got {other:#x}")),
             ),
         };

@@ -234,10 +234,10 @@ impl Client {
         let resp = Response::from_frame(&frame)?;
         // Busy is sent by the acceptor with id 0 before it ever sees our
         // request, so exempt it from the echo check.
-        if frame.req_id != req_id && !matches!(resp, Response::Busy) {
+        if frame.req_id() != req_id && !matches!(resp, Response::Busy) {
             return Err(ClientError::Protocol(format!(
                 "response id {} does not match request id {req_id}",
-                frame.req_id
+                frame.req_id()
             )));
         }
         match resp {

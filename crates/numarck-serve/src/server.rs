@@ -670,7 +670,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             }
         };
         last_activity = Instant::now();
-        let req_id = frame.req_id;
+        let req_id = frame.req_id();
         let (resp, close_after) = match Request::from_frame(&frame) {
             Ok(req) => {
                 // Per-request-type latency: the span covers dispatch

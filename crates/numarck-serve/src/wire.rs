@@ -351,15 +351,40 @@ pub enum Response {
     },
 }
 
-/// One decoded frame: opcode + request id + raw payload.
+/// One verified frame: its complete wire bytes (header, payload and
+/// trailing CRC), checked once when it was read. Only the frame readers
+/// construct one, so a `Frame` is always CRC-valid, and a forwarding hop
+/// can send [`Frame::into_bytes`] on without encoding or checking again.
 #[derive(Debug, Clone)]
 pub struct Frame {
+    bytes: Vec<u8>,
+}
+
+impl Frame {
     /// The opcode byte.
-    pub opcode: u8,
+    pub fn opcode(&self) -> u8 {
+        self.bytes[6]
+    }
+
     /// Request id (echoed between request and response).
-    pub req_id: u64,
+    pub fn req_id(&self) -> u64 {
+        u64::from_le_bytes(self.bytes[8..16].try_into().expect("8 bytes"))
+    }
+
     /// Opcode-specific payload bytes.
-    pub payload: Vec<u8>,
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[HEADER_LEN..self.bytes.len() - 4]
+    }
+
+    /// The frame exactly as it travelled.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The frame's wire bytes, for forwarding without a copy.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
+    }
 }
 
 /// Outcome of a server-side frame read with an idle timeout.
@@ -408,48 +433,59 @@ pub fn write_frame(
     w.flush()
 }
 
-/// Try to extract one complete frame from the front of `buf`.
-///
-/// Returns `Ok(None)` when the buffer holds only a prefix of a frame
-/// (read more bytes and retry), `Ok(Some((frame, consumed)))` when a
-/// whole CRC-valid frame is present, and an error on structural
-/// corruption (bad magic/version/length/CRC) — at which point the
-/// stream can no longer be trusted to be frame-aligned and should be
-/// closed. This is the incremental-parse entry point for
-/// readiness-driven (non-blocking) readers.
-pub fn frame_from_bytes(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
-    if buf.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    if buf[0..4] != MAGIC {
+/// Check a frame header (magic, version, payload bound) and return the
+/// length of the whole frame it announces, CRC included.
+fn frame_len(header: &[u8]) -> io::Result<usize> {
+    if header[0..4] != MAGIC {
         return Err(corrupt("bad frame magic".into()));
     }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
+    let version = u16::from_le_bytes([header[4], header[5]]);
     if version != VERSION {
         return Err(corrupt(format!("unsupported protocol version {version}")));
     }
-    let payload_len = u32::from_le_bytes(buf[16..20].try_into().expect("4 bytes"));
+    let payload_len = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
     if payload_len > MAX_PAYLOAD {
         return Err(corrupt(format!("payload length {payload_len} exceeds limit")));
     }
-    let total = HEADER_LEN + payload_len as usize + 4;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let body = total - 4;
-    let stored = u32::from_le_bytes(buf[body..total].try_into().expect("4 bytes"));
-    let computed = nser::crc32(&buf[..body]);
+    Ok(HEADER_LEN + payload_len as usize + 4)
+}
+
+/// Check the trailing CRC of a complete frame in place.
+fn check_crc(frame: &[u8]) -> io::Result<()> {
+    let body = frame.len() - 4;
+    let stored = u32::from_le_bytes(frame[body..].try_into().expect("4 bytes"));
+    let computed = nser::crc32(&frame[..body]);
     if stored != computed {
         return Err(corrupt(format!(
             "frame crc mismatch: stored {stored:#x}, computed {computed:#x}"
         )));
     }
-    let frame = Frame {
-        opcode: buf[6],
-        req_id: u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
-        payload: buf[HEADER_LEN..body].to_vec(),
-    };
-    Ok(Some((frame, total)))
+    Ok(())
+}
+
+/// Try to take one complete frame off the front of `buf`.
+///
+/// Returns `Ok(None)` when the buffer holds only a prefix of a frame
+/// (read more bytes and retry; once the header is in, `buf` has room
+/// for the whole frame), `Ok(Some(frame))` when a whole CRC-valid frame
+/// was present, and an error on structural corruption (bad
+/// magic/version/length/CRC) — at which point the stream can no longer
+/// be trusted to be frame-aligned and should be closed. The frame's
+/// bytes move out of `buf` rather than being copied; any bytes after it
+/// (a pipelined successor) stay in `buf`. This is the incremental-parse
+/// entry point for readiness-driven (non-blocking) readers.
+pub fn frame_from_bytes(buf: &mut Vec<u8>) -> io::Result<Option<Frame>> {
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let total = frame_len(&buf[..HEADER_LEN])?;
+    if buf.len() < total {
+        buf.reserve(total - buf.len());
+        return Ok(None);
+    }
+    check_crc(&buf[..total])?;
+    let successor = buf.split_off(total);
+    Ok(Some(Frame { bytes: std::mem::replace(buf, successor) }))
 }
 
 /// Whether a request opcode's payload begins with a session id
@@ -541,35 +577,14 @@ pub fn read_frame_rest(first: u8, r: &mut impl Read) -> io::Result<Frame> {
     finish_frame(r, header)
 }
 
-/// Validate a header, read the payload + CRC, and check the CRC.
+/// Validate a header, read the payload and CRC into the same buffer,
+/// and check the CRC there.
 fn finish_frame(r: &mut impl Read, header: [u8; HEADER_LEN]) -> io::Result<Frame> {
-    if header[0..4] != MAGIC {
-        return Err(corrupt("bad frame magic".into()));
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != VERSION {
-        return Err(corrupt(format!("unsupported protocol version {version}")));
-    }
-    let opcode = header[6];
-    let req_id = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let payload_len = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-    if payload_len > MAX_PAYLOAD {
-        return Err(corrupt(format!("payload length {payload_len} exceeds limit")));
-    }
-    let mut rest = vec![0u8; payload_len as usize + 4];
-    r.read_exact(&mut rest)?;
-    let (payload, crc_bytes) = rest.split_at(payload_len as usize);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    let mut crc_input = Vec::with_capacity(HEADER_LEN + payload.len());
-    crc_input.extend_from_slice(&header);
-    crc_input.extend_from_slice(payload);
-    let computed = nser::crc32(&crc_input);
-    if stored != computed {
-        return Err(corrupt(format!(
-            "frame crc mismatch: stored {stored:#x}, computed {computed:#x}"
-        )));
-    }
-    Ok(Frame { opcode, req_id, payload: payload.to_vec() })
+    let mut bytes = vec![0u8; frame_len(&header)?];
+    bytes[..HEADER_LEN].copy_from_slice(&header);
+    r.read_exact(&mut bytes[HEADER_LEN..])?;
+    check_crc(&bytes)?;
+    Ok(Frame { bytes })
 }
 
 // ---------------------------------------------------------------------
@@ -724,8 +739,8 @@ impl Request {
 
     /// Decode a request from a frame.
     pub fn from_frame(frame: &Frame) -> io::Result<Self> {
-        let mut cur = Cursor(&frame.payload);
-        let req = match frame.opcode {
+        let mut cur = Cursor(frame.payload());
+        let req = match frame.opcode() {
             opcode::OPEN_SESSION => Request::OpenSession { name: cur.string()? },
             opcode::PUT_ITERATIONS => {
                 let session = cur.u64()?;
@@ -868,8 +883,8 @@ impl Response {
 
     /// Decode a response from a frame.
     pub fn from_frame(frame: &Frame) -> io::Result<Self> {
-        let mut cur = Cursor(&frame.payload);
-        let resp = match frame.opcode {
+        let mut cur = Cursor(frame.payload());
+        let resp = match frame.opcode() {
             opcode::SESSION_OPENED => Response::SessionOpened { session: cur.u64()? },
             opcode::PUT_DONE => {
                 let count = cur.u32()? as usize;
@@ -996,7 +1011,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, req.opcode(), 7, &req.payload()).unwrap();
         let frame = read_frame(&mut buf.as_slice()).unwrap();
-        assert_eq!(frame.req_id, 7);
+        assert_eq!(frame.req_id(), 7);
         assert_eq!(Request::from_frame(&frame).unwrap(), req);
     }
 
@@ -1004,7 +1019,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, resp.opcode(), 99, &resp.payload()).unwrap();
         let frame = read_frame(&mut buf.as_slice()).unwrap();
-        assert_eq!(frame.req_id, 99);
+        assert_eq!(frame.req_id(), 99);
         assert_eq!(Response::from_frame(&frame).unwrap(), resp);
     }
 
@@ -1268,26 +1283,31 @@ mod tests {
         // Every strict prefix is "need more bytes", never an error.
         for cut in 0..bytes.len() {
             assert!(
-                matches!(frame_from_bytes(&bytes[..cut]), Ok(None)),
+                matches!(frame_from_bytes(&mut bytes[..cut].to_vec()), Ok(None)),
                 "prefix of {cut} bytes"
             );
         }
-        // The whole frame parses and reports its exact length, even with
-        // trailing bytes from a pipelined successor behind it.
+        // The whole frame parses and takes exactly its own length, even
+        // with trailing bytes from a pipelined successor behind it, which
+        // stay in the buffer.
         let mut two = bytes.clone();
         two.extend_from_slice(&bytes);
-        let (frame, used) = frame_from_bytes(&two).unwrap().unwrap();
+        let frame = frame_from_bytes(&mut two).unwrap().unwrap();
+        let used = frame.as_bytes().len();
         assert_eq!(used, bytes.len());
-        assert_eq!(frame.req_id, 5);
+        assert_eq!(two, bytes);
+        assert_eq!(frame.req_id(), 5);
         assert_eq!(Request::from_frame(&frame).unwrap(), req);
-        let (frame2, used2) = frame_from_bytes(&two[used..]).unwrap().unwrap();
+        let frame2 = frame_from_bytes(&mut two).unwrap().unwrap();
+        let used2 = frame2.as_bytes().len();
         assert_eq!(used2, bytes.len());
-        assert_eq!(frame2.req_id, 5);
+        assert!(two.is_empty());
+        assert_eq!(frame2.req_id(), 5);
         // Corruption in magic, version or CRC is an error.
         for pos in [0usize, 4, bytes.len() - 1] {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x10;
-            assert!(frame_from_bytes(&bad).is_err(), "flip at {pos}");
+            assert!(frame_from_bytes(&mut bad).is_err(), "flip at {pos}");
         }
     }
 
@@ -1302,7 +1322,7 @@ mod tests {
             let mut bytes = encode_frame(req.opcode(), 3, &req.payload());
             patch_session_id(&mut bytes, 7777).unwrap();
             // The patched frame still passes full CRC validation...
-            let (frame, _) = frame_from_bytes(&bytes).unwrap().unwrap();
+            let frame = frame_from_bytes(&mut bytes).unwrap().unwrap();
             // ...and decodes to the same request under the new id.
             match Request::from_frame(&frame).unwrap() {
                 Request::PutIterations { session, .. }
@@ -1331,7 +1351,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, opcode::SHUTDOWN, 2, &[]).unwrap();
         match read_frame_or_idle(&mut buf.as_slice()).unwrap() {
-            ReadOutcome::Frame(f) => assert_eq!(f.opcode, opcode::SHUTDOWN),
+            ReadOutcome::Frame(f) => assert_eq!(f.opcode(), opcode::SHUTDOWN),
             other => panic!("expected Frame, got {other:?}"),
         }
         // A stream that dies mid-frame is an error, not Idle.

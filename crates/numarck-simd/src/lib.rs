@@ -1,21 +1,26 @@
 //! # numarck-simd — lane kernels for the encode/decode hot loops
 //!
-//! Four kernels dominate NUMARCK's runtime: the change-ratio transform
+//! Five kernels dominate NUMARCK's runtime: the change-ratio transform
 //! (`(cur − prev) / prev`), bin quantization against the sorted
-//! representative table, bitmap popcount rank, and bit-unpacking packed
-//! index codes into centroid lookups. This crate provides each of them at
-//! three implementation levels:
+//! representative table, bitmap popcount rank, bit-unpacking packed
+//! index codes into centroid lookups, and the CRC-32 that guards every
+//! stored container, journal record and wire frame. This crate provides
+//! each of them at three implementation levels:
 //!
 //! * **scalar** — the straight-line reference. Every other level is
 //!   required (and tested) to be *bit-identical* to it: same escape
-//!   decisions, same midpoint-tie rule, same IEEE results.
+//!   decisions, same midpoint-tie rule, same IEEE results, same CRC.
 //! * **unrolled** — portable chunks-of-8 scalar unrolling; no
 //!   architecture-specific code, but enough independent work per
 //!   iteration for the compiler to vectorize and for the CPU to pipeline.
 //! * **avx2** — explicit `std::arch` x86_64 intrinsics (4×f64 / 4×u64
 //!   lanes), compiled unconditionally on x86_64 behind
-//!   `#[target_feature]` and selected only when the CPU reports AVX2 (and
-//!   POPCNT) at runtime.
+//!   `#[target_feature]` and selected only when the CPU reports AVX2,
+//!   POPCNT and PCLMULQDQ at runtime.
+//!
+//! For the CRC ([`crc`]) the levels are: scalar = one 256-entry table
+//! lookup per byte, unrolled = slice-by-16, avx2 = a PCLMULQDQ fold of
+//! four 128-bit lanes (which is why `Avx2` requires PCLMULQDQ).
 //!
 //! The dispatch decision is made once per process ([`active_level`]) and
 //! recorded in the global observability registry as the
@@ -30,6 +35,7 @@
 //! Every kernel also has a `*_with(level, …)` variant taking an explicit
 //! [`Level`], which is what the oracle-equivalence tests sweep.
 
+pub mod crc;
 pub mod popcount;
 pub mod quantize;
 pub mod transform;
@@ -50,7 +56,8 @@ pub enum Level {
     Scalar = 0,
     /// Portable chunks-of-8 scalar unrolling.
     Unrolled = 1,
-    /// x86_64 AVX2 intrinsics (4-wide f64/u64 lanes).
+    /// x86_64 AVX2 intrinsics (4-wide f64/u64 lanes), plus POPCNT and
+    /// PCLMULQDQ.
     Avx2 = 2,
 }
 
@@ -76,12 +83,13 @@ impl Level {
 }
 
 /// Whether the AVX2 kernel variants can run on this host (requires the
-/// AVX2 and POPCNT CPU features; only ever true on x86_64).
+/// AVX2, POPCNT and PCLMULQDQ CPU features; only ever true on x86_64).
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
             && std::arch::is_x86_feature_detected!("popcnt")
+            && std::arch::is_x86_feature_detected!("pclmulqdq")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

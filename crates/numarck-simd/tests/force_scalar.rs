@@ -37,4 +37,11 @@ fn force_scalar_env_pins_dispatch() {
         numarck_simd::popcount::popcount_sum(&words),
         numarck_simd::popcount::popcount_sum_with(Level::Scalar, &words),
     );
+
+    // Long enough for the PCLMULQDQ fold, had dispatch picked it.
+    let bytes: Vec<u8> = (0..1000u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+    assert_eq!(
+        numarck_simd::crc::crc32(&bytes),
+        numarck_simd::crc::crc32_update_with(Level::Scalar, 0, &bytes),
+    );
 }

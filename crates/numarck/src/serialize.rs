@@ -279,25 +279,11 @@ pub fn from_bytes(mut data: &[u8]) -> Result<CompressedIteration, NumarckError> 
     Ok(block)
 }
 
-/// CRC-32 (IEEE 802.3), table-driven.
+/// CRC-32 (IEEE 802.3) of `data`: the dispatched `numarck-simd` kernel
+/// (PCLMULQDQ fold, slice-by-16 or byte table, all bit-identical).
+#[inline]
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = !0u32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
+    numarck_simd::crc::crc32(data)
 }
 
 /// Little-endian reads that consume the front of a byte slice: the wire
