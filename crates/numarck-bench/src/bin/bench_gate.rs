@@ -3,10 +3,23 @@
 //! Compares a current `BENCH_encode.json`/`BENCH_decode.json` pair
 //! against a committed baseline pair, row by row on the
 //! `(workload, stage, threads)` key, and fails when any row's
-//! `points_per_sec` drops more than the threshold (default 15%) below
-//! the baseline. Rows are only compared when both sides measured the
-//! same `points` (a smoke run gated against a full-size baseline would
-//! be noise, not signal).
+//! calibrated `points_per_sec` drops more than the threshold (default
+//! 15%) below the baseline's. Rows are only compared when both sides
+//! measured the same `points` (a smoke run gated against a full-size
+//! baseline would be noise, not signal).
+//!
+//! Calibrated means measured against the same run's `calibration` row:
+//! `perf` times a fixed single-thread loop that no library change
+//! touches right before every repetition of every other row, and
+//! reports each row's `secs_per_calibration` (the median over rounds of
+//! repetition time / adjacent calibration time). The quotient cancels
+//! how fast the host was at that moment, and what is left moves only
+//! when the code does; a row's calibrated throughput ratio is the
+//! baseline's `secs_per_calibration` over the current one's. Both sides
+//! must carry the field. Multi-thread rows are measured against the
+//! single-thread loop too: a multi-thread reference loop tracked them
+//! no better on a shared 2-core host, and it mis-scaled rows that run
+//! mostly on one thread (the fit).
 //!
 //! Usage:
 //!
@@ -36,6 +49,8 @@ struct Row {
     threads: u64,
     points: u64,
     points_per_sec: f64,
+    /// Seconds per operation in units of the adjacent calibration loop.
+    secs_per_calibration: Option<f64>,
 }
 
 /// Comparison outcome for one `(workload, stage, threads)` key.
@@ -43,8 +58,12 @@ struct Verdict {
     row: Row,
     baseline_pps: Option<f64>,
     status: &'static str,
+    /// Calibrated current / baseline throughput.
     ratio: f64,
 }
+
+/// Stage name of the `perf` row every other row is measured against.
+const CALIBRATION_STAGE: &str = "calibrate";
 
 fn main() {
     std::process::exit(run());
@@ -130,8 +149,23 @@ fn run() -> i32 {
                 status: "points-mismatch",
                 ratio: f64::NAN,
             },
+            Some(b) if row.stage == CALIBRATION_STAGE => Verdict {
+                row: row.clone(),
+                baseline_pps: Some(b.points_per_sec),
+                status: "calibration",
+                ratio: row.points_per_sec / b.points_per_sec,
+            },
             Some(b) => {
-                let ratio = row.points_per_sec / b.points_per_sec;
+                let (Some(cur), Some(base)) = (row.secs_per_calibration, b.secs_per_calibration)
+                else {
+                    eprintln!(
+                        "bench_gate: {} {} {}t has no secs_per_calibration on both sides \
+                         (refresh the baseline with the current perf harness)",
+                        row.workload, row.stage, row.threads
+                    );
+                    return 2;
+                };
+                let ratio = base / cur;
                 Verdict {
                     row: row.clone(),
                     baseline_pps: Some(b.points_per_sec),
@@ -161,7 +195,7 @@ fn run() -> i32 {
     for v in &verdicts {
         let base = v.baseline_pps.map_or("-".to_string(), |p| format!("{:.0}", p));
         println!(
-            "bench_gate: {:18} {:9} {}t  base {:>12}  cur {:>12.0}  ratio {:>5}  {}",
+            "bench_gate: {:18} {:9} {}t  base {:>12}  cur {:>12.0}  calibrated ratio {:>5}  {}",
             v.row.workload,
             v.row.stage,
             v.row.threads,
@@ -230,6 +264,7 @@ fn read_rows(path: &str) -> Result<Vec<Row>, String> {
             threads: threads as u64,
             points: points as u64,
             points_per_sec: pps,
+            secs_per_calibration: field_num(t, "secs_per_calibration"),
         });
     }
     if rows.is_empty() {
@@ -259,6 +294,7 @@ fn render_report(verdicts: &[Verdict], threshold_pct: f64, regressions: usize) -
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"gate\": \"numarck-bench bench_gate\",");
     let _ = writeln!(s, "  \"threshold_pct\": {threshold_pct},");
+    let _ = writeln!(s, "  \"calibrated\": true,");
     let _ = writeln!(s, "  \"regressions\": {regressions},");
     let _ = writeln!(s, "  \"pass\": {},", regressions == 0);
     let _ = writeln!(s, "  \"rows\": [");

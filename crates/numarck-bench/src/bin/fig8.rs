@@ -114,12 +114,11 @@ fn main() {
         for &restart_point in &RESTART_POINTS {
             // Rebuild the state at restart_point from the chain.
             let mut state: Checkpoint = reference[0].clone();
-            for per_var in blocks.iter().take(restart_point) {
-                for v in FlashVar::all() {
-                    let prev = state.get_mut(&v).expect("all vars");
-                    *prev = numarck::decode::reconstruct(prev, &per_var[&v])
-                        .expect("self-produced block");
-                }
+            for v in FlashVar::all() {
+                let hops: Vec<_> =
+                    blocks.iter().take(restart_point).map(|per_var| per_var[&v].block_ref()).collect();
+                let values = state.get_mut(&v).expect("all vars");
+                *values = numarck::decode::replay(values, &hops).expect("self-produced chain");
             }
             // Error at the restart file itself.
             let (m0, x0) = rel_errors(&reference[restart_point], &state, &compare_vars);

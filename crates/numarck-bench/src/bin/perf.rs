@@ -2,14 +2,30 @@
 //!
 //! Times the stages of the compression path — change-ratio transform,
 //! representative-table fit, full encode (transform + fit +
-//! rank-partitioned packing), and parallel decode — over FLASH- and
-//! climate-shaped workloads at thread counts 1, 2, and all available
-//! cores, then emits `BENCH_encode.json` (transform, fit and encode rows)
-//! and `BENCH_decode.json` (decode rows) so every future change has a
-//! throughput trajectory to regress against. The fit row times the
-//! 1-D K-means fit alone on the variable's fit sample; its `points` are
-//! the variable's, like every other row, so its rate compares directly
-//! with the encode row's.
+//! rank-partitioned packing), one-hop decode, and an 8-hop restart
+//! replay — over FLASH- and climate-shaped workloads at thread counts 1,
+//! 2, and all available cores, then emits `BENCH_encode.json`
+//! (transform, fit, encode and calibration rows) and `BENCH_decode.json`
+//! (decode and replay rows) so every future change has a throughput
+//! trajectory to regress against. The fit row times the 1-D K-means fit
+//! alone on the variable's fit sample; its `points` are the variable's,
+//! like every other row, so its rate compares directly with the encode
+//! row's. A replay row's `points` are the field's: it rebuilds one
+//! field through all 8 hops of its chain (climate `rlds`, which escapes
+//! points, and FLASH `dens`, which does not).
+//!
+//! Every row is timed in [`ROUNDS`] interleaved rounds — each round times
+//! every row once — and reports the median, so a burst of host steal
+//! lands in one round of many rows rather than in all rounds of one row.
+//! A repetition runs its operation back to back until it has taken at
+//! least [`MIN_REP_SECS`] and reports the time per operation. The
+//! `calibration` row times a fixed single-thread loop defined in this
+//! file, which no library change touches, once right before every
+//! repetition of every other row. Each row also reports
+//! `secs_per_calibration`, the median over rounds of its repetition's
+//! time divided by the adjacent calibration repetition's: that quotient
+//! cancels how fast the host was at that moment, and it is what
+//! `bench_gate` compares.
 //!
 //! Usage:
 //!
@@ -26,11 +42,20 @@ use std::time::Instant;
 use climate_sim::ClimateVar;
 use flash_sim::FlashVar;
 
+use numarck::encode::CompressedIteration;
 use numarck::{decode, encode, ratio, strategy, Config, Strategy};
 use numarck_bench::data::{climate_sequence, flash_sequence, tile_to, FlashConfig};
 use numarck_bench::report::{host_meta_json, print_table};
 use numarck_obs::{render_json as obs_metrics_json, set_timing_enabled, Registry};
 use numarck_par::pool::{available_threads, with_threads};
+
+/// Interleaved timing rounds per row; each row reports its median.
+const ROUNDS: usize = 9;
+/// Shortest timed repetition: faster operations repeat back to back
+/// until one repetition takes at least this long.
+const MIN_REP_SECS: f64 = 0.005;
+/// Hops on each replay row's chain.
+const REPLAY_HOPS: usize = 8;
 
 /// One timed measurement.
 struct Sample {
@@ -39,6 +64,8 @@ struct Sample {
     points: usize,
     threads: usize,
     secs: f64,
+    /// Median of per-round (row time / adjacent calibration time).
+    secs_per_calibration: f64,
     speedup_vs_1t: f64,
 }
 
@@ -68,7 +95,7 @@ fn main() {
         }
     }
 
-    let points = if smoke { 8_192 } else { 2 << 20 };
+    let points = if smoke { 1 << 16 } else { 2 << 20 };
     let reps = if smoke { 2 } else { 5 };
     let config = Config::new(8, 0.001, Strategy::Clustering).expect("paper-default config");
 
@@ -85,77 +112,114 @@ fn main() {
     let dispatch = numarck_simd::active_level().name();
 
     println!(
-        "perf: {points} points/workload, {reps} reps (best-of), threads {threads:?}, \
-         simd dispatch {dispatch}{}",
+        "perf: {points} points/workload, median of {ROUNDS} interleaved rounds, \
+         threads {threads:?}, simd dispatch {dispatch}{}",
         if smoke { ", SMOKE" } else { "" }
     );
 
     // FLASH-shaped: a Sedov blast density checkpoint pair, tiled to size.
     // Climate-shaped: a CMIP5-like radiation field on the 144×90 grid.
-    let flash = tile_to(
-        &flash_sequence(
-            FlashConfig { blocks: 4, warmup_steps: if smoke { 4 } else { 20 }, ..Default::default() },
-            FlashVar::Dens,
-            2,
-        ),
-        points,
-    );
+    let flash_cfg =
+        FlashConfig { blocks: 4, warmup_steps: if smoke { 4 } else { 20 }, ..Default::default() };
+    let flash_seq = flash_sequence(flash_cfg, FlashVar::Dens, REPLAY_HOPS + 1);
+    let flash = tile_to(&flash_seq[..2].to_vec(), points);
     let climate = tile_to(&climate_sequence(ClimateVar::Rlus, 2), points);
     let workloads: [(&'static str, &Vec<Vec<f64>>); 2] =
         [("flash_sedov_dens", &flash), ("climate_rlus", &climate)];
+    // 8-hop restart chains: FLASH density (every word fully index-coded)
+    // and climate `rlds` (a share of points escaped in every word).
+    let chains = [
+        ("flash_sedov_dens", replay_chain(&flash_seq, points, &config)),
+        (
+            "climate_rlds",
+            replay_chain(&climate_sequence(ClimateVar::Rlds, REPLAY_HOPS + 1), points, &config),
+        ),
+    ];
 
-    let mut samples: Vec<Sample> = Vec::new();
-    for (name, seq) in workloads {
-        let (prev, curr) = (&seq[0], &seq[1]);
-        for &t in &threads {
-            let transform_secs = best_of(reps, || {
-                let r = with_threads(t, || ratio::compute(prev, curr, config.tolerance()));
-                std::hint::black_box(r.expect("finite bench data"));
-            });
+    // Inputs of the one-hop rows: the fit sample and the encoded block.
+    let inputs: Vec<_> = workloads
+        .iter()
+        .map(|&(name, seq)| {
+            let (prev, curr) = (&seq[0], &seq[1]);
             let sample = ratio::compute(prev, curr, config.tolerance())
                 .expect("finite bench data")
                 .fit_sample;
-            let fit_secs = best_of(reps, || {
+            let (block, _) = encode::encode(prev, curr, &config).expect("finite bench data");
+            (name, prev, curr, sample, block)
+        })
+        .collect();
+    let calib = Calibration::new(points);
+
+    let mut jobs: Vec<Job<'_>> = Vec::new();
+    for (name, prev, curr, sample, block) in &inputs {
+        let (name, prev, curr) = (*name, *prev, *curr);
+        for &t in &threads {
+            let config = &config;
+            jobs.push(Job::new(name, "transform", points, t, move || {
+                let r = with_threads(t, || ratio::compute(prev, curr, config.tolerance()));
+                std::hint::black_box(r.expect("finite bench data"));
+            }));
+            jobs.push(Job::new(name, "fit", points, t, move || {
                 let table = with_threads(t, || {
                     strategy::fit_table(
                         config.strategy(),
-                        &sample,
+                        sample,
                         config.max_table_len(),
                         &config.clustering(),
                     )
                 });
                 std::hint::black_box(table);
-            });
-            let encode_secs = best_of(reps, || {
-                let r = with_threads(t, || encode::encode(prev, curr, &config));
+            }));
+            jobs.push(Job::new(name, "encode", points, t, move || {
+                let r = with_threads(t, || encode::encode(prev, curr, config));
                 std::hint::black_box(r.expect("finite bench data"));
-            });
-            let (block, _) = encode::encode(prev, curr, &config).expect("finite bench data");
-            let decode_secs = best_of(reps, || {
-                let r = with_threads(t, || decode::reconstruct(prev, &block));
+            }));
+            jobs.push(Job::new(name, "decode", points, t, move || {
+                let r = with_threads(t, || decode::reconstruct(prev, block));
                 std::hint::black_box(r.expect("self-produced block decodes"));
-            });
-
-            for (stage, secs) in [
-                ("transform", transform_secs),
-                ("fit", fit_secs),
-                ("encode", encode_secs),
-                ("decode", decode_secs),
-            ] {
-                let base = samples
-                    .iter()
-                    .find(|s| s.workload == name && s.stage == stage && s.threads == 1)
-                    .map_or(secs, |s| s.secs);
-                samples.push(Sample {
-                    workload: name,
-                    stage,
-                    points,
-                    threads: t,
-                    secs,
-                    speedup_vs_1t: base / secs,
-                });
-            }
+            }));
         }
+    }
+    for (name, (base, blocks)) in &chains {
+        for &t in &threads {
+            jobs.push(Job::new(name, "replay", points, t, move || {
+                let hops: Vec<_> = blocks.iter().map(CompressedIteration::block_ref).collect();
+                let r = with_threads(t, || decode::replay(base, &hops));
+                std::hint::black_box(r.expect("self-produced chain replays"));
+            }));
+        }
+    }
+    let mut calibration = Job::new("calibration", "calibrate", points, 1, || calib.run());
+
+    calibration.size();
+    for job in &mut jobs {
+        job.size();
+    }
+    for _ in 0..ROUNDS {
+        for job in &mut jobs {
+            let reference = calibration.time();
+            let secs = job.time();
+            job.calibrated.push(secs / reference);
+        }
+    }
+    calibration.calibrated = vec![1.0];
+    jobs.push(calibration);
+    let mut samples: Vec<Sample> = Vec::new();
+    for job in &jobs {
+        let secs = median(&job.secs);
+        let base = samples
+            .iter()
+            .find(|s| s.workload == job.workload && s.stage == job.stage && s.threads == 1)
+            .map_or(secs, |s| s.secs);
+        samples.push(Sample {
+            workload: job.workload,
+            stage: job.stage,
+            points: job.points,
+            threads: job.threads,
+            secs,
+            secs_per_calibration: median(&job.calibrated),
+            speedup_vs_1t: base / secs,
+        });
     }
 
     let mut rows = vec![vec![
@@ -233,10 +297,9 @@ fn main() {
     // drove through the instrumented encoder/decoder.
     let metrics = obs_metrics_json(&Registry::global().snapshot());
 
-    let encode_rows: Vec<&Sample> =
-        samples.iter().filter(|s| s.stage != "decode").collect();
-    let decode_rows: Vec<&Sample> =
-        samples.iter().filter(|s| s.stage == "decode").collect();
+    let is_decode = |s: &&Sample| matches!(s.stage, "decode" | "replay");
+    let encode_rows: Vec<&Sample> = samples.iter().filter(|s| !is_decode(s)).collect();
+    let decode_rows: Vec<&Sample> = samples.iter().filter(is_decode).collect();
     for (file, rows, overhead, kernel_rows) in [
         ("BENCH_encode.json", &encode_rows, Some(&overhead), Some(kernels.as_slice())),
         ("BENCH_decode.json", &decode_rows, None, None),
@@ -247,6 +310,115 @@ fn main() {
             .expect("write benchmark JSON");
         println!("wrote {path}");
     }
+}
+
+/// One gated row: the operation it times and its per-round timings.
+struct Job<'a> {
+    workload: &'static str,
+    stage: &'static str,
+    points: usize,
+    threads: usize,
+    run: Box<dyn FnMut() + 'a>,
+    /// Operations per timed repetition.
+    inner: usize,
+    /// Seconds per operation, one entry per repetition.
+    secs: Vec<f64>,
+    /// Each repetition's time over its adjacent calibration time.
+    calibrated: Vec<f64>,
+}
+
+impl<'a> Job<'a> {
+    fn new(
+        workload: &'static str,
+        stage: &'static str,
+        points: usize,
+        threads: usize,
+        run: impl FnMut() + 'a,
+    ) -> Self {
+        Self {
+            workload,
+            stage,
+            points,
+            threads,
+            run: Box::new(run),
+            inner: 1,
+            secs: Vec::new(),
+            calibrated: Vec::new(),
+        }
+    }
+
+    /// Warm up once and choose how many operations one repetition runs.
+    fn size(&mut self) {
+        let t0 = Instant::now();
+        (self.run)();
+        let once = t0.elapsed().as_secs_f64().max(1e-9);
+        self.inner = ((MIN_REP_SECS / once).ceil() as usize).clamp(1, 10_000);
+    }
+
+    /// Time one repetition; record and return the seconds per operation.
+    fn time(&mut self) -> f64 {
+        let t0 = Instant::now();
+        for _ in 0..self.inner {
+            (self.run)();
+        }
+        let secs = t0.elapsed().as_secs_f64() / self.inner as f64;
+        self.secs.push(secs);
+        secs
+    }
+}
+
+fn median(values: &[f64]) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// The reference workload for `bench_gate`'s normalisation: a fixed
+/// table-lookup multiply-reduce over `points` doubles on one thread,
+/// written here so that no library change moves it. It allocates and
+/// spawns nothing, so it times the core, not the allocator or the
+/// scheduler.
+struct Calibration {
+    input: Vec<f64>,
+    factors: [f64; 256],
+}
+
+impl Calibration {
+    fn new(points: usize) -> Self {
+        Self {
+            input: (0..points).map(|i| 1.0 + (i % 1009) as f64 / 100.0).collect(),
+            factors: std::array::from_fn(|k| 1.0 + k as f64 / 1024.0),
+        }
+    }
+
+    fn run(&self) {
+        let mut acc = [0.0f64; 4];
+        for (i, quad) in self.input.chunks(4).enumerate() {
+            for (a, &v) in acc.iter_mut().zip(quad) {
+                *a += v * self.factors[(i + v as usize) & 255];
+            }
+        }
+        std::hint::black_box(acc);
+    }
+}
+
+/// An open-loop restart chain over `seq`, each iteration tiled to
+/// `points`: the first iteration as the base, and one encoded hop per
+/// later iteration.
+fn replay_chain(
+    seq: &[Vec<f64>],
+    points: usize,
+    config: &Config,
+) -> (Vec<f64>, Vec<CompressedIteration>) {
+    let base = tile_to(&seq[..1].to_vec(), points).remove(0);
+    let hops = seq
+        .windows(2)
+        .map(|pair| {
+            let pair = tile_to(&pair.to_vec(), points);
+            encode::encode(&pair[0], &pair[1], config).expect("finite bench data").0
+        })
+        .collect();
+    (base, hops)
 }
 
 /// One lane-kernel measurement at one explicit dispatch level.
@@ -399,7 +571,7 @@ fn render_json(
             s,
             "    {{\"workload\": \"{}\", \"stage\": \"{}\", \"points\": {}, \"threads\": {}, \
              \"secs\": {:.6}, \"points_per_sec\": {:.1}, \"mb_per_sec\": {:.3}, \
-             \"speedup_vs_1t\": {:.3}}}{comma}",
+             \"speedup_vs_1t\": {:.3}, \"secs_per_calibration\": {:.6}}}{comma}",
             r.workload,
             r.stage,
             r.points,
@@ -408,6 +580,7 @@ fn render_json(
             r.points_per_sec(),
             r.mb_per_sec(),
             r.speedup_vs_1t,
+            r.secs_per_calibration,
         );
     }
     s.push_str("  ]\n}\n");

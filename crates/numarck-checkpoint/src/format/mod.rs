@@ -17,7 +17,7 @@
 mod v1;
 mod v2;
 
-pub use v2::MappedCheckpoint;
+pub use v2::{MappedCheckpoint, MappedDelta};
 
 use numarck::encode::CompressedIteration;
 use numarck::error::NumarckError;
@@ -502,8 +502,11 @@ mod tests {
         assert_eq!(mapped.iteration(), 42);
         assert!(!mapped.is_full());
         assert_eq!(mapped.span(), 1);
-        for (name, prev) in &prev_vars {
-            let got = mapped.decode_variable(name, prev).unwrap();
+        let deltas = mapped.delta_variables().unwrap();
+        assert_eq!(deltas.len(), prev_vars.len());
+        for ((name, prev), (mapped_name, delta)) in prev_vars.iter().zip(&deltas) {
+            assert_eq!(name, mapped_name);
+            let got = numarck::decode::reconstruct_ref(prev, &delta.block_ref()).unwrap();
             let want = &expect[name];
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want) {

@@ -57,7 +57,9 @@
 //! (whole-dictionary flag) or 4 bytes per entry. All three payload
 //! subsections start on 64-byte boundaries relative to the file, so a
 //! mapped file decodes in place — see
-//! [`MappedCheckpoint::decode_variable`].
+//! [`MappedCheckpoint::delta_variables`].
+
+use std::borrow::Cow;
 
 use numarck::decode::BlockRef;
 use numarck::encode::CompressedIteration;
@@ -639,9 +641,13 @@ fn parse_delta_section<'a>(
 
 /// Gather a variable's table out of the dictionary, enforcing the same
 /// invariant the v1 blob reader enforces: strictly increasing by value.
-fn gather_table(view: &SectionView<'_>, dict: &[f64]) -> Result<Vec<f64>, NumarckError> {
-    let reps: Vec<f64> = if view.flags & SEC_WHOLE_DICT != 0 {
-        dict.to_vec()
+/// A whole-dictionary table borrows the dictionary itself.
+fn gather_table<'a>(
+    view: &SectionView<'_>,
+    dict: &'a [f64],
+) -> Result<Cow<'a, [f64]>, NumarckError> {
+    let reps: Cow<'a, [f64]> = if view.flags & SEC_WHOLE_DICT != 0 {
+        Cow::Borrowed(dict)
     } else {
         let mut reps = Vec::with_capacity(view.table_len);
         let mut prev_idx: Option<u32> = None;
@@ -661,7 +667,7 @@ fn gather_table(view: &SectionView<'_>, dict: &[f64]) -> Result<Vec<f64>, Numarc
             prev_idx = Some(idx);
             reps.push(dict[idx as usize]);
         }
-        reps
+        Cow::Owned(reps)
     };
     if reps.windows(2).any(|w| w[0] >= w[1]) {
         return Err(corrupt("table entries not strictly increasing"));
@@ -681,7 +687,7 @@ fn section_to_block(
     view: &SectionView<'_>,
     dict: &[f64],
 ) -> Result<CompressedIteration, NumarckError> {
-    let reps = gather_table(view, dict)?;
+    let reps = gather_table(view, dict)?.into_owned();
     let table_len = view.table_len;
     let block = CompressedIteration {
         bits: view.bits,
@@ -752,12 +758,13 @@ pub(super) fn describe(data: &[u8]) -> Result<(usize, usize, Vec<SectionInfo>), 
 /// A v2 checkpoint opened for in-place decode.
 ///
 /// Holds [`AlignedBytes`] — ideally a live `mmap` of the file — and the
-/// validated [`Layout`]. [`Self::decode_variable`] builds a
-/// [`BlockRef`] whose bitmap/index/exact slices point straight into the
-/// mapping (the 64-byte section alignment plus the 8-byte-aligned base
-/// make the reinterpretation exact) and runs the allocation-free block
-/// decoder on it: the only bytes ever copied are the decoded output and
-/// the (tiny) centroid table.
+/// validated [`Layout`]. [`Self::delta_variables`] hands out one
+/// [`MappedDelta`] per variable, whose [`BlockRef`] has bitmap/index/exact
+/// slices pointing straight into the mapping (the 64-byte section
+/// alignment plus the 8-byte-aligned base make the reinterpretation
+/// exact); the caller replays those through [`numarck::decode::replay`].
+/// The only bytes ever copied are the decoded output and, for a table
+/// that is not the whole dictionary, the (tiny) gathered centroid table.
 ///
 /// Integrity: open verifies the whole-file CRC (one streaming pass over
 /// the mapped pages — every bit of the file is covered before any of it
@@ -832,21 +839,6 @@ impl MappedCheckpoint {
         }
     }
 
-    /// Variable names, ascending.
-    pub fn variable_names(&self) -> impl Iterator<Item = &str> {
-        self.layout.entries.iter().map(|e| e.name.as_str())
-    }
-
-    /// Number of variables in the file.
-    pub fn num_variables(&self) -> usize {
-        self.layout.entries.len()
-    }
-
-    /// True when the underlying bytes are a live file mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.bytes.is_mapped()
-    }
-
     fn entry(&self, name: &str) -> Result<&DirEntry, NumarckError> {
         self.layout
             .entries
@@ -859,25 +851,31 @@ impl MappedCheckpoint {
         as_f64s(dict_bytes(&self.bytes, &self.layout))
     }
 
-    /// Decode one delta variable against `prev`, straight out of the
-    /// mapping.
-    pub fn decode_variable(&self, name: &str, prev: &[f64]) -> Result<Vec<f64>, NumarckError> {
+    /// Every delta variable in name order, each viewed in place in the
+    /// mapping. Each section's geometry and bitmap population are
+    /// checked here; the code range is checked by the decoder.
+    pub fn delta_variables(&self) -> Result<Vec<(&str, MappedDelta<'_>)>, NumarckError> {
         if self.is_full() {
-            return Err(corrupt("decode_variable on a full checkpoint"));
+            return Err(corrupt("delta_variables on a full checkpoint"));
         }
-        let e = self.entry(name)?;
-        let view = parse_delta_section(&self.bytes, e, self.layout.dict_entries)?;
-        let table = gather_table(&view, self.dict()?)?;
-        let block = BlockRef {
-            bits: view.bits,
-            num_points: view.num_points,
-            num_compressible: view.num_compressible,
-            table: &table,
-            bitmap: as_u64s(view.bitmap)?,
-            index_words: as_u64s(view.index)?,
-            exact_values: as_f64s(view.exacts)?,
-        };
-        numarck::decode::reconstruct_ref(prev, &block)
+        let dict = self.dict()?;
+        self.layout
+            .entries
+            .iter()
+            .map(|e| {
+                let view = parse_delta_section(&self.bytes, e, self.layout.dict_entries)?;
+                let delta = MappedDelta {
+                    table: gather_table(&view, dict)?,
+                    bits: view.bits,
+                    num_points: view.num_points,
+                    num_compressible: view.num_compressible,
+                    bitmap: as_u64s(view.bitmap)?,
+                    index_words: as_u64s(view.index)?,
+                    exact_values: as_f64s(view.exacts)?,
+                };
+                Ok((e.name.as_str(), delta))
+            })
+            .collect()
     }
 
     /// Read one full-checkpoint variable (the copy into the returned
@@ -897,5 +895,34 @@ impl MappedCheckpoint {
             vars.insert(e.name.clone(), as_f64s(parse_full_section(&self.bytes, e)?)?.to_vec());
         }
         Ok(vars)
+    }
+}
+
+/// One delta variable of a [`MappedCheckpoint`]: its centroid table
+/// gathered out of the file's dictionary (borrowed when it is the whole
+/// dictionary) and its bitmap, index and exact-value sections in place.
+#[derive(Debug)]
+pub struct MappedDelta<'a> {
+    table: Cow<'a, [f64]>,
+    bits: u8,
+    num_points: usize,
+    num_compressible: usize,
+    bitmap: &'a [u64],
+    index_words: &'a [u64],
+    exact_values: &'a [f64],
+}
+
+impl MappedDelta<'_> {
+    /// The decoder's view of this variable.
+    pub fn block_ref(&self) -> BlockRef<'_> {
+        BlockRef {
+            bits: self.bits,
+            num_points: self.num_points,
+            num_compressible: self.num_compressible,
+            table: &self.table,
+            bitmap: self.bitmap,
+            index_words: self.index_words,
+            exact_values: self.exact_values,
+        }
     }
 }

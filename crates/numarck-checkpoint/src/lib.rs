@@ -54,7 +54,7 @@ pub use backend::{FaultSchedule, FaultyBackend, FsBackend, ReadFault, StorageBac
 pub use chain::{ChainIndex, StoredFile};
 pub use format::{
     describe, sniff_version, AnyCodec, CheckpointFile, CheckpointKind, ContainerInfo,
-    MappedCheckpoint, SectionInfo, VERSION_V1, VERSION_V2, WRITE_VERSION,
+    MappedCheckpoint, MappedDelta, SectionInfo, VERSION_V1, VERSION_V2, WRITE_VERSION,
 };
 pub use mmapio::AlignedBytes;
 pub use manager::{

@@ -9,18 +9,23 @@
 //!
 //! A restart runs in two steps. It *pins* the path — resolves it with a
 //! [`ChainIndex`] and maps every file on it, the only step that touches
-//! the store — and then parses, verifies and decodes from the pinned
-//! bytes alone. A caller that shares the store with writers pins under
-//! their lock and decodes after releasing it
-//! ([`RestartEngine::restart_at_or_before_locked`]).
+//! the store — and then works from the pinned bytes alone: it parses
+//! and verifies every file first, and then replays each variable once,
+//! handing its base values and all of its hops to [`decode::replay`],
+//! which applies the whole chain in one pass over the field. A caller
+//! that shares the store with writers pins under their lock and decodes
+//! after releasing it ([`RestartEngine::restart_at_or_before_locked`]).
 
 use std::path::{Path, PathBuf};
 
-use numarck::decode;
+use numarck::decode::{self, BlockRef};
+use numarck::encode::CompressedIteration;
 use numarck::error::NumarckError;
 
 use crate::chain::{ChainIndex, ChainPath, StoredFile};
-use crate::format::{sniff_version, CheckpointFile, CheckpointKind, MappedCheckpoint, VERSION_V2};
+use crate::format::{
+    sniff_version, CheckpointFile, CheckpointKind, MappedCheckpoint, MappedDelta, VERSION_V2,
+};
 use crate::mmapio::AlignedBytes;
 use crate::store::CheckpointStore;
 use crate::VariableSet;
@@ -33,13 +38,28 @@ const STALE_INDEX_RETRIES: usize = 4;
 /// version decodes best: v2 files stay as a [`MappedCheckpoint`] and
 /// decode zero-copy straight out of the mapping; v1 (and any bytes a
 /// non-mapping backend hands back) are parsed into an owned
-/// [`CheckpointFile`]. Both shapes replay through the same
-/// [`decode::reconstruct_ref`] core, so the reconstructed state is
-/// bit-identical either way.
+/// [`CheckpointFile`]. Both shapes yield [`BlockRef`]s for the same
+/// [`decode::replay`], so the reconstructed state is bit-identical
+/// either way.
 #[derive(Debug)]
 enum ChainFile {
     Parsed(CheckpointFile),
     Mapped(MappedCheckpoint),
+}
+
+/// One variable of one delta file, ready to replay.
+enum Hop<'a> {
+    Parsed(&'a CompressedIteration),
+    Mapped(MappedDelta<'a>),
+}
+
+impl Hop<'_> {
+    fn block_ref(&self) -> BlockRef<'_> {
+        match self {
+            Self::Parsed(block) => block.block_ref(),
+            Self::Mapped(delta) => delta.block_ref(),
+        }
+    }
 }
 
 impl ChainFile {
@@ -72,46 +92,28 @@ impl ChainFile {
         }
     }
 
-    /// Apply this delta file in place to `vars`.
-    fn apply(&self, iteration: u64, vars: &mut VariableSet) -> Result<(), NumarckError> {
-        let mismatch = || {
-            NumarckError::Corrupt(format!(
-                "delta {iteration} variable set does not match the chain"
-            ))
-        };
+    /// This delta file's hops, one per variable of `vars`, in key order.
+    fn hops(&self, iteration: u64, vars: &VariableSet) -> Result<Vec<Hop<'_>>, NumarckError> {
         let full_payload =
             || NumarckError::Corrupt(format!("delta {iteration} holds a full payload"));
-        match self {
-            Self::Parsed(f) => {
-                let CheckpointKind::Delta(blocks) = &f.kind else {
-                    return Err(full_payload());
-                };
-                if blocks.len() != vars.len()
-                    || !blocks.keys().zip(vars.keys()).all(|(a, b)| a == b)
-                {
-                    return Err(mismatch());
-                }
-                for (name, block) in blocks {
-                    let prev = vars.get_mut(name).expect("key checked above");
-                    *prev = decode::reconstruct(prev, block)?;
-                }
+        let hops: Vec<(&str, Hop<'_>)> = match self {
+            Self::Parsed(CheckpointFile { kind: CheckpointKind::Delta(blocks), .. }) => {
+                blocks.iter().map(|(name, block)| (name.as_str(), Hop::Parsed(block))).collect()
             }
-            Self::Mapped(m) => {
-                if m.is_full() {
-                    return Err(full_payload());
-                }
-                if m.num_variables() != vars.len()
-                    || !m.variable_names().zip(vars.keys()).all(|(a, b)| a == b.as_str())
-                {
-                    return Err(mismatch());
-                }
-                for name in m.variable_names().map(str::to_string).collect::<Vec<_>>() {
-                    let prev = vars.get_mut(&name).expect("key checked above");
-                    *prev = m.decode_variable(&name, prev)?;
-                }
-            }
+            Self::Parsed(_) => return Err(full_payload()),
+            Self::Mapped(m) if m.is_full() => return Err(full_payload()),
+            Self::Mapped(m) => m
+                .delta_variables()?
+                .into_iter()
+                .map(|(name, delta)| (name, Hop::Mapped(delta)))
+                .collect(),
+        };
+        if hops.len() != vars.len() || !hops.iter().zip(vars.keys()).all(|((a, _), b)| a == b) {
+            return Err(NumarckError::Corrupt(format!(
+                "delta {iteration} variable set does not match the chain"
+            )));
         }
-        Ok(())
+        Ok(hops.into_iter().map(|(_, hop)| hop).collect())
     }
 }
 
@@ -131,15 +133,25 @@ impl PinnedChain {
         self.path.target
     }
 
-    /// Parse, verify and decode the pinned files: the base full, then
-    /// every delta forwards.
+    /// Parse and verify every pinned file, then replay each variable
+    /// from the base full through all of its deltas in one pass.
     fn replay(self) -> Result<RestartResult, NumarckError> {
         let Self { path, files } = self;
         let mut steps = path.files().zip(files);
         let ((base, _), (name, bytes)) = steps.next().expect("a path starts at its base");
         let mut vars = ChainFile::parse(&name, base, bytes)?.into_full_variables(base)?;
-        for ((it, _), (name, bytes)) in steps {
-            ChainFile::parse(&name, it, bytes)?.apply(it, &mut vars)?;
+        let deltas: Vec<(u64, ChainFile)> = steps
+            .map(|((it, _), (name, bytes))| Ok((it, ChainFile::parse(&name, it, bytes)?)))
+            .collect::<Result<_, NumarckError>>()?;
+        let hops: Vec<Vec<Hop<'_>>> = deltas
+            .iter()
+            .map(|(it, file)| file.hops(*it, &vars))
+            .collect::<Result<_, _>>()?;
+        if !hops.is_empty() {
+            for (v, values) in vars.values_mut().enumerate() {
+                let chain: Vec<BlockRef<'_>> = hops.iter().map(|file| file[v].block_ref()).collect();
+                *values = decode::replay(values, &chain)?;
+            }
         }
         Ok(RestartResult {
             vars,

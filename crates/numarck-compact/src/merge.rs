@@ -33,7 +33,7 @@ use numarck::decode;
 use numarck::encode::{pack_codes_serial, CompressedIteration, ESCAPE};
 use numarck::error::NumarckError;
 use numarck::table::BinTable;
-use numarck_checkpoint::chain::ChainIndex;
+use numarck_checkpoint::chain::{ChainIndex, StoredFile};
 use numarck_checkpoint::format::{CheckpointFile, CheckpointKind};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
@@ -203,10 +203,13 @@ pub struct MergedDelta {
 /// Merge the deltas `(end − span, end]` of the chain in `store` into
 /// one span-`span` delta at `end`, verified end to end.
 ///
-/// Both endpoint states are obtained by replaying the *current* chain
-/// along the paths `index` resolves, so the merged delta reproduces
-/// exactly what a restart reproduces today — quantization error already
-/// baked into the chain and all.
+/// The window must be the tail of the path `index` resolves for `end`:
+/// `span` consecutive plain deltas whose chain continues at
+/// `end − span` (anything else is [`NumarckError::Corrupt`]). The base
+/// state is the restart of `end − span` along that path; the final
+/// state is the window's deltas replayed onto it in one
+/// [`decode::replay`] — exactly what a restart of `end` reproduces
+/// today, quantization error already baked into the chain and all.
 /// Before returning, the serialised bytes are re-parsed and replayed
 /// against the base state and bit-compared with the original replay;
 /// an artefact that fails that proof never reaches the caller.
@@ -227,31 +230,37 @@ pub fn merge_window(
     if span > u64::from(u32::MAX) {
         return Err(NumarckError::InvalidConfig(format!("merge span {span} exceeds u32")));
     }
-    let engine = RestartEngine::new(store.clone());
-    let base = engine.restart_with(index, end - span)?.vars;
-    let fin = engine.restart_with(index, end)?.vars;
-    if base.len() != fin.len() || !base.keys().zip(fin.keys()).all(|(a, b)| a == b) {
+    let first = end - span;
+    let path = index.resolve(end)?;
+    let window_is_tail = path.deltas.len() >= span as usize
+        && path.deltas.iter().zip((first + 1..=end).rev()).all(|(&d, it)| d == it)
+        && path.deltas.get(span as usize).map_or(path.base, |&d| d) == first;
+    if !window_is_tail {
         return Err(NumarckError::Corrupt(format!(
-            "variable sets differ between iterations {} and {end}",
-            end - span
+            "deltas ({first}, {end}] are not the tail of the chain to {end}"
         )));
+    }
+    let base = RestartEngine::new(store.clone()).restart_with(index, first)?.vars;
+    let window = (first + 1..=end)
+        .map(|it| read_window_delta(store, index, it, &base))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut fin = VariableSet::new();
+    for (name, base_vals) in &base {
+        let hops: Vec<_> = window.iter().map(|blocks| blocks[name].block_ref()).collect();
+        fin.insert(name.clone(), decode::replay(base_vals, &hops)?);
     }
 
     // Metadata: compose the replaced segment's error bounds and carry
     // the widest index width forward.
     let mut composed_tol = 1.0f64;
     let mut bits = 0u8;
-    for it in (end - span + 1)..=end {
-        if let Ok(file) = store.read(it, false) {
-            if let CheckpointKind::Delta(blocks) = file.kind {
-                let mut seg_tol = 0.0f64;
-                for block in blocks.values() {
-                    seg_tol = seg_tol.max(block.tolerance);
-                    bits = bits.max(block.bits);
-                }
-                composed_tol *= 1.0 + seg_tol;
-            }
+    for blocks in &window {
+        let mut seg_tol = 0.0f64;
+        for block in blocks.values() {
+            seg_tol = seg_tol.max(block.tolerance);
+            bits = bits.max(block.bits);
         }
+        composed_tol *= 1.0 + seg_tol;
     }
     let tolerance = composed_tol - 1.0;
     let bits = if bits == 0 { 8 } else { bits };
@@ -288,6 +297,40 @@ pub fn merge_window(
         )));
     }
     Ok(MergedDelta { file, bytes, content_crc, stats, expected: fin })
+}
+
+/// Read the plain delta at `iteration` of a merge window: the stored
+/// bytes must match their chain index entry, and the file must be a
+/// delta at that iteration over exactly `base`'s variables.
+fn read_window_delta(
+    store: &CheckpointStore,
+    index: &ChainIndex,
+    iteration: u64,
+    base: &VariableSet,
+) -> Result<BTreeMap<String, CompressedIteration>, NumarckError> {
+    let name = store.path_of(iteration, false);
+    let bytes = store
+        .read_raw(iteration, false)
+        .map_err(|e| NumarckError::Io(format!("cannot read {}: {e}", name.display())))?;
+    if index.file(iteration, false) != Some(StoredFile::of(&bytes)) {
+        return Err(NumarckError::Corrupt(format!(
+            "{} does not match its chain index entry",
+            name.display()
+        )));
+    }
+    let file = CheckpointFile::from_bytes(&bytes)?;
+    match file.kind {
+        CheckpointKind::Delta(blocks)
+            if file.iteration == iteration
+                && blocks.len() == base.len()
+                && blocks.keys().zip(base.keys()).all(|(a, b)| a == b) =>
+        {
+            Ok(blocks)
+        }
+        _ => Err(NumarckError::Corrupt(format!(
+            "delta {iteration} does not continue the chain's variables"
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -442,3 +442,31 @@ fn torn_compaction_write_quarantines_and_repair_reanchors() {
     assert!(rep.anchored_at.is_some(), "repair should re-anchor: {rep:?}");
     assert!(vars_bits_equal(&engine.restart_at(3).unwrap().vars, &safe_state));
 }
+
+#[test]
+fn merge_window_replays_the_window_once_and_rejects_a_window_off_the_chain() {
+    let tmp = TempDir::new("merge-window-tail");
+    let truth = truth_sequence(8, 300);
+    let store = build_store(&tmp.0, &truth, 1000);
+    let mut index = ChainIndex::load(&store).unwrap();
+    let engine = RestartEngine::new(store.clone());
+
+    // The window (2, 5] is the tail of the chain to 5: its final state is
+    // exactly what a restart of 5 reproduces.
+    let merged = numarck_compact::merge_window(&store, &index, 5, 3).unwrap();
+    assert!(vars_bits_equal(&merged.expected, &engine.restart_at(5).unwrap().vars));
+    store.write_raw(5, false, &merged.bytes).unwrap();
+    index.insert(5, false, numarck_checkpoint::StoredFile::of(&merged.bytes));
+
+    // The chain to 6 now steps 6 → 5 → 2: the plain deltas 4 and 5 it
+    // would merge are no longer consecutive hops of it.
+    let err = numarck_compact::merge_window(&store, &index, 6, 2).unwrap_err();
+    assert!(matches!(err, numarck::error::NumarckError::Corrupt(_)), "{err}");
+    // A window ending on the merged delta is off the chain as well: the
+    // chain to 5 skips 3 and 4.
+    let err = numarck_compact::merge_window(&store, &index, 5, 2).unwrap_err();
+    assert!(matches!(err, numarck::error::NumarckError::Corrupt(_)), "{err}");
+    // A window past it is the tail of the chain again.
+    let merged = numarck_compact::merge_window(&store, &index, 7, 2).unwrap();
+    assert!(vars_bits_equal(&merged.expected, &engine.restart_at(7).unwrap().vars));
+}

@@ -8,8 +8,6 @@
 //! the shared-memory equivalent, and its 1-D fit follows the sort-once,
 //! prefix-sum form of Yuan et al. (arXiv:1703.02438).
 //!
-//! Two implementations are provided:
-//!
 //! * [`lloyd1d`] — the production path. Exploits the 1-D structure: with
 //!   centres kept sorted, every cluster is an interval between adjacent
 //!   midpoints. The fit sorts the sample once and builds prefix sums, so
@@ -17,15 +15,11 @@
 //!   plus O(k) prefix-sum differences, O(k log n) instead of a pass over
 //!   all `n` points; nearest-centre queries are a binary search over the
 //!   midpoints (O(log k) per point instead of O(k)).
-//! * [`general`] — a straightforward dense d-dimensional Lloyd iteration,
-//!   used as a test oracle for the 1-D path and available for callers that
-//!   cluster multi-variable records.
 //!
 //! Initialisation methods live in [`init`]: histogram seeding (the paper's
 //! choice), k-means++, and uniform-spread; an ablation test in [`lloyd1d`]
 //! pins the paper's claim that seeding matters.
 
-pub mod general;
 pub mod init;
 pub mod lloyd1d;
 

@@ -64,17 +64,32 @@ pub fn popcount_ranks(bitmap: &[u64]) -> (Vec<u64>, u64) {
     exclusive_scan(bitmap, |w| w.count_ones() as u64)
 }
 
-/// Exclusive prefix popcount at block granularity: `ranks[c]` = set bits
-/// in words `0..c*words_per_block`. This is the decoder's rank index when
-/// it decodes one block of points per parallel task — it needs only the
-/// rank at each block start (O(blocks) memory), not at every word
-/// (O(words) memory like [`popcount_ranks`]). Block popcounts run in
-/// parallel; the scan over the (few) block sums is sequential.
-pub fn chunked_popcount_ranks(bitmap: &[u64], words_per_block: usize) -> (Vec<u64>, u64) {
-    let sums: Vec<u64> = par_map(chunk_ranges(bitmap.len(), words_per_block), |_, (s, e)| {
-        numarck_simd::popcount::popcount_sum(&bitmap[s..e])
+/// Exclusive prefix popcount at block granularity over several bitmaps
+/// of one length: `ranks[c * m + b]` = set bits of bitmap `b` (of `m`)
+/// in words `0..c*words_per_block`, and `totals[b]` = all of bitmap
+/// `b`'s set bits. This is the decoder's rank index when it decodes one
+/// block of points per parallel task through a chain of `m` hops — it
+/// needs only each hop's rank at each block start (O(blocks × hops)
+/// memory), not at every word (O(words) memory like
+/// [`popcount_ranks`]). One parallel sweep counts every bitmap's
+/// blocks; the scan over the (few) block sums is sequential.
+///
+/// # Panics
+/// Panics if a bitmap is shorter than the first.
+pub fn chunked_popcount_ranks(bitmaps: &[&[u64]], words_per_block: usize) -> (Vec<u64>, Vec<u64>) {
+    let words = bitmaps.first().map_or(0, |b| b.len());
+    let sums: Vec<Vec<u64>> = par_map(chunk_ranges(words, words_per_block), |_, (s, e)| {
+        bitmaps.iter().map(|b| numarck_simd::popcount::popcount_sum(&b[s..e])).collect()
     });
-    exclusive_scan_seq(&sums, |&x| x)
+    let mut ranks = Vec::with_capacity(sums.len() * bitmaps.len());
+    let mut totals = vec![0u64; bitmaps.len()];
+    for block in &sums {
+        for (total, &c) in totals.iter_mut().zip(block) {
+            ranks.push(*total);
+            *total += c;
+        }
+    }
+    (ranks, totals)
 }
 
 /// Exclusive scan over `(u64, u64)` tally pairs, scanning both components
@@ -131,23 +146,30 @@ mod tests {
 
     #[test]
     fn chunked_popcount_ranks_matches_per_word_ranks() {
-        let bitmap: Vec<u64> = (0..1000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        let (word_ranks, word_total) = popcount_ranks(&bitmap);
+        let bitmaps: Vec<Vec<u64>> = (1..4u64)
+            .map(|k| (0..1000u64).map(|i| (i * k).wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect())
+            .collect();
+        let views: Vec<&[u64]> = bitmaps.iter().map(Vec::as_slice).collect();
         for wpb in [1usize, 3, 7, 64, 1000, 5000] {
-            let (block_ranks, total) = chunked_popcount_ranks(&bitmap, wpb);
-            assert_eq!(total, word_total, "wpb={wpb}");
-            assert_eq!(block_ranks.len(), bitmap.len().div_ceil(wpb), "wpb={wpb}");
-            for (c, &r) in block_ranks.iter().enumerate() {
-                assert_eq!(r, word_ranks[c * wpb], "wpb={wpb} block={c}");
+            let (block_ranks, totals) = chunked_popcount_ranks(&views, wpb);
+            assert_eq!(block_ranks.len(), 1000usize.div_ceil(wpb) * views.len(), "wpb={wpb}");
+            for (b, bitmap) in views.iter().enumerate() {
+                let (word_ranks, word_total) = popcount_ranks(bitmap);
+                assert_eq!(totals[b], word_total, "wpb={wpb} bitmap={b}");
+                for (c, r) in block_ranks.chunks(views.len()).enumerate() {
+                    assert_eq!(r[b], word_ranks[c * wpb], "wpb={wpb} block={c} bitmap={b}");
+                }
             }
         }
     }
 
     #[test]
-    fn chunked_popcount_ranks_empty_bitmap() {
-        let (ranks, total) = chunked_popcount_ranks(&[], 64);
+    fn chunked_popcount_ranks_empty_bitmaps() {
+        let (ranks, totals) = chunked_popcount_ranks(&[&[], &[]], 64);
         assert!(ranks.is_empty());
-        assert_eq!(total, 0);
+        assert_eq!(totals, vec![0, 0]);
+        let (ranks, totals) = chunked_popcount_ranks(&[], 64);
+        assert!(ranks.is_empty() && totals.is_empty());
     }
 
     #[test]

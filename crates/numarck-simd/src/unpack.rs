@@ -158,30 +158,6 @@ pub unsafe fn unpack_avx2(words: &[u64], bits: u8, start: usize, out: &mut [u32]
     unpack_scalar(words, bits, start + vec_n, &mut out[vec_n..]);
 }
 
-/// Dispatched maximum over packed values `start .. start + count`
-/// (decode's index-validation scan) without materialising them: blocks
-/// are unpacked into a stack buffer and folded.
-#[inline]
-pub fn max_unpacked(words: &[u64], bits: u8, start: usize, count: usize) -> u32 {
-    max_unpacked_with(crate::active_level(), words, bits, start, count)
-}
-
-/// [`max_unpacked`] at an explicit level (oracle sweeps).
-pub fn max_unpacked_with(level: Level, words: &[u64], bits: u8, start: usize, count: usize) -> u32 {
-    let mut buf = [0u32; 256];
-    let mut best = 0u32;
-    let mut done = 0;
-    while done < count {
-        let take = (count - done).min(256);
-        unpack_with(level, words, bits, start + done, &mut buf[..take]);
-        for &c in &buf[..take] {
-            best = best.max(c);
-        }
-        done += take;
-    }
-    best
-}
-
 /// Dispatched centroid-lookup apply: `out[j] = prev[j] * rep1[codes[j]]`,
 /// except code 0 copies `prev[j]` verbatim. `rep1` is the caller's
 /// `1 + representative` table indexed directly by code (`rep1[0]` is
@@ -307,24 +283,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn max_unpacked_levels_agree() {
-        let bits = 9u8;
-        let vals = values(700, bits);
-        let words = pack(&vals, bits);
-        for (start, count) in [(0usize, 700usize), (13, 300), (255, 257), (699, 1), (0, 0)] {
-            let expect = vals[start..start + count].iter().copied().max().unwrap_or(0);
-            for level in Level::all_supported() {
-                assert_eq!(
-                    max_unpacked_with(level, &words, bits, start, count),
-                    expect,
-                    "level {} start {start} count {count}",
-                    level.name()
-                );
             }
         }
     }

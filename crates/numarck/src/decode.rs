@@ -9,22 +9,31 @@
 //!      = D'_{i−1,j} · (1 + Δ'_ij)  otherwise
 //! ```
 //!
-//! Decoding is chunk-parallel and mirrors the encoder's rank-partitioned
-//! packer: chunks are aligned to 64 points so each owns whole bitmap
-//! words, and a block-granularity rank index (prefix popcount at chunk
-//! starts only — O(chunks) memory, not O(words)) tells each chunk where
-//! its indices and exact values start.
+//! A restart applies a chain of such blocks to a full checkpoint, and
+//! [`replay`] does that in one pass. Decoding is chunk-parallel and
+//! mirrors the encoder's rank-partitioned packer: chunks are aligned to
+//! 64 points so each owns whole bitmap words, and a chunk-granularity
+//! rank index (prefix popcount at chunk starts only — O(chunks) memory,
+//! not O(words)) tells each chunk where every hop's indices and exact
+//! values start. Inside a chunk, each 1024-point block goes through
+//! every hop while it is L1-resident, so the field crosses memory once
+//! however long the chain is. [`reconstruct`] is the one-hop case.
 
-use numarck_par::chunk::{chunk_ranges, chunk_size_aligned, chunk_size_for};
+use std::time::Instant;
+
+use numarck_par::chunk::chunk_size_aligned;
+use numarck_par::par_map;
 use numarck_par::scan::chunked_popcount_ranks;
-use numarck_par::{par_for_each, par_map};
+use numarck_simd::popcount::popcount_sum_with;
+use numarck_simd::unpack::{apply_codes_with, unpack_with};
+use numarck_simd::Level;
 
 use crate::encode::CompressedIteration;
 use crate::error::NumarckError;
 
-/// Points decoded per cache block: codes for one block are bulk-unpacked
-/// into a stack buffer (4 KiB) once, instead of re-walking the bit stream
-/// per point, and stay L1-resident while the values are rebuilt.
+/// Points decoded per cache block: a block's codes are bulk-unpacked
+/// into a stack buffer (4 KiB) once per hop, and its values (8 KiB)
+/// stay L1-resident while every hop of the chain is applied to them.
 const DECODE_BLOCK: usize = 1024;
 
 /// A borrowed view of one compressed block: everything the decoder
@@ -85,97 +94,218 @@ pub fn reconstruct(prev: &[f64], block: &CompressedIteration) -> Result<Vec<f64>
     reconstruct_ref(prev, &block.block_ref())
 }
 
-/// [`reconstruct`] over a borrowed [`BlockRef`] — the entry point of the
-/// zero-copy path, where the slices live inside a mapped checkpoint file.
+/// [`reconstruct`] over a borrowed [`BlockRef`]: a one-hop [`replay`].
 pub fn reconstruct_ref(prev: &[f64], block: &BlockRef<'_>) -> Result<Vec<f64>, NumarckError> {
-    crate::obs::decodes_total().inc();
-    let _span = crate::obs::decode_ns().span();
-    validate(prev, block)?;
-    let n = block.num_points;
-    if n == 0 {
-        return Ok(Vec::new());
+    replay(prev, std::slice::from_ref(block))
+}
+
+/// Apply `hops` in order to `base` and return the final state — the
+/// restart chain in one pass, bit-identical to applying
+/// [`reconstruct`] once per hop.
+///
+/// Every hop is checked before its codes are used: its length must
+/// match `base` ([`NumarckError::LengthMismatch`]), and its counts,
+/// bitmap population and every index code must agree with its header
+/// and table ([`NumarckError::Corrupt`]). A hop that fails any check
+/// fails the replay; nothing panics on malformed input.
+///
+/// Telemetry counts one decode per hop and records the elapsed time as
+/// one `numarck_decode_ns` sample per hop (equal shares summing to the
+/// wall time), so the histogram's mean stays the cost of one block.
+pub fn replay(base: &[f64], hops: &[BlockRef<'_>]) -> Result<Vec<f64>, NumarckError> {
+    replay_with(numarck_simd::active_level(), base, hops)
+}
+
+/// [`replay`] at an explicit lane-kernel level (oracle sweeps).
+pub fn replay_with(
+    level: Level,
+    base: &[f64],
+    hops: &[BlockRef<'_>],
+) -> Result<Vec<f64>, NumarckError> {
+    let h = hops.len() as u64;
+    crate::obs::decodes_total().add(h);
+    let start = numarck_obs::timing_enabled().then(Instant::now);
+    let out = replay_chunks(level, base, hops);
+    if let Some(t0) = start.filter(|_| h > 0) {
+        // Equal shares, the remainder spread one nanosecond at a time,
+        // so the recorded sum is exactly the elapsed time.
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let hist = crate::obs::decode_ns();
+        for k in 0..h {
+            hist.record(ns / h + u64::from(k < ns % h));
+        }
+    }
+    out
+}
+
+fn replay_chunks(
+    level: Level,
+    base: &[f64],
+    hops: &[BlockRef<'_>],
+) -> Result<Vec<f64>, NumarckError> {
+    let n = base.len();
+    for hop in hops {
+        check_frame(n, hop)?;
+    }
+    if hops.is_empty() || n == 0 {
+        return Ok(base.to_vec());
     }
 
-    // Chunk decomposition mirrors the encoder's packer: chunks aligned
-    // to 64 points own whole bitmap words, and the block-granularity rank
-    // index gives each chunk the number of compressible points before it.
+    // One sweep counts every hop's compressible points per chunk: the
+    // ranks give each chunk where each hop's codes start, and the totals
+    // check each bitmap against its header.
     let chunk = chunk_size_aligned(n, 64);
-    let (chunk_ranks, _) = chunked_popcount_ranks(block.bitmap, chunk / 64);
+    let bitmaps: Vec<&[u64]> = hops.iter().map(|hop| hop.bitmap).collect();
+    let (ranks, totals) = chunked_popcount_ranks(&bitmaps, chunk / 64);
+    for (hop, &total) in hops.iter().zip(&totals) {
+        if total != hop.num_compressible as u64 {
+            return Err(NumarckError::Corrupt(format!(
+                "bitmap has {total} set bits but header claims {}",
+                hop.num_compressible
+            )));
+        }
+    }
 
-    // `1 + Δ'` per code, shared read-only across chunks. Entry 0 pairs
-    // with the small-change code and is never multiplied in (those lanes
-    // blend `prev` through verbatim — NaN payloads and signed zeros in
-    // `prev` survive bit-exactly, which `prev * 1.0` would not promise).
-    let rep1: Vec<f64> = std::iter::once(1.0)
-        .chain(block.table.iter().map(|&r| 1.0 + r))
+    // `1 + Δ'` per code, per hop, shared read-only across chunks. Entry
+    // 0 pairs with the small-change code and is never multiplied in
+    // (those lanes blend `prev` through verbatim — NaN payloads and
+    // signed zeros in `prev` survive bit-exactly, which `prev * 1.0`
+    // would not promise).
+    let rep1: Vec<Vec<f64>> = hops
+        .iter()
+        .map(|hop| std::iter::once(1.0).chain(hop.table.iter().map(|&r| 1.0 + r)).collect())
         .collect();
 
     let mut out = vec![0.0f64; n];
-    par_for_each(
-        out.chunks_mut(chunk).zip(&chunk_ranks),
-        |ci, (points, &rank)| {
-            let base = ci * chunk;
-            let mut comp_rank = rank as usize;
-            // Exact rank: points before this chunk minus compressible
-            // before it.
-            let mut exact_rank = base - comp_rank;
-            // One pre-sized scratch per chunk task, reused by every block
-            // in the chunk — no per-block heap traffic.
-            let mut codes = [0u32; DECODE_BLOCK];
-            for (bi, pts_block) in points.chunks_mut(DECODE_BLOCK).enumerate() {
-                let block_base = base + bi * DECODE_BLOCK;
-                let word0 = block_base / 64;
-                let nwords = pts_block.len().div_ceil(64);
-                let words = &block.bitmap[word0..word0 + nwords];
-                // All of this block's codes in one bulk unpack.
-                let ncomp = numarck_simd::popcount::popcount_sum(words) as usize;
-                numarck_simd::unpack::unpack(
-                    block.index_words,
-                    block.bits,
-                    comp_rank,
-                    &mut codes[..ncomp],
-                );
-                let mut cpos = 0usize;
-                for (w, pts) in pts_block.chunks_mut(64).enumerate() {
-                    let word = words[w];
-                    let j0 = block_base + w * 64;
-                    if word == u64::MAX && pts.len() == 64 {
-                        // Fully compressible word: vector centroid lookup.
-                        numarck_simd::unpack::apply_codes(
-                            &codes[cpos..cpos + 64],
-                            &rep1,
-                            &prev[j0..j0 + 64],
-                            pts,
-                        );
-                        cpos += 64;
-                    } else if word == 0 {
-                        // Fully escaped word: straight copy.
-                        pts.copy_from_slice(
-                            &block.exact_values[exact_rank..exact_rank + pts.len()],
-                        );
-                        exact_rank += pts.len();
+    let results = par_map(
+        out.chunks_mut(chunk).zip(ranks.chunks_exact(hops.len())),
+        |ci, (points, chunk_ranks)| -> Result<(), NumarckError> {
+            let first = ci * chunk;
+            // Each hop's read position starts at its chunk ranks: codes
+            // before the chunk, and exact values = points before the
+            // chunk minus codes before it.
+            let mut cursors: Vec<Cursor> = chunk_ranks
+                .iter()
+                .map(|&comp| Cursor { comp: comp as usize, exact: first - comp as usize })
+                .collect();
+            // Pre-sized scratch per chunk task, reused by every block and
+            // hop in the chunk — no per-block heap traffic.
+            let mut scratch = Scratch { codes: [0; DECODE_BLOCK], lanes: [0; 64] };
+            let mut prev = [0.0f64; DECODE_BLOCK];
+            for (bi, block) in points.chunks_mut(DECODE_BLOCK).enumerate() {
+                let start = first + bi * DECODE_BLOCK;
+                let len = block.len();
+                let items = hops.iter().zip(&rep1).zip(cursors.iter_mut());
+                for (k, ((hop, rep1), cursor)) in items.enumerate() {
+                    // The first hop reads `base`; every later one reads
+                    // the block's state after the hop before it.
+                    let prev = if k == 0 {
+                        &base[start..start + len]
                     } else {
-                        for (b, slot) in pts.iter_mut().enumerate() {
-                            if (word >> b) & 1 == 1 {
-                                let code = codes[cpos] as usize;
-                                cpos += 1;
-                                *slot = if code == 0 {
-                                    prev[j0 + b]
-                                } else {
-                                    prev[j0 + b] * rep1[code]
-                                };
-                            } else {
-                                *slot = block.exact_values[exact_rank];
-                                exact_rank += 1;
-                            }
-                        }
-                    }
+                        prev[..len].copy_from_slice(block);
+                        &prev[..len]
+                    };
+                    decode_block(level, hop, rep1, start, prev, block, cursor, &mut scratch)?;
                 }
-                comp_rank += ncomp;
             }
+            Ok(())
         },
     );
+    results.into_iter().collect::<Result<(), _>>()?;
     Ok(out)
+}
+
+/// A hop's read position inside one chunk.
+struct Cursor {
+    /// Index codes consumed.
+    comp: usize,
+    /// Exact values consumed.
+    exact: usize,
+}
+
+/// Per-chunk scratch: one block's unpacked codes, and the 64 lanes a
+/// mixed word's codes are scattered to.
+struct Scratch {
+    codes: [u32; DECODE_BLOCK],
+    lanes: [u32; 64],
+}
+
+/// Apply one hop to one block: `prev` (the block's previous state) to
+/// `out`, both `len ≤ DECODE_BLOCK` points starting at point `start`.
+#[allow(clippy::too_many_arguments)]
+fn decode_block(
+    level: Level,
+    hop: &BlockRef<'_>,
+    rep1: &[f64],
+    start: usize,
+    prev: &[f64],
+    out: &mut [f64],
+    cursor: &mut Cursor,
+    scratch: &mut Scratch,
+) -> Result<(), NumarckError> {
+    let word0 = start / 64;
+    let words = &hop.bitmap[word0..word0 + out.len().div_ceil(64)];
+    // All of this block's codes in one bulk unpack, then checked against
+    // the table before any of them reaches a gather.
+    let ncomp = popcount_sum_with(level, words) as usize;
+    let codes = &mut scratch.codes[..ncomp];
+    unpack_with(level, hop.index_words, hop.bits, cursor.comp, codes);
+    cursor.comp += ncomp;
+    let max_code = codes.iter().copied().max().unwrap_or(0);
+    if max_code as usize > hop.table.len() {
+        return Err(NumarckError::Corrupt(format!(
+            "index {max_code} exceeds table length {}",
+            hop.table.len()
+        )));
+    }
+
+    // Lanes left over from another hop were checked against another
+    // table: start this hop's block from code 0.
+    let lanes = &mut scratch.lanes;
+    lanes.fill(0);
+    let mut cpos = 0usize;
+    for ((&word, prev), out) in words.iter().zip(prev.chunks(64)).zip(out.chunks_mut(64)) {
+        let m = out.len();
+        if word == u64::MAX {
+            // Fully compressible word (always 64 lanes: bits past the
+            // last point were rejected): codes are already contiguous.
+            apply_codes_with(level, &codes[cpos..cpos + 64], rep1, prev, out);
+            cpos += 64;
+        } else if word == 0 {
+            // Fully escaped word: straight copy.
+            out.copy_from_slice(&hop.exact_values[cursor.exact..cursor.exact + m]);
+            cursor.exact += m;
+        } else {
+            // Mixed word: scatter the codes to their lanes, apply over
+            // every lane, then overwrite the escaped lanes with their
+            // exact values. An escaped lane holds 0 or a stale code from
+            // an earlier word of this block — checked, so in range.
+            let mut set = word;
+            while set != 0 {
+                lanes[set.trailing_zeros() as usize] = codes[cpos];
+                cpos += 1;
+                set &= set - 1;
+            }
+            apply_codes_with(level, &lanes[..m], rep1, prev, out);
+            let mut escaped = !word & lane_mask(m);
+            while escaped != 0 {
+                out[escaped.trailing_zeros() as usize] = hop.exact_values[cursor.exact];
+                cursor.exact += 1;
+                escaped &= escaped - 1;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The low `m` bits set (`1 ≤ m ≤ 64`).
+#[inline]
+fn lane_mask(m: usize) -> u64 {
+    if m == 64 {
+        u64::MAX
+    } else {
+        (1u64 << m) - 1
+    }
 }
 
 /// Sequential reference decoder (kept as the oracle the parallel path is
@@ -189,7 +319,14 @@ pub fn reconstruct_seq(
 
 /// [`reconstruct_seq`] over a borrowed [`BlockRef`].
 pub fn reconstruct_seq_ref(prev: &[f64], block: &BlockRef<'_>) -> Result<Vec<f64>, NumarckError> {
-    validate(prev, block)?;
+    check_frame(prev.len(), block)?;
+    let set_bits: usize = block.bitmap.iter().map(|w| w.count_ones() as usize).sum();
+    if set_bits != block.num_compressible {
+        return Err(NumarckError::Corrupt(format!(
+            "bitmap has {set_bits} set bits but header claims {}",
+            block.num_compressible
+        )));
+    }
     let mut out = Vec::with_capacity(block.num_points);
     let mut reader = crate::bitstream::BitReader::new(
         block.index_words,
@@ -201,6 +338,12 @@ pub fn reconstruct_seq_ref(prev: &[f64], block: &BlockRef<'_>) -> Result<Vec<f64
             let code = reader
                 .read(block.bits)
                 .ok_or_else(|| NumarckError::Corrupt("index stream exhausted".into()))?;
+            if code as usize > block.table.len() {
+                return Err(NumarckError::Corrupt(format!(
+                    "index {code} exceeds table length {}",
+                    block.table.len()
+                )));
+            }
             if code == 0 {
                 out.push(prev[j]);
             } else {
@@ -216,36 +359,34 @@ pub fn reconstruct_seq_ref(prev: &[f64], block: &BlockRef<'_>) -> Result<Vec<f64
     Ok(out)
 }
 
-fn validate(prev: &[f64], block: &BlockRef<'_>) -> Result<(), NumarckError> {
-    if prev.len() != block.num_points {
-        return Err(NumarckError::LengthMismatch { prev: prev.len(), curr: block.num_points });
+/// The checks that need no pass over the data: the hop's length and
+/// that its section sizes agree with its counts, so every slice the
+/// decoders take is in bounds. The bitmap population and the code range
+/// are checked while decoding.
+fn check_frame(n: usize, block: &BlockRef<'_>) -> Result<(), NumarckError> {
+    if block.num_points != n {
+        return Err(NumarckError::LengthMismatch { prev: n, curr: block.num_points });
     }
-    let set_bits: usize = block.bitmap.iter().map(|w| w.count_ones() as usize).sum();
-    if set_bits != block.num_compressible {
-        return Err(NumarckError::Corrupt(format!(
-            "bitmap has {set_bits} set bits but header claims {}",
-            block.num_compressible
-        )));
+    if !(1..=32).contains(&block.bits) {
+        return Err(NumarckError::Corrupt(format!("index width {} out of range", block.bits)));
     }
-    if block.num_compressible + block.exact_values.len() != block.num_points {
+    let nc = block.num_compressible;
+    if nc > n || block.exact_values.len() != n - nc {
         return Err(NumarckError::Corrupt(
             "compressible + exact counts do not cover all points".into(),
         ));
     }
-    // Indices must address the table; parallel max-code scan using the
-    // bulk-unpack lane kernel instead of one bit-stream walk per point.
-    let nc = block.num_compressible;
-    let max_code = par_map(chunk_ranges(nc, chunk_size_for(nc)), |_, (s, e)| {
-        numarck_simd::unpack::max_unpacked(block.index_words, block.bits, s, e - s)
-    })
-    .into_iter()
-    .max()
-    .unwrap_or(0);
-    if max_code as usize > block.table.len() {
+    if block.bitmap.len() != n.div_ceil(64) {
         return Err(NumarckError::Corrupt(format!(
-            "index {max_code} exceeds table length {}",
-            block.table.len()
+            "bitmap has {} words for {n} points",
+            block.bitmap.len()
         )));
+    }
+    if !n.is_multiple_of(64) && block.bitmap[n / 64] >> (n % 64) != 0 {
+        return Err(NumarckError::Corrupt("bitmap marks points past the end".into()));
+    }
+    if block.index_words.len() < (nc * block.bits as usize).div_ceil(64) {
+        return Err(NumarckError::Corrupt("index stream shorter than its codes".into()));
     }
     Ok(())
 }
@@ -331,12 +472,14 @@ mod tests {
     #[test]
     fn mixed_word_decode_matches_oracle_across_escape_densities() {
         // Force bitmap words of every flavour — all-ones (vector path),
-        // all-zero (exact copy), mixed (scalar path) — across
-        // lane-boundary lengths, and hold the parallel decoder to the
-        // sequential oracle bit-for-bit.
-        for n in [1usize, 63, 64, 65, 127, 128, 1023, 1024, 1025, 4097] {
+        // all-zero (exact copy), mixed (lane scatter) — across
+        // lane-boundary lengths, over 3-hop chains, and hold every
+        // prefix of the fused replay to the sequential oracle applied
+        // hop by hop, bit for bit.
+        let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
+        for n in [1usize, 63, 64, 65, 127, 128, 1023, 1024, 1025, 4097, 9000] {
             for escape_period in [0usize, 2, 7, 64, 129] {
-                let prev: Vec<f64> = (0..n)
+                let mut states: Vec<Vec<f64>> = vec![(0..n)
                     .map(|i| {
                         if escape_period != 0 && i % escape_period == 0 {
                             0.0 // prev == 0 -> escaped
@@ -344,27 +487,66 @@ mod tests {
                             1.0 + (i % 19) as f64
                         }
                     })
-                    .collect();
-                let curr: Vec<f64> = prev
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        if v == 0.0 {
-                            4.25
-                        } else {
-                            v * (1.0 + 0.01 * ((i % 6) as f64))
-                        }
-                    })
-                    .collect();
-                let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
-                let (block, _) = encode(&prev, &curr, &cfg).unwrap();
-                let par = reconstruct(&prev, &block).unwrap();
-                let seq = reconstruct_seq(&prev, &block).unwrap();
-                let pb: Vec<u64> = par.iter().map(|v| v.to_bits()).collect();
-                let sb: Vec<u64> = seq.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(pb, sb, "n={n} escape_period={escape_period}");
+                    .collect()];
+                for step in 1..=3usize {
+                    let next: Vec<f64> = states[step - 1]
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| {
+                            if escape_period != 0 && (i + step) % escape_period == 0 {
+                                0.0
+                            } else if v == 0.0 {
+                                4.25
+                            } else {
+                                v * (1.0 + 0.01 * (((i + step) % 6) as f64))
+                            }
+                        })
+                        .collect();
+                    states.push(next);
+                }
+                let blocks: Vec<CompressedIteration> =
+                    states.windows(2).map(|w| encode(&w[0], &w[1], &cfg).unwrap().0).collect();
+                let refs: Vec<BlockRef<'_>> = blocks.iter().map(|b| b.block_ref()).collect();
+                let mut oracle = states[0].clone();
+                for hops in 1..=refs.len() {
+                    oracle = reconstruct_seq_ref(&oracle, &refs[hops - 1]).unwrap();
+                    let fused = replay(&states[0], &refs[..hops]).unwrap();
+                    let fb: Vec<u64> = fused.iter().map(|v| v.to_bits()).collect();
+                    let ob: Vec<u64> = oracle.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(fb, ob, "n={n} escape_period={escape_period} hops={hops}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn replay_records_one_decode_sample_per_hop() {
+        let n = 5000;
+        let prev: Vec<f64> = (0..n).map(|i| 1.0 + (i % 13) as f64).collect();
+        let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
+        let curr: Vec<f64> = prev.iter().map(|v| v * 1.01).collect();
+        let (block, _) = encode(&prev, &curr, &cfg).unwrap();
+        let hops = vec![block.block_ref(); 6];
+        // Other tests decode concurrently into the same registry
+        // histogram; the run is repeated until no other decode
+        // interleaved.
+        for _ in 0..100 {
+            let (count0, sum0) = (crate::obs::decode_ns().count(), crate::obs::decode_ns().sum());
+            let decodes0 = crate::obs::decodes_total().get();
+            let t0 = std::time::Instant::now();
+            replay(&prev, &hops).unwrap();
+            let wall = t0.elapsed().as_nanos() as u64;
+            let (count1, sum1) = (crate::obs::decode_ns().count(), crate::obs::decode_ns().sum());
+            // This replay's 6 decodes and 6 samples always land in the
+            // window; exactly 6 of each means nothing else did.
+            if crate::obs::decodes_total().get() - decodes0 != 6 || count1 - count0 != 6 {
+                continue;
+            }
+            assert!(sum1 - sum0 <= wall, "recorded {} ns > wall {wall} ns", sum1 - sum0);
+            assert!(sum1 > sum0, "replay time was recorded");
+            return;
+        }
+        panic!("every replay overlapped another decode");
     }
 
     #[test]
@@ -426,6 +608,8 @@ mod tests {
 
     mod properties {
         use super::*;
+        use numarck_par::pool::with_threads;
+        use numarck_par::rng::Xoshiro256PlusPlus;
         use numarck_prop::prelude::*;
 
         proptest! {
@@ -456,6 +640,168 @@ mod tests {
                             ((r - c) / c).abs() <= bound,
                             "rel {} > bound {bound}",
                             ((r - c) / c).abs()
+                        );
+                    }
+                }
+            }
+        }
+
+        /// One random hop: (bits, table, packed sections).
+        type Hop = (u8, Vec<f64>, crate::encode::PackedSections);
+
+        /// A base or exact value: mostly ordinary, with NaN payloads and
+        /// both signed zeros mixed in.
+        fn odd_value(rng: &mut Xoshiro256PlusPlus) -> f64 {
+            match rng.below(20) {
+                0 => f64::from_bits(0x7ff8_0000_0000_0000 | (rng.next_u64() >> 13)),
+                1 => -0.0,
+                2 => 0.0,
+                _ => rng.uniform(-100.0, 100.0),
+            }
+        }
+
+        /// A hop over `n` points with a random width and table, whose
+        /// points escape with probability `escape`.
+        fn random_hop(rng: &mut Xoshiro256PlusPlus, n: usize, escape: f64) -> Hop {
+            let bits = 2 + rng.below(9) as u8;
+            let table_len = 1 + rng.below((1usize << bits) - 2);
+            let mut table: Vec<f64> = (0..table_len).map(|_| rng.uniform(-0.5, 0.5)).collect();
+            table.sort_by(f64::total_cmp);
+            let codes: Vec<u32> = (0..n)
+                .map(|_| {
+                    if rng.next_f64() < escape {
+                        crate::encode::ESCAPE
+                    } else {
+                        rng.below(table_len + 1) as u32
+                    }
+                })
+                .collect();
+            let exacts: Vec<f64> = (0..n).map(|_| odd_value(rng)).collect();
+            (bits, table, crate::encode::pack_codes_serial(&codes, &exacts, bits))
+        }
+
+        /// `h` as a block over `n` points.
+        fn hop_ref(h: &Hop, n: usize) -> BlockRef<'_> {
+            BlockRef {
+                bits: h.0,
+                num_points: n,
+                num_compressible: h.2.num_compressible,
+                table: &h.1,
+                bitmap: &h.2.bitmap,
+                index_words: &h.2.index_words,
+                exact_values: &h.2.exact_values,
+            }
+        }
+
+        const ESCAPE_RATES: [f64; 4] = [0.0, 0.05, 0.3, 1.0];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(40))]
+
+            #[test]
+            fn replay_is_bit_identical_to_hop_by_hop_oracle(
+                n in 1usize..20_000,
+                nhops in 0usize..17,
+                rate in 0usize..4,
+                seed in any::<u64>()
+            ) {
+                let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+                let base: Vec<f64> = (0..n).map(|_| odd_value(&mut rng)).collect();
+                let hops: Vec<Hop> =
+                    (0..nhops).map(|_| random_hop(&mut rng, n, ESCAPE_RATES[rate])).collect();
+                let refs: Vec<BlockRef<'_>> = hops.iter().map(|h| hop_ref(h, n)).collect();
+                let mut oracle = base.clone();
+                for r in &refs {
+                    oracle = reconstruct_seq_ref(&oracle, r).unwrap();
+                }
+                let want: Vec<u64> = oracle.iter().map(|v| v.to_bits()).collect();
+                for level in Level::all_supported() {
+                    for threads in [1usize, 2, 8] {
+                        let got = with_threads(threads, || replay_with(level, &base, &refs)).unwrap();
+                        let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                        prop_assert!(
+                            got == want,
+                            "n={n} hops={nhops} escape={} level={} threads={threads}",
+                            ESCAPE_RATES[rate],
+                            level.name()
+                        );
+                    }
+                }
+            }
+
+            #[test]
+            fn malformed_hop_is_an_error_at_every_level(
+                n in 1usize..12_000,
+                nhops in 1usize..7,
+                bad_at in 0usize..7,
+                kind in 0usize..3,
+                seed in any::<u64>()
+            ) {
+                let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+                let base: Vec<f64> = (0..n).map(|_| odd_value(&mut rng)).collect();
+                let bad_at = bad_at % nhops;
+                let mut hops: Vec<Hop> = Vec::new();
+                let mut lens = vec![n; nhops];
+                for k in 0..nhops {
+                    let hop = if k != bad_at {
+                        random_hop(&mut rng, n, 0.3)
+                    } else {
+                        match kind {
+                            // Codes up to one past the table: the top
+                            // code is forced in at a random point.
+                            0 => {
+                                let mut hop = random_hop(&mut rng, n, 0.3);
+                                let top = hop.1.len() as u32 + 1;
+                                let j = rng.below(n);
+                                let mut codes: Vec<u32> = (0..n)
+                                    .map(|i| {
+                                        if (hop.2.bitmap[i / 64] >> (i % 64)) & 1 == 1 {
+                                            1
+                                        } else {
+                                            crate::encode::ESCAPE
+                                        }
+                                    })
+                                    .collect();
+                                codes[j] = top;
+                                let exacts: Vec<f64> = (0..n).map(|_| 1.0).collect();
+                                hop.2 = crate::encode::pack_codes_serial(&codes, &exacts, hop.0);
+                                hop
+                            }
+                            // A bitmap whose population disagrees with
+                            // the header.
+                            1 => {
+                                let mut hop = random_hop(&mut rng, n, 0.3);
+                                let j = rng.below(n);
+                                hop.2.bitmap[j / 64] ^= 1 << (j % 64);
+                                hop
+                            }
+                            // A hop over a different number of points.
+                            _ => {
+                                lens[k] = n + 1 + rng.below(70);
+                                random_hop(&mut rng, lens[k], 0.3)
+                            }
+                        }
+                    };
+                    hops.push(hop);
+                }
+                let refs: Vec<BlockRef<'_>> = hops
+                    .iter()
+                    .zip(&lens)
+                    .map(|(h, &len)| hop_ref(h, len))
+                    .collect();
+                for level in Level::all_supported() {
+                    for threads in [1usize, 2, 8] {
+                        let got = with_threads(threads, || replay_with(level, &base, &refs));
+                        let ok = matches!(
+                            (kind, &got),
+                            (0 | 1, Err(NumarckError::Corrupt(_)))
+                                | (2, Err(NumarckError::LengthMismatch { .. }))
+                        );
+                        prop_assert!(
+                            ok,
+                            "kind {kind} at hop {bad_at}/{nhops}, n={n}, level={} threads={threads}: {:?}",
+                            level.name(),
+                            got.map(|v| v.len())
                         );
                     }
                 }

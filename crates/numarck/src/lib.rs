@@ -53,7 +53,6 @@ pub mod decode;
 pub mod drift;
 pub mod encode;
 pub mod error;
-pub mod fpc;
 pub mod group;
 pub mod huffman;
 pub mod metrics;

@@ -140,11 +140,8 @@ impl DeltaChain {
                 self.deltas.len()
             )));
         }
-        let mut state = self.base.clone();
-        for block in &self.deltas[..idx] {
-            state = decode::reconstruct(&state, block)?;
-        }
-        Ok(state)
+        let hops: Vec<_> = self.deltas[..idx].iter().map(CompressedIteration::block_ref).collect();
+        decode::replay(&self.base, &hops)
     }
 
     /// Reconstruct every iteration 0..=len(), reusing the running state
