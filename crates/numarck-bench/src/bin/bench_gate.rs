@@ -21,10 +21,17 @@
 //! no better on a shared 2-core host, and it mis-scaled rows that run
 //! mostly on one thread (the fit).
 //!
+//! `--current` may be given more than once, one directory per `perf`
+//! run. Each row is then gated on its median `secs_per_calibration`
+//! (and shown with its median `points_per_sec`) across those runs, so
+//! one run that a noisy neighbour slowed down cannot fail the gate on
+//! its own.
+//!
 //! Usage:
 //!
 //! ```text
-//! bench_gate --baseline DIR --current DIR [--out REPORT.json] [--threshold PCT]
+//! bench_gate --baseline DIR --current DIR [--current DIR ...]
+//!            [--out REPORT.json] [--threshold PCT]
 //! ```
 //!
 //! Escape hatches:
@@ -71,14 +78,14 @@ fn main() {
 
 fn run() -> i32 {
     let mut baseline_dir = None;
-    let mut current_dir = None;
+    let mut current_dirs: Vec<String> = Vec::new();
     let mut out_path = None;
     let mut threshold_pct = 15.0f64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--baseline" => baseline_dir = args.next(),
-            "--current" => current_dir = args.next(),
+            "--current" => current_dirs.extend(args.next()),
             "--out" => out_path = args.next(),
             "--threshold" => {
                 let Some(v) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
@@ -89,8 +96,8 @@ fn run() -> i32 {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "bench_gate --baseline DIR --current DIR [--out REPORT.json] \
-                     [--threshold PCT]"
+                    "bench_gate --baseline DIR --current DIR [--current DIR ...] \
+                     [--out REPORT.json] [--threshold PCT]"
                 );
                 return 2;
             }
@@ -100,7 +107,7 @@ fn run() -> i32 {
             }
         }
     }
-    let (Some(baseline_dir), Some(current_dir)) = (baseline_dir, current_dir) else {
+    let Some(baseline_dir) = baseline_dir.filter(|_| !current_dirs.is_empty()) else {
         eprintln!("bench_gate needs --baseline DIR and --current DIR");
         return 2;
     };
@@ -111,31 +118,26 @@ fn run() -> i32 {
         return 0;
     }
 
-    let mut baseline: Vec<Row> = Vec::new();
-    let mut current: Vec<Row> = Vec::new();
-    for file in ["BENCH_encode.json", "BENCH_decode.json"] {
-        match read_rows(&format!("{baseline_dir}/{file}")) {
-            Ok(rows) => baseline.extend(rows),
-            Err(e) => {
-                eprintln!("bench_gate: cannot read baseline {file}: {e}");
-                return 2;
-            }
+    let baseline = match read_run(&baseline_dir) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("bench_gate: cannot read baseline {e}");
+            return 2;
         }
-        match read_rows(&format!("{current_dir}/{file}")) {
-            Ok(rows) => current.extend(rows),
-            Err(e) => {
-                eprintln!("bench_gate: cannot read current {file}: {e}");
-                return 2;
-            }
+    };
+    let runs: Result<Vec<Vec<Row>>, String> = current_dirs.iter().map(|d| read_run(d)).collect();
+    let current = match runs.and_then(|runs| median_rows(&runs)) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("bench_gate: cannot read current {e}");
+            return 2;
         }
-    }
+    };
 
     let allowed = 1.0 - threshold_pct / 100.0;
     let mut verdicts: Vec<Verdict> = Vec::new();
     for row in &current {
-        let base = baseline.iter().find(|b| {
-            b.workload == row.workload && b.stage == row.stage && b.threads == row.threads
-        });
+        let base = baseline.iter().find(|b| same_key(b, row));
         let v = match base {
             None => Verdict {
                 row: row.clone(),
@@ -178,9 +180,7 @@ fn run() -> i32 {
     }
     // Baseline rows with no current counterpart: visible, non-fatal.
     for b in &baseline {
-        let gone = !current.iter().any(|r| {
-            r.workload == b.workload && r.stage == b.stage && r.threads == b.threads
-        });
+        let gone = !current.iter().any(|r| same_key(r, b));
         if gone {
             verdicts.push(Verdict {
                 row: b.clone(),
@@ -224,6 +224,58 @@ fn run() -> i32 {
     } else {
         println!("bench_gate: pass ({} rows compared)", verdicts.len());
         0
+    }
+}
+
+/// Whether two rows measure the same `(workload, stage, threads)`.
+fn same_key(a: &Row, b: &Row) -> bool {
+    a.workload == b.workload && a.stage == b.stage && a.threads == b.threads
+}
+
+/// The rows of one `perf` run: its encode and decode files together.
+fn read_run(dir: &str) -> Result<Vec<Row>, String> {
+    let mut rows = Vec::new();
+    for file in ["BENCH_encode.json", "BENCH_decode.json"] {
+        rows.extend(read_rows(&format!("{dir}/{file}")).map_err(|e| format!("{dir}/{file}: {e}"))?);
+    }
+    Ok(rows)
+}
+
+/// Fold several runs into one row per key, in order of first
+/// appearance: the median `points_per_sec` and `secs_per_calibration`
+/// over the runs that measured the key (`None` when any of them lacks
+/// the field). A single run folds to itself.
+fn median_rows(runs: &[Vec<Row>]) -> Result<Vec<Row>, String> {
+    let mut out: Vec<Row> = Vec::new();
+    for row in runs.iter().flatten() {
+        if out.iter().any(|r| same_key(r, row)) {
+            continue;
+        }
+        let twins: Vec<&Row> = runs.iter().flatten().filter(|r| same_key(r, row)).collect();
+        if twins.iter().any(|r| r.points != row.points) {
+            return Err(format!(
+                "runs disagree on the points of {} {} {}t",
+                row.workload, row.stage, row.threads
+            ));
+        }
+        let calibrated: Option<Vec<f64>> = twins.iter().map(|r| r.secs_per_calibration).collect();
+        out.push(Row {
+            points_per_sec: median(twins.iter().map(|r| r.points_per_sec).collect()),
+            secs_per_calibration: calibrated.map(median),
+            ..row.clone()
+        });
+    }
+    Ok(out)
+}
+
+/// Median of a non-empty sample (the mean of the middle pair when even).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
     }
 }
 
@@ -331,5 +383,37 @@ mod tests {
         assert_eq!(field_num(line, "threads").unwrap(), 2.0);
         assert_eq!(field_num(line, "points_per_sec").unwrap(), 8192000.0);
         assert_eq!(field_num(line, "missing"), None);
+    }
+
+    fn row(stage: &str, pps: f64, spc: Option<f64>) -> Row {
+        Row {
+            workload: "flash".into(),
+            stage: stage.into(),
+            threads: 2,
+            points: 8192,
+            points_per_sec: pps,
+            secs_per_calibration: spc,
+        }
+    }
+
+    #[test]
+    fn runs_fold_to_per_row_medians() {
+        let runs = vec![
+            vec![row("encode", 10.0, Some(3.0)), row("decode", 40.0, Some(1.0))],
+            vec![row("decode", 20.0, Some(9.0)), row("encode", 30.0, Some(1.0))],
+            vec![row("encode", 20.0, Some(2.0)), row("decode", 30.0, None)],
+        ];
+        let folded = median_rows(&runs).unwrap();
+        assert_eq!(folded.len(), 2);
+        assert_eq!(folded[0], row("encode", 20.0, Some(2.0)));
+        // One run without the field leaves the row uncalibrated.
+        assert_eq!(folded[1], row("decode", 30.0, None));
+        // A single run folds to itself; an even count averages the middle pair.
+        assert_eq!(median_rows(&runs[..1]).unwrap(), runs[0]);
+        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
+        // Runs of different sizes cannot be folded.
+        let mut odd = runs.clone();
+        odd[1][0].points = 4096;
+        assert!(median_rows(&odd).is_err());
     }
 }

@@ -316,27 +316,22 @@ fn checked_count(v: u64, what: &str) -> Result<usize, NumarckError> {
     Ok(v as usize)
 }
 
-/// Parse and validate the v2 frame: header CRC, directory CRC,
-/// dictionary CRC, and the section placement rules (ascending
-/// 64-byte-aligned offsets, no overlap, no gap other than alignment
-/// padding, directory exactly where the last section's padding ends).
-///
-/// `check_file_crc` additionally verifies the whole-file trailing CRC.
-/// Both the owned and the mapped reader pass `true` — single-bit rot
-/// anywhere in the file (padding included) must fail loudly. `false`
-/// exists for future partial readers that trust per-section CRCs only.
-pub(super) fn parse_layout(data: &[u8], check_file_crc: bool) -> Result<Layout, NumarckError> {
+/// Parse and validate the v2 frame: the whole-file trailing CRC (so
+/// single-bit rot anywhere in the file, padding included, fails
+/// loudly), header CRC, directory CRC, dictionary CRC, and the section
+/// placement rules (ascending 64-byte-aligned offsets, no overlap, no
+/// gap other than alignment padding, directory exactly where the last
+/// section's padding ends).
+pub(super) fn parse_layout(data: &[u8]) -> Result<Layout, NumarckError> {
     if data.len() < HEADER_LEN + 4 {
         return Err(corrupt("v2 checkpoint file too short"));
     }
-    if check_file_crc {
-        let stored = le_u32(data, data.len() - 4);
-        let computed = nser::crc32(&data[..data.len() - 4]);
-        if stored != computed {
-            return Err(corrupt(format!(
-                "checkpoint crc mismatch: stored {stored:#x}, computed {computed:#x}"
-            )));
-        }
+    let stored = le_u32(data, data.len() - 4);
+    let computed = nser::crc32(&data[..data.len() - 4]);
+    if stored != computed {
+        return Err(corrupt(format!(
+            "checkpoint crc mismatch: stored {stored:#x}, computed {computed:#x}"
+        )));
     }
     if data[0..4] != MAGIC {
         return Err(corrupt("bad checkpoint magic"));
@@ -707,7 +702,7 @@ fn section_to_block(
 
 /// Parse and validate v2 bytes into an owned [`CheckpointFile`].
 pub(super) fn from_bytes(data: &[u8]) -> Result<CheckpointFile, NumarckError> {
-    let layout = parse_layout(data, true)?;
+    let layout = parse_layout(data)?;
     let dict = read_dict(data, &layout);
     let kind = match layout.kind_byte {
         0 => {
@@ -739,7 +734,7 @@ pub(super) fn from_bytes(data: &[u8]) -> Result<CheckpointFile, NumarckError> {
 /// (decode relies on the whole-file pass instead), so scrub-style tools
 /// can tell *which* section is damaged.
 pub(super) fn describe(data: &[u8]) -> Result<(usize, usize, Vec<SectionInfo>), NumarckError> {
-    let layout = parse_layout(data, true)?;
+    let layout = parse_layout(data)?;
     for e in &layout.entries {
         check_section_crc(data, e)?;
     }
@@ -803,7 +798,7 @@ impl MappedCheckpoint {
     /// Fails with [`NumarckError::VersionMismatch`] on v1 bytes — the
     /// caller falls back to the owned reader.
     pub fn parse(bytes: AlignedBytes) -> Result<Self, NumarckError> {
-        let layout = parse_layout(&bytes, true)?;
+        let layout = parse_layout(&bytes)?;
         Ok(Self { bytes, layout })
     }
 

@@ -9,8 +9,8 @@
 //!
 //! * **Mapped** (unix): the file `mmap`ed read-only — page-aligned, no
 //!   copy at all. Uses raw `extern "C"` declarations for
-//!   `mmap`/`munmap`, the same no-libc-crate trick the cluster poller
-//!   uses for `epoll` and serve uses for `signal(2)`.
+//!   `mmap`/`munmap`, the same no-libc-crate trick serve uses for
+//!   `signal(2)`.
 //! * **Owned**: bytes copied once into a `u64`-backed buffer — 8-byte
 //!   aligned by construction. This is the portable fallback and the path
 //!   every non-filesystem [`StorageBackend`](crate::backend::StorageBackend)

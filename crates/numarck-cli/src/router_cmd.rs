@@ -67,10 +67,9 @@ pub fn router(raw: &[String]) -> CliResult {
     // to learn the ephemeral ports, so they must land before join().
     println!("listening on {}", handle.addr());
     println!(
-        "routing {} shard(s), replication factor {} ({} backend)",
+        "routing {} shard(s), replication factor {}",
         shard_count,
-        replication.min(shard_count),
-        handle.poller_backend()
+        replication.min(shard_count)
     );
     let metrics = match metrics_addr {
         Some(maddr) => {

@@ -4,10 +4,10 @@
 //!
 //! * the **prober** thread — one cheap `Stats` round-trip per shard per
 //!   probe interval;
-//! * the **router event loop** — a connect/write/read failure while
-//!   forwarding real traffic reports straight into the same table, so a
-//!   dead shard is usually marked down by the first request that trips
-//!   over it rather than by the next probe tick.
+//! * the **router's connection threads** — a connect/write/read
+//!   failure while forwarding real traffic reports straight into the
+//!   same table, so a dead shard is usually marked down by the first
+//!   request that trips over it rather than by the next probe tick.
 //!
 //! Demotion takes `markdown_after` *consecutive* failures (one flaky
 //! probe must not eject a healthy shard); a single successful probe
@@ -42,7 +42,7 @@ struct ShardState {
     consecutive_failures: AtomicU32,
 }
 
-/// Shared shard health table. Cheap to read from the event loop (two
+/// Shared shard health table. Cheap to read on every request (two
 /// atomic loads), written by the prober and by forwarding failures.
 pub struct Membership {
     shards: Vec<ShardState>,

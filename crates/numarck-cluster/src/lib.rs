@@ -1,5 +1,5 @@
 //! Cluster layer over `numarck-serve`: a consistent-hash session
-//! sharding router with a readiness-driven event loop.
+//! sharding router that serves each client on a thread of its own.
 //!
 //! One `numarck-serve` process is a single fault domain with a
 //! thread-per-worker ceiling. This crate scales it out without touching
@@ -8,10 +8,9 @@
 //! * [`ring`] — deterministic virtual-node consistent hashing: session
 //!   name → ordered shard placement, pinned by tests so every router
 //!   instance (and every test) agrees without coordination.
-//! * [`poller`] — std-only readiness polling: raw-FFI epoll on Linux
-//!   with a `poll(2)` fallback (`NUMARCK_POLLER=poll` forces it), so
-//!   one thread can hold thousands of idle ingest connections.
-//! * [`router`] — the gateway event loop: forwards the versioned CRC
+//! * [`router`] — the gateway: an accept loop hands each client
+//!   connection to its own thread, which runs numarck-serve's
+//!   per-connection frame loop and forwards the versioned CRC
 //!   frames transparently, replicates ingest to ≥2 shards, fails
 //!   restarts over to surviving replicas, fans out and aggregates
 //!   stats, and preserves typed `Busy` backpressure plus graceful
@@ -21,15 +20,13 @@
 //!   single-success mark-up.
 //! * [`stats`] — the fan-out `StatsReply` fold.
 //!
-//! Everything is std-only (raw `extern "C"` for `epoll`/`poll`, the
-//! same trick `numarck-serve` uses for `signal(2)`), unix-only like the
-//! rest of the service layer's process machinery.
+//! Everything is std-only: blocking `std::net` sockets and threads, the
+//! same connection model `numarck-serve` uses.
 //!
 //! See DESIGN.md §8 "Cluster architecture" for the normative
 //! description (placement, replication, failover, drain).
 
 pub mod health;
-pub mod poller;
 pub mod ring;
 pub mod router;
 pub mod stats;

@@ -3,14 +3,21 @@
 //! ingest + byte-identical restart vs the primary shard, visible
 //! replication on both placement targets, restart failover after the
 //! primary dies, typed `Busy` at the connection cap, stats fan-out
-//! aggregation, and graceful drain.
+//! aggregation, graceful drain, the idle disconnect of a mute client,
+//! a shard that never answers a forwarded restart, and a shard that
+//! hangs up on an idle upstream.
 
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use numarck::{Config, Strategy};
 use numarck_checkpoint::VariableSet;
 use numarck_cluster::{Router, RouterConfig, RouterHandle};
+use numarck_serve::wire::{self, opcode, ErrorCode, Request, Response};
 use numarck_serve::{Client, ClientError, Server, ServerConfig, ServerHandle};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -306,4 +313,164 @@ fn drain_finishes_in_flight_work_then_refuses_new_connections() {
     let local = direct.open_session("drain-me").expect("reopen on shard");
     let reply = direct.restart(local, 2).expect("restart on shard after router drain");
     assert_eq!(reply.achieved, 2);
+}
+
+#[test]
+fn a_mute_client_is_disconnected_after_the_idle_timeout() {
+    let idle = Duration::from_secs(1);
+    let cluster = Cluster::start("idle", |c| c.idle_timeout = idle);
+
+    // Connect and say nothing: the router hangs up on its own, without
+    // a word (a clean end of stream), once the idle budget is spent.
+    let mut mute = TcpStream::connect(cluster.router().addr()).expect("tcp connect");
+    mute.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let started = Instant::now();
+    let mut byte = [0u8; 1];
+    let n = mute.read(&mut byte).expect("the router closes the mute connection cleanly");
+    let waited = started.elapsed();
+    assert_eq!(n, 0, "the router sent bytes to a client that never asked");
+    assert!(waited >= idle / 2, "closed after {waited:?}, well before the {idle:?} idle timeout");
+    assert!(waited < idle + Duration::from_secs(3), "closed only after {waited:?}");
+
+    let snapshot = cluster.router().metrics_snapshot();
+    assert!(
+        counter(&snapshot, "ncl_idle_disconnects_total") >= 1,
+        "idle disconnect not counted"
+    );
+}
+
+/// A stand-in shard that answers `OpenSession` and the prober's
+/// `Stats`, but takes every `Restart` and never answers it.
+fn spawn_silent_restart_shard() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().unwrap().to_string();
+    thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            thread::spawn(move || loop {
+                // Ends when the router drops the connection.
+                let Ok(frame) = wire::read_frame(&mut stream) else { return };
+                let resp = match frame.opcode() {
+                    opcode::OPEN_SESSION => Response::SessionOpened { session: 41 },
+                    opcode::STATS => Response::StatsData(Box::default()),
+                    _ => continue,
+                };
+                let reply = wire::encode_frame(resp.opcode(), frame.req_id(), &resp.payload());
+                if stream.write_all(&reply).is_err() {
+                    return;
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_shard_that_never_answers_a_restart_times_out_without_stalling_other_clients() {
+    let idle = Duration::from_secs(2);
+    let tmp = TempDir::new("silent");
+    let mut shard_config = ServerConfig::new(tmp.0.join("real"), test_config());
+    shard_config.full_interval = 4;
+    let real = Server::spawn("127.0.0.1:0", shard_config).expect("spawn shard");
+    let router = Router::spawn(
+        "127.0.0.1:0",
+        RouterConfig {
+            shards: vec![spawn_silent_restart_shard(), real.addr().to_string()],
+            replication: 1,
+            idle_timeout: idle,
+            probe_interval: Duration::from_millis(100),
+            probe_timeout: Duration::from_secs(2),
+            markdown_after: 2,
+            ..RouterConfig::default()
+        },
+    )
+    .expect("spawn router");
+    // One session whose only replica is the silent shard (0), one
+    // whose only replica is the real shard (1).
+    let name_on = |shard: usize| {
+        (0..).map(|i| format!("s{i}")).find(|n| router.plan(n)[0] == shard).unwrap()
+    };
+    let (stuck_name, healthy_name) = (name_on(0), name_on(1));
+
+    // Raw frames, so the test sees exactly what the router answers.
+    let mut raw = TcpStream::connect(router.addr()).expect("tcp connect");
+    raw.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let open = Request::OpenSession { name: stuck_name };
+    raw.write_all(&wire::encode_frame(open.opcode(), 1, &open.payload())).unwrap();
+    let session = match Response::from_frame(&wire::read_frame(&mut raw).expect("open reply")) {
+        Ok(Response::SessionOpened { session }) => session,
+        other => panic!("open on the silent shard failed: {other:?}"),
+    };
+    let restart = Request::Restart { session, at_or_before: 3 };
+    raw.write_all(&wire::encode_frame(restart.opcode(), 2, &restart.payload())).unwrap();
+    let started = Instant::now();
+    let (answered_tx, answered) = mpsc::channel();
+    let waiter = thread::spawn(move || {
+        let reply = wire::read_frame(&mut raw);
+        let _ = answered_tx.send(started.elapsed());
+        reply
+    });
+
+    // While that restart hangs, another client opens and ingests on
+    // the healthy shard, unhindered.
+    let mut other = Client::connect(router.addr(), TIMEOUT).expect("connect via router");
+    let other_started = Instant::now();
+    let healthy = other.open_session(&healthy_name).expect("open on the healthy shard");
+    for (it, vars) in truth(3, 32).iter().enumerate() {
+        other.put_iteration(healthy, it as u64, vars).expect("put on the healthy shard");
+    }
+    let other_took = other_started.elapsed();
+    assert!(
+        answered.try_recv().is_err(),
+        "the stuck restart was answered before the other client finished"
+    );
+    assert!(other_took < idle, "the other client took {other_took:?} behind the stuck restart");
+
+    // The stuck client gets a typed I/O error once the shard's deadline
+    // passes: not a hang, not a hang-up.
+    let reply = waiter.join().unwrap().expect("a typed answer to the stuck restart");
+    let waited = answered.recv().unwrap();
+    match Response::from_frame(&reply) {
+        Ok(Response::Error { code: ErrorCode::Io, .. }) => {}
+        other => panic!("stuck restart answered with {other:?}"),
+    }
+    assert!(waited >= idle / 2, "answered after {waited:?}, before the shard's deadline");
+    assert!(waited < idle + Duration::from_secs(3), "answered only after {waited:?}");
+
+    drop(other);
+    router.shutdown();
+    real.shutdown();
+}
+
+#[test]
+fn an_upstream_the_shard_closed_while_idle_is_reopened() {
+    let shard_idle = Duration::from_millis(300);
+    let tmp = TempDir::new("reopen");
+    let mut shard_config = ServerConfig::new(tmp.0.join("shard"), test_config());
+    shard_config.full_interval = 4;
+    shard_config.idle_timeout = shard_idle;
+    let shard = Server::spawn("127.0.0.1:0", shard_config).expect("spawn shard");
+    let router = Router::spawn(
+        "127.0.0.1:0",
+        RouterConfig {
+            shards: vec![shard.addr().to_string()],
+            replication: 1,
+            ..RouterConfig::default()
+        },
+    )
+    .expect("spawn router");
+
+    let data = truth(2, 32);
+    let mut client = Client::connect(router.addr(), TIMEOUT).expect("connect via router");
+    let session = client.open_session("idle-upstream").expect("open via router");
+    client.put_iteration(session, 0, &data[0]).expect("first put");
+    // The client stays connected to the router, but its upstream to the
+    // shard sits idle until the shard hangs up on it.
+    std::thread::sleep(shard_idle * 4);
+    client.put_iteration(session, 1, &data[1]).expect("put after the shard idled the upstream out");
+    assert_eq!(client.restart(session, 1).expect("restart").achieved, 1);
+
+    drop(client);
+    router.shutdown();
+    shard.shutdown();
 }

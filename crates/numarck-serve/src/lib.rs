@@ -12,7 +12,9 @@
 //!   (shutdown request or SIGTERM) finishes in-flight work and stops.
 //!   Every session is a [`numarck_checkpoint::CheckpointManager`] over
 //!   its own store directory, so ingest inherits retry/backoff and the
-//!   scrub→quarantine→repair machinery.
+//!   scrub→quarantine→repair machinery. Its accept loop and
+//!   per-connection frame loop ([`server::serve_connection`]) are public:
+//!   the cluster router serves its clients on the same two loops.
 //! * [`client`] — a small blocking client used by the CLI subcommands
 //!   and the load generator in `numarck-bench`.
 //!

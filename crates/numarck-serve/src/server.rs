@@ -1,6 +1,6 @@
 //! The checkpoint service: acceptor + bounded queue + worker pool.
 //!
-//! One acceptor thread polls a non-blocking listener and hands accepted
+//! One acceptor thread blocks on the listener and hands accepted
 //! connections to a fixed worker pool over a bounded
 //! [`std::sync::mpsc::sync_channel`]. When the queue is full the
 //! acceptor answers the connection with a single [`Response::Busy`]
@@ -16,15 +16,16 @@
 //! within one session (the delta chain is inherently ordered).
 //!
 //! Drain (`Shutdown` request or SIGTERM/SIGINT) flips one flag: the
-//! acceptor closes the listener and stops feeding the queue, workers
-//! finish the request they are on, answer anything further with
-//! `Error { Draining }`, and exit once their connection goes idle. State
-//! is all on disk already (every `Put` is durable before it is acked),
-//! so drain has nothing to flush — it only has to stop cleanly.
+//! acceptor, woken by [`ServerHandle::join`], closes the listener and
+//! stops feeding the queue, workers finish the request they are on,
+//! answer anything further with `Error { Draining }`, and exit once
+//! their connection goes idle. State is all on disk already (every
+//! `Put` is durable before it is acked), so drain has nothing to flush
+//! — it only has to stop cleanly.
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -45,12 +46,13 @@ use numarck_obs::{Counter, Gauge, Histogram, HistogramSummary, Level, Registry, 
 use crate::journal::IntentJournal;
 use crate::recovery::{self, RecoveryReport};
 use crate::wire::{
-    self, ErrorCode, LatencyStat, PutOutcome, ReadOutcome, Request, Response, SessionStat,
-    StatsReply, WrittenKind,
+    self, ErrorCode, LatencyStat, PutOutcome, Request, Response, SessionStat, StatsReply,
+    WrittenKind,
 };
 
-/// How long the acceptor sleeps between accept polls.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How often idle workers, the maintenance thread and a thread waiting
+/// in [`ServerHandle::join`] re-check the drain flag.
+const DRAIN_POLL: Duration = Duration::from_millis(10);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -344,7 +346,7 @@ impl ServerHandle {
     /// returns after a drain has been triggered somehow.
     pub fn join(mut self) {
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            join_accept_loop(acceptor, self.addr, &self.shared.draining);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -392,7 +394,8 @@ pub fn install_signal_handlers() {}
 static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
 
 /// True once a SIGTERM/SIGINT has been received (after
-/// [`install_signal_handlers`]). The acceptor polls this.
+/// [`install_signal_handlers`]). A thread waiting in
+/// [`ServerHandle::join`] polls this.
 pub fn signal_drain_requested() -> bool {
     SIGNAL_DRAIN.load(Ordering::SeqCst)
 }
@@ -424,7 +427,6 @@ impl Server {
         // goes live: no request can observe a half-applied ingest.
         recover_root(&shared)?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(shared.config.queue_depth);
         let rx = Arc::new(Mutex::new(rx));
@@ -471,7 +473,7 @@ fn maintenance_loop(shared: &Shared, compaction: CompactionConfig) {
             return;
         }
         if last_sweep.elapsed() < shared.config.compact_interval {
-            thread::sleep(ACCEPT_POLL);
+            thread::sleep(DRAIN_POLL);
             continue;
         }
         last_sweep = Instant::now();
@@ -548,44 +550,86 @@ fn recover_root(shared: &Shared) -> io::Result<()> {
     Ok(())
 }
 
-/// Accept until drain; full queue ⇒ Busy + drop.
-fn acceptor_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: &Shared) {
+/// Accept until drain, handing each connection to `on_accept`; a
+/// `false` from it stops accepting. The listener blocks, so a connection
+/// is taken the moment it arrives and an idle loop costs nothing; a
+/// drain wakes it with a connection of its own ([`join_accept_loop`]),
+/// and whatever arrives once the drain has begun is dropped. Serve's
+/// acceptor and the cluster router both run on it.
+pub fn accept_until_drain(
+    listener: &TcpListener,
+    draining: &AtomicBool,
+    mut on_accept: impl FnMut(TcpStream) -> bool,
+) {
     loop {
-        if signal_drain_requested() {
-            shared.draining.store(true, Ordering::SeqCst);
+        let accepted = listener.accept();
+        if draining.load(Ordering::SeqCst) {
+            return;
         }
-        if shared.draining.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => match tx.try_send(stream) {
-                Ok(()) => {
-                    shared.obs.accepted.inc();
-                    // Decremented by the worker that picks it up.
-                    shared.obs.queue_depth.inc();
+        match accepted {
+            Ok((stream, _peer)) => {
+                if !on_accept(stream) {
+                    return;
                 }
-                Err(TrySendError::Full(stream)) => {
-                    shared.obs.busy_rejected.inc();
-                    shared
-                        .obs
-                        .registry
-                        .events()
-                        .push(Level::Warn, "hand-off queue full: connection rejected with Busy");
-                    reject_busy(stream, shared.config.io_timeout);
-                }
-                Err(TrySendError::Disconnected(_)) => break,
-            },
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            // Out of descriptors or the like: back off instead of spinning.
+            Err(_) => thread::sleep(DRAIN_POLL),
         }
     }
+}
+
+/// Wait for a drain (the flag, or SIGTERM/SIGINT, which this turns into
+/// the flag), wake the [`accept_until_drain`] loop listening on `addr`
+/// with one connection, and join its thread.
+pub fn join_accept_loop(acceptor: JoinHandle<()>, addr: SocketAddr, draining: &AtomicBool) {
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let mut woken = false;
+    while !acceptor.is_finished() {
+        if signal_drain_requested() {
+            draining.store(true, Ordering::SeqCst);
+        }
+        if draining.load(Ordering::SeqCst) && !woken {
+            woken = TcpStream::connect_timeout(&wake, DRAIN_POLL * 10).is_ok();
+        }
+        thread::sleep(DRAIN_POLL);
+    }
+    let _ = acceptor.join();
+}
+
+/// Full queue ⇒ Busy + drop.
+fn acceptor_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: &Shared) {
+    accept_until_drain(&listener, &shared.draining, |stream| match tx.try_send(stream) {
+        Ok(()) => {
+            shared.obs.accepted.inc();
+            // Decremented by the worker that picks it up.
+            shared.obs.queue_depth.inc();
+            true
+        }
+        Err(TrySendError::Full(stream)) => {
+            shared.obs.busy_rejected.inc();
+            shared
+                .obs
+                .registry
+                .events()
+                .push(Level::Warn, "hand-off queue full: connection rejected with Busy");
+            reject_busy(stream, shared.config.io_timeout);
+            true
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    });
     // Dropping `tx` here wakes every idle worker with Disconnected.
 }
 
 /// Tell an over-quota connection it lost, without blocking the acceptor
 /// for long.
-fn reject_busy(stream: TcpStream, timeout: Duration) {
+pub fn reject_busy(stream: TcpStream, timeout: Duration) {
     let _ = stream.set_write_timeout(Some(timeout));
     let mut stream = stream;
     let _ = wire::write_frame(&mut stream, Response::Busy.opcode(), 0, &Response::Busy.payload());
@@ -593,18 +637,34 @@ fn reject_busy(stream: TcpStream, timeout: Duration) {
 
 /// Pull connections off the queue and serve each to completion.
 fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Shared) {
+    let config = &shared.config;
     loop {
         // Hold the receiver lock only for the poll itself so workers
         // take turns; poll with a timeout so drain is noticed even with
         // no traffic.
         let conn = {
             let rx = rx.lock().expect("receiver lock");
-            rx.recv_timeout(ACCEPT_POLL)
+            rx.recv_timeout(DRAIN_POLL)
         };
         match conn {
-            Ok(stream) => {
+            Ok(mut stream) => {
                 shared.obs.queue_depth.dec();
-                serve_connection(stream, shared);
+                let end = serve_connection(
+                    &mut stream,
+                    config.io_timeout,
+                    config.idle_timeout,
+                    &shared.draining,
+                    |frame| answer(&frame, shared),
+                );
+                if end == ConnectionEnd::Idle {
+                    // A worker parked on a silent connection is a worker
+                    // some other client doesn't get (slowloris).
+                    shared.obs.idle_disconnects.inc();
+                    shared.obs.registry.events().push(
+                        Level::Warn,
+                        "idle connection disconnected; worker reclaimed",
+                    );
+                }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if shared.draining.load(Ordering::SeqCst) {
@@ -619,78 +679,84 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Shared) {
 /// How often an idle connection re-checks the drain flag.
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
-/// Serve one connection: read frames, dispatch, respond, until the peer
-/// closes, the deadline is violated, or drain finishes the conversation.
+/// Why [`serve_connection`] stopped serving a connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConnectionEnd {
+    /// The peer hung up, a response could not be written, the handler
+    /// asked to close, or a drain found the connection idle.
+    Done,
+    /// The peer stayed mute between requests past the idle timeout.
+    Idle,
+    /// A frame did not arrive whole and CRC-valid within the deadline;
+    /// the peer was answered `Error { Malformed }`.
+    Unreadable,
+}
+
+/// Serve one connection: read frames, hand each to `answer`, write the
+/// response bytes it returns, until the peer closes, the deadline is
+/// violated, `answer` asks to close, or a drain finds the connection
+/// idle. The caller keeps the stream, so it can count how the
+/// connection ended before the peer sees it close.
 ///
 /// Two timescales: *between* requests the socket is polled every
-/// [`IDLE_POLL`] so drain is noticed promptly on quiet connections;
+/// [`IDLE_POLL`] so drain is noticed promptly on quiet connections, and
+/// a peer mute for `idle_timeout` is dropped ([`ConnectionEnd::Idle`]);
 /// once a frame's first byte arrives, the socket timeout widens to the
-/// per-request `io_timeout` deadline — a peer that starts a frame and
-/// stalls past the deadline loses the connection.
-fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let timeout = shared.config.io_timeout;
-    if stream.set_write_timeout(Some(timeout)).is_err() {
-        return;
+/// per-request `deadline`: a peer that starts a frame and stalls past it
+/// loses the connection. Response writes run under the same deadline.
+pub fn serve_connection(
+    stream: &mut TcpStream,
+    deadline: Duration,
+    idle_timeout: Duration,
+    draining: &AtomicBool,
+    mut answer: impl FnMut(wire::Frame) -> (Vec<u8>, bool),
+) -> ConnectionEnd {
+    if stream.set_write_timeout(Some(deadline)).is_err() {
+        return ConnectionEnd::Done;
     }
-    let mut stream = stream;
     let mut last_activity = Instant::now();
     loop {
-        let outcome = read_next_frame(&mut stream, timeout);
-        let frame = match outcome {
+        let frame = match read_next_frame(stream, deadline) {
             Ok(ReadOutcome::Frame(frame)) => frame,
             Ok(ReadOutcome::Idle) => {
-                // Idle tick: keep waiting unless the server is draining
-                // or the peer has been mute past the idle budget — a
-                // worker parked on a silent connection is a worker some
-                // other client doesn't get (slowloris).
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
+                if draining.load(Ordering::SeqCst) {
+                    return ConnectionEnd::Done;
                 }
-                if last_activity.elapsed() >= shared.config.idle_timeout {
-                    shared.obs.idle_disconnects.inc();
-                    shared.obs.registry.events().push(
-                        Level::Warn,
-                        "idle connection disconnected; worker reclaimed",
-                    );
-                    return;
+                if last_activity.elapsed() >= idle_timeout {
+                    return ConnectionEnd::Idle;
                 }
                 continue;
             }
-            Ok(ReadOutcome::Closed) => return,
-            Err(_) => {
+            Ok(ReadOutcome::Closed) => return ConnectionEnd::Done,
+            Err(e) => {
                 // Deadline violation or garbage: the stream may not be
                 // frame-aligned any more, so answer (best-effort) and
                 // hang up.
                 let resp = Response::Error {
                     code: ErrorCode::Malformed,
-                    message: "unreadable frame; closing connection".into(),
+                    message: format!("unreadable frame ({e}); closing connection"),
                 };
-                let _ = wire::write_frame(&mut stream, resp.opcode(), 0, &resp.payload());
-                return;
+                let _ = wire::write_frame(stream, resp.opcode(), 0, &resp.payload());
+                return ConnectionEnd::Unreadable;
             }
         };
+        let (reply, close_after) = answer(frame);
+        if io::Write::write_all(stream, &reply).is_err() || close_after {
+            return ConnectionEnd::Done;
+        }
         last_activity = Instant::now();
-        let req_id = frame.req_id();
-        let (resp, close_after) = match Request::from_frame(&frame) {
-            Ok(req) => {
-                // Per-request-type latency: the span covers dispatch
-                // only (session lookup + store work), not socket I/O.
-                let _span = shared.obs.request_hist(&req).span();
-                dispatch(req, shared)
-            }
-            Err(e) => (
-                Response::Error { code: ErrorCode::Malformed, message: e.to_string() },
-                true,
-            ),
-        };
-        shared.obs.served.inc();
-        if wire::write_frame(&mut stream, resp.opcode(), req_id, &resp.payload()).is_err() {
-            return;
-        }
-        if close_after {
-            return;
-        }
     }
+}
+
+/// Outcome of one idle-aware frame read.
+enum ReadOutcome {
+    /// A complete, CRC-valid frame arrived.
+    Frame(wire::Frame),
+    /// No byte arrived within [`IDLE_POLL`]: poll again, or close if
+    /// draining or idle too long.
+    Idle,
+    /// The peer closed the connection cleanly.
+    Closed,
 }
 
 /// One idle-aware frame read: poll for the first byte at [`IDLE_POLL`],
@@ -715,6 +781,22 @@ fn read_next_frame(stream: &mut TcpStream, deadline: Duration) -> io::Result<Rea
     }
     stream.set_read_timeout(Some(deadline))?;
     wire::read_frame_rest(first[0], stream).map(ReadOutcome::Frame)
+}
+
+/// Answer one request frame: the response's wire bytes (echoing the
+/// request id) and whether the connection should close afterwards.
+fn answer(frame: &wire::Frame, shared: &Shared) -> (Vec<u8>, bool) {
+    let (resp, close_after) = match Request::from_frame(frame) {
+        Ok(req) => {
+            // Per-request-type latency: the span covers dispatch
+            // only (session lookup + store work), not socket I/O.
+            let _span = shared.obs.request_hist(&req).span();
+            dispatch(req, shared)
+        }
+        Err(e) => (Response::Error { code: ErrorCode::Malformed, message: e.to_string() }, true),
+    };
+    shared.obs.served.inc();
+    (wire::encode_frame(resp.opcode(), frame.req_id(), &resp.payload()), close_after)
 }
 
 /// Handle one request. Returns the response and whether the connection

@@ -387,26 +387,14 @@ impl Frame {
     }
 }
 
-/// Outcome of a server-side frame read with an idle timeout.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete frame arrived.
-    Frame(Frame),
-    /// No bytes arrived within the socket timeout — the connection is
-    /// idle (not an error; poll again, or close if draining).
-    Idle,
-    /// The peer closed the connection cleanly.
-    Closed,
-}
-
 fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Serialise a complete frame (header + payload + trailing CRC) into a
 /// byte vector. The writer-free twin of [`write_frame`], for callers
-/// that assemble non-blocking write queues instead of writing straight
-/// to a stream.
+/// that hand a response's bytes to a connection loop instead of writing
+/// straight to a stream.
 pub fn encode_frame(opcode: u8, req_id: u64, payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_PAYLOAD as usize, "payload exceeds MAX_PAYLOAD");
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
@@ -463,31 +451,6 @@ fn check_crc(frame: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Try to take one complete frame off the front of `buf`.
-///
-/// Returns `Ok(None)` when the buffer holds only a prefix of a frame
-/// (read more bytes and retry; once the header is in, `buf` has room
-/// for the whole frame), `Ok(Some(frame))` when a whole CRC-valid frame
-/// was present, and an error on structural corruption (bad
-/// magic/version/length/CRC) — at which point the stream can no longer
-/// be trusted to be frame-aligned and should be closed. The frame's
-/// bytes move out of `buf` rather than being copied; any bytes after it
-/// (a pipelined successor) stay in `buf`. This is the incremental-parse
-/// entry point for readiness-driven (non-blocking) readers.
-pub fn frame_from_bytes(buf: &mut Vec<u8>) -> io::Result<Option<Frame>> {
-    if buf.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    let total = frame_len(&buf[..HEADER_LEN])?;
-    if buf.len() < total {
-        buf.reserve(total - buf.len());
-        return Ok(None);
-    }
-    check_crc(&buf[..total])?;
-    let successor = buf.split_off(total);
-    Ok(Some(Frame { bytes: std::mem::replace(buf, successor) }))
-}
-
 /// Whether a request opcode's payload begins with a session id
 /// (little-endian u64 at payload offset 0). A routing hop rewrites that
 /// id in flight when the downstream shard knows the session under a
@@ -532,38 +495,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     finish_frame(r, header)
-}
-
-/// Read one frame with idle detection: a timeout before the *first* byte
-/// is [`ReadOutcome::Idle`]; a timeout after it is a deadline violation
-/// (the peer started a frame and stalled) and surfaces as an error.
-pub fn read_frame_or_idle(r: &mut impl Read) -> io::Result<ReadOutcome> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut got = 0usize;
-    while got < HEADER_LEN {
-        match r.read(&mut header[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(ReadOutcome::Closed)
-                } else {
-                    Err(corrupt("connection closed mid-frame".into()))
-                }
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if got == 0
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                return Ok(ReadOutcome::Idle)
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    finish_frame(r, header).map(ReadOutcome::Frame)
 }
 
 /// Read the rest of a frame whose first header byte has already been
@@ -1277,38 +1208,24 @@ mod tests {
     }
 
     #[test]
-    fn frame_from_bytes_handles_prefixes_wholes_and_tails() {
+    fn read_frame_takes_exactly_one_frame_off_the_stream() {
+        // Two frames back to back, as a pipelining client sends them:
+        // each read takes exactly its own frame and leaves the
+        // successor unread.
         let req = Request::Restart { session: 9, at_or_before: 42 };
         let bytes = encode_frame(req.opcode(), 5, &req.payload());
-        // Every strict prefix is "need more bytes", never an error.
-        for cut in 0..bytes.len() {
-            assert!(
-                matches!(frame_from_bytes(&mut bytes[..cut].to_vec()), Ok(None)),
-                "prefix of {cut} bytes"
-            );
-        }
-        // The whole frame parses and takes exactly its own length, even
-        // with trailing bytes from a pipelined successor behind it, which
-        // stay in the buffer.
         let mut two = bytes.clone();
         two.extend_from_slice(&bytes);
-        let frame = frame_from_bytes(&mut two).unwrap().unwrap();
-        let used = frame.as_bytes().len();
-        assert_eq!(used, bytes.len());
-        assert_eq!(two, bytes);
+        let mut stream = two.as_slice();
+        let frame = read_frame(&mut stream).unwrap();
+        assert_eq!(frame.as_bytes(), bytes.as_slice());
+        assert_eq!(stream, bytes.as_slice(), "the successor must stay unread");
         assert_eq!(frame.req_id(), 5);
         assert_eq!(Request::from_frame(&frame).unwrap(), req);
-        let frame2 = frame_from_bytes(&mut two).unwrap().unwrap();
-        let used2 = frame2.as_bytes().len();
-        assert_eq!(used2, bytes.len());
-        assert!(two.is_empty());
+        let frame2 = read_frame(&mut stream).unwrap();
+        assert_eq!(frame2.as_bytes(), bytes.as_slice());
+        assert!(stream.is_empty());
         assert_eq!(frame2.req_id(), 5);
-        // Corruption in magic, version or CRC is an error.
-        for pos in [0usize, 4, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x10;
-            assert!(frame_from_bytes(&mut bad).is_err(), "flip at {pos}");
-        }
     }
 
     #[test]
@@ -1322,7 +1239,7 @@ mod tests {
             let mut bytes = encode_frame(req.opcode(), 3, &req.payload());
             patch_session_id(&mut bytes, 7777).unwrap();
             // The patched frame still passes full CRC validation...
-            let frame = frame_from_bytes(&mut bytes).unwrap().unwrap();
+            let frame = read_frame(&mut bytes.as_slice()).unwrap();
             // ...and decodes to the same request under the new id.
             match Request::from_frame(&frame).unwrap() {
                 Request::PutIterations { session, .. }
@@ -1338,23 +1255,5 @@ mod tests {
         let mut open =
             encode_frame(opcode::OPEN_SESSION, 1, &Request::OpenSession { name: "x".into() }.payload());
         assert!(patch_session_id(&mut open, 1).is_err());
-    }
-
-    #[test]
-    fn read_or_idle_sees_closed_and_frames() {
-        // A closed (empty) stream reads as Closed.
-        match read_frame_or_idle(&mut io::empty()).unwrap() {
-            ReadOutcome::Closed => {}
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        // A full frame reads as Frame.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, opcode::SHUTDOWN, 2, &[]).unwrap();
-        match read_frame_or_idle(&mut buf.as_slice()).unwrap() {
-            ReadOutcome::Frame(f) => assert_eq!(f.opcode(), opcode::SHUTDOWN),
-            other => panic!("expected Frame, got {other:?}"),
-        }
-        // A stream that dies mid-frame is an error, not Idle.
-        assert!(read_frame_or_idle(&mut &buf[..7]).is_err());
     }
 }
