@@ -432,7 +432,8 @@ struct KernelSample {
     secs: f64,
 }
 
-/// Time the five `numarck-simd` kernels at every dispatch level the host supports.
+/// Time the five `numarck-simd` kernels at every dispatch level the host
+/// supports (quantize, which has one kernel, once).
 ///
 /// Inputs are shaped like real encoder traffic: ratios spread over a
 /// 255-entry representative table with a mix of small changes and
@@ -452,18 +453,25 @@ fn kernel_microbench(points: usize, reps: usize) -> Vec<KernelSample> {
     let packed_words = vec![0x0102_0304_0506_0708u64; (points * bits as usize).div_ceil(64) + 1];
     let raw: Vec<u8> = curr.iter().flat_map(|v| v.to_le_bytes()).collect();
 
-    let mut out = Vec::new();
+    // Quantize has one kernel, run at every level: one row, under `scalar`.
+    let mut codes = vec![0u32; points];
+    let mut errs = vec![0.0f64; points];
+    let quantize_secs = best_of(reps, || {
+        quantize::classify_quantize(&ratios, &table, 0.001, &mut codes, &mut errs);
+        std::hint::black_box(codes.last());
+    });
+    let mut out = vec![KernelSample {
+        kernel: "quantize",
+        level: numarck_simd::Level::Scalar.name(),
+        unit: "points",
+        count: points,
+        secs: quantize_secs,
+    }];
     for level in numarck_simd::Level::all_supported() {
         let name = level.name();
         let mut rbuf = vec![0.0f64; points];
         let transform_secs = best_of(reps, || {
             std::hint::black_box(transform::change_ratios_with(level, &prev, &curr, &mut rbuf));
-        });
-        let mut codes = vec![0u32; points];
-        let mut errs = vec![0.0f64; points];
-        let quantize_secs = best_of(reps, || {
-            quantize::classify_quantize_with(level, &ratios, &table, 0.001, &mut codes, &mut errs);
-            std::hint::black_box(codes.last());
         });
         let popcount_secs = best_of(reps, || {
             std::hint::black_box(popcount::popcount_sum_with(level, &words));
@@ -478,7 +486,6 @@ fn kernel_microbench(points: usize, reps: usize) -> Vec<KernelSample> {
         });
         for (kernel, unit, count, secs) in [
             ("transform", "points", points, transform_secs),
-            ("quantize", "points", points, quantize_secs),
             ("popcount", "points", points, popcount_secs),
             ("unpack", "points", points, unpack_secs),
             ("crc", "bytes", raw.len(), crc_secs),

@@ -2,8 +2,8 @@
 //!
 //! Every file starts `NCKP` + a little-endian `u16` version. Reads sniff
 //! that version and dispatch through [`AnyCodec`] to the matching
-//! module: [`v1`] is the original layout, frozen so any chain ever
-//! written stays readable forever; [`v2`] is the current layout (shared
+//! module: `v1` is the original layout, frozen so any chain ever
+//! written stays readable forever; `v2` is the current layout (shared
 //! centroid dictionary, seekable section directory, 64-byte-aligned
 //! sections for mmap zero-copy decode). All writers emit
 //! [`WRITE_VERSION`]; nothing ever rewrites a

@@ -753,7 +753,7 @@ pub(super) fn describe(data: &[u8]) -> Result<(usize, usize, Vec<SectionInfo>), 
 /// A v2 checkpoint opened for in-place decode.
 ///
 /// Holds [`AlignedBytes`] — ideally a live `mmap` of the file — and the
-/// validated [`Layout`]. [`Self::delta_variables`] hands out one
+/// validated section layout. [`Self::delta_variables`] hands out one
 /// [`MappedDelta`] per variable, whose [`BlockRef`] has bitmap/index/exact
 /// slices pointing straight into the mapping (the 64-byte section
 /// alignment plus the 8-byte-aligned base make the reinterpretation

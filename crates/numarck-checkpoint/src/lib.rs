@@ -2,7 +2,7 @@
 //!
 //! This crate is the storage side of the paper's Algorithm 1 and §II-D:
 //!
-//! * [`format`](crate::format) — an on-disk container for one checkpoint: either a
+//! * [`format`](mod@format) — an on-disk container for one checkpoint: either a
 //!   *full* checkpoint (raw `f64` arrays per variable, the paper's `D_0`)
 //!   or a *delta* checkpoint (one NUMARCK-compressed block per
 //!   variable). CRC-protected, length-validated.
@@ -28,7 +28,7 @@
 //!   its error accumulation behaviour). Degraded restart
 //!   ([`restart::RestartEngine::restart_at_or_before`]) falls back to
 //!   the newest intact iteration when the requested one is damaged.
-//! * [`scrub`] — offline integrity pass: CRC-verify every stored file,
+//! * [`scrub`](mod@scrub) — offline integrity pass: CRC-verify every stored file,
 //!   quarantine the damaged ones, and repair the chain by re-anchoring a
 //!   fresh full checkpoint at the newest restartable iteration.
 //! * [`replicated`] — N-way replica composition behind one logical

@@ -73,13 +73,42 @@ impl RetryPolicy {
         let factor = 1u32.checked_shl(retry.min(20)).unwrap_or(u32::MAX);
         self.base_backoff.saturating_mul(factor).min(self.max_backoff)
     }
+
+    /// Run `op` until it succeeds, fails with an I/O error that will not
+    /// clear on its own (permission denied, read-only filesystem, invalid
+    /// path, ...), or `max_retries` retries are spent; returns the
+    /// last error in the last two cases. Before retry `n` (1-based) it
+    /// sleeps `backoff_for(n − 1)` on `clock`, then calls
+    /// `on_retry(n, delay, &error)` with the error that caused the retry,
+    /// so each caller keeps its own counters and events.
+    pub fn run<T>(
+        &self,
+        clock: &dyn Clock,
+        mut op: impl FnMut() -> std::io::Result<T>,
+        mut on_retry: impl FnMut(u32, Duration, &std::io::Error),
+    ) -> std::io::Result<T> {
+        let mut attempt: u32 = 0;
+        loop {
+            match op() {
+                Ok(v) => return Ok(v),
+                Err(e) if is_transient(&e) && attempt < self.max_retries => {
+                    let delay = self.backoff_for(attempt);
+                    clock.sleep(delay);
+                    attempt += 1;
+                    on_retry(attempt, delay, &e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// Is this I/O error worth retrying? Permanent conditions (permission
 /// denied, read-only filesystem, invalid path) are not; conditions that
-/// plausibly clear on their own are. Public so callers writing *around*
-/// the manager (e.g. an intent journal) retry on the same judgement.
-pub fn is_transient(e: &std::io::Error) -> bool {
+/// plausibly clear on their own are. Callers writing *around* the manager
+/// (e.g. an intent journal) get the same judgement through
+/// [`RetryPolicy::run`].
+fn is_transient(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::StorageFull
@@ -484,46 +513,37 @@ impl CheckpointManager {
         retries: &mut u32,
         backoff: &mut Duration,
     ) -> Result<(), NumarckError> {
-        let mut attempt: u32 = 0;
-        loop {
-            crate::obs::write_attempts_total().inc();
-            let result = {
+        let written = self.retry.run(
+            self.clock.as_ref(),
+            || {
+                crate::obs::write_attempts_total().inc();
                 let _span = crate::obs::write_ns().span();
                 self.store.write_raw(iteration, is_full, bytes)
-            };
-            match result {
-                Ok(_) => return Ok(()),
-                Err(e) if is_transient(&e) && attempt < self.retry.max_retries => {
-                    let delay = self.retry.backoff_for(attempt);
-                    self.clock.sleep(delay);
-                    *backoff = backoff.saturating_add(delay);
-                    attempt += 1;
-                    *retries = attempt;
-                    self.lifetime_retries += 1;
-                    self.lifetime_backoff = self.lifetime_backoff.saturating_add(delay);
-                    crate::obs::write_retries_total().inc();
-                    crate::obs::backoff_ns_total()
-                        .add(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX));
-                    numarck_obs::Registry::global().events().push(
-                        numarck_obs::Level::Warn,
-                        format!("ckpt write retry #{attempt} iter={iteration}: {e}"),
-                    );
-                }
-                Err(e) => {
-                    numarck_obs::Registry::global().events().push(
-                        numarck_obs::Level::Error,
-                        format!(
-                            "ckpt write failed iter={iteration} after {} attempt(s): {e}",
-                            attempt + 1
-                        ),
-                    );
-                    return Err(NumarckError::Io(format!(
-                        "checkpoint {iteration} write failed after {} attempt(s): {e}",
-                        attempt + 1
-                    )));
-                }
-            }
-        }
+            },
+            |attempt, delay, e| {
+                *backoff = backoff.saturating_add(delay);
+                *retries = attempt;
+                self.lifetime_retries += 1;
+                self.lifetime_backoff = self.lifetime_backoff.saturating_add(delay);
+                crate::obs::write_retries_total().inc();
+                crate::obs::backoff_ns_total()
+                    .add(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX));
+                numarck_obs::Registry::global().events().push(
+                    numarck_obs::Level::Warn,
+                    format!("ckpt write retry #{attempt} iter={iteration}: {e}"),
+                );
+            },
+        );
+        written.map(drop).map_err(|e| {
+            let attempts = *retries + 1;
+            numarck_obs::Registry::global().events().push(
+                numarck_obs::Level::Error,
+                format!("ckpt write failed iter={iteration} after {attempts} attempt(s): {e}"),
+            );
+            NumarckError::Io(format!(
+                "checkpoint {iteration} write failed after {attempts} attempt(s): {e}"
+            ))
+        })
     }
 }
 

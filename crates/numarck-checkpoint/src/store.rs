@@ -6,10 +6,10 @@
 //! catches torn writes that slip below the rename discipline anyway.
 //!
 //! All filesystem traffic goes through a
-//! [`StorageBackend`](crate::backend::StorageBackend), so tests inject
+//! [`crate::backend::StorageBackend`], so tests inject
 //! faults at the syscall boundary instead of mutating files after the
 //! fact. Files that fail validation can be moved into a `quarantine/`
-//! subdirectory (see [`crate::scrub`]) rather than deleted, so no byte
+//! subdirectory (see [`scrub`](mod@crate::scrub)) rather than deleted, so no byte
 //! of operator data is ever destroyed by the recovery machinery.
 
 use std::path::{Path, PathBuf};

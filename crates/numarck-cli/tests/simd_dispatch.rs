@@ -4,7 +4,7 @@
 //! oracles in-crate; this test closes the loop end-to-end: the same
 //! input compressed by a subprocess running the dispatched (fastest
 //! available) kernels and by one pinned to the scalar path via
-//! `NUMARCK_FORCE_SCALAR=1` must produce **byte-identical** `.nmkc`
+//! `NUMARCK_SIMD=scalar` must produce **byte-identical** `.nmkc`
 //! artefacts, and both must decompress to byte-identical `.f64s`
 //! output. The env knob is read per process, which is exactly why this
 //! lives as a subprocess test and not a unit test. The container CRC
@@ -75,7 +75,7 @@ fn forced_scalar_subprocess_produces_identical_artifacts() {
     // host dispatches (AVX2 where available).
     let variants: [(&str, &[(&str, &str)]); 3] = [
         ("default", &[]),
-        ("scalar", &[("NUMARCK_FORCE_SCALAR", "1")]),
+        ("scalar", &[("NUMARCK_SIMD", "scalar")]),
         ("unrolled", &[("NUMARCK_SIMD", "unrolled")]),
     ];
 

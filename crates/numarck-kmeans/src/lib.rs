@@ -1,12 +1,14 @@
-//! Parallel K-means clustering substrate.
+//! One-dimensional K-means for NUMARCK's change-ratio table.
 //!
 //! NUMARCK's best-performing approximation strategy (SC'14 §II-C.3) runs
 //! K-means over the one-dimensional change-ratio stream with
 //! `k = 2^B − 1` clusters, seeded from the equal-width histogram to avoid
 //! the classic sensitivity of Lloyd's algorithm to its initial centres.
-//! The paper uses the authors' MPI-parallel K-means package; this crate is
-//! the shared-memory equivalent, and its 1-D fit follows the sort-once,
-//! prefix-sum form of Yuan et al. (arXiv:1703.02438).
+//! The paper uses the authors' MPI-parallel K-means package; this crate
+//! fits in one process instead, and its 1-D fit follows the sort-once,
+//! prefix-sum form of Yuan et al. (arXiv:1703.02438). The histogram and
+//! min/max passes of the seeding run in parallel; the fit itself is
+//! sequential and bit-identical for any thread count.
 //!
 //! * [`lloyd1d`] — the production path. Exploits the 1-D structure: with
 //!   centres kept sorted, every cluster is an interval between adjacent

@@ -2,8 +2,7 @@
 //!
 //! With centres kept sorted, the Voronoi cells of 1-D K-means are
 //! intervals whose boundaries are the midpoints between adjacent centres.
-//! [`SortedCenters`] uses that for O(log k) nearest-centre queries, which
-//! is how the encoder maps change ratios to table indices.
+//! [`SortedCenters`] uses that for O(log k) nearest-centre queries.
 //!
 //! [`KMeans1D::fit`] uses it the other way round. It sorts the sample once
 //! (`sort_unstable_by(f64::total_cmp)`) and builds compensated prefix sums
@@ -23,9 +22,8 @@ use crate::init::{initial_centers, Init1D};
 use crate::KMeansOptions;
 
 /// Sorted centres plus precomputed midpoints; provides O(log k)
-/// nearest-centre queries. This is also the assignment structure the
-/// NUMARCK encoder uses to map change ratios to table indices, so it lives
-/// here and is shared.
+/// nearest-centre queries. The encoder's `BinTable` keeps its
+/// representatives in one, so it lives here and is shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SortedCenters {
     centers: Vec<f64>,
@@ -79,20 +77,6 @@ impl SortedCenters {
     #[inline]
     pub fn nearest_value(&self, x: f64) -> f64 {
         self.centers[self.nearest(x)]
-    }
-
-    /// Nearest-centre index for every query in `xs`, written to `out`.
-    ///
-    /// Bit-identical to calling [`Self::nearest`] per point (same
-    /// tie-to-lower-index rule) but runs the batched lower-bound lane
-    /// kernel over the midpoints — multiple independent binary searches
-    /// advance per step instead of one.
-    ///
-    /// # Panics
-    /// Panics if there are no centres or the slices disagree in length.
-    pub fn nearest_batch(&self, xs: &[f64], out: &mut [u32]) {
-        assert!(!self.centers.is_empty(), "nearest_batch() on empty centre set");
-        numarck_simd::quantize::lower_bound_batch(&self.midpoints, xs, out);
     }
 }
 
@@ -366,28 +350,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nearest_batch_matches_nearest_per_point() {
-        // Lane-boundary sizes and awkward queries (ties, ±inf, NaN are
-        // excluded by construction upstream but extremes are not).
-        let sc = SortedCenters::new(vec![-3.0, -1.0, 0.5, 2.0, 8.0, 8.5]);
-        for n in [0usize, 1, 3, 7, 8, 9, 63, 64, 65, 257] {
-            let xs: Vec<f64> = (0..n)
-                .map(|i| match i % 5 {
-                    0 => -1e30,
-                    1 => 1e30,
-                    2 => 0.75, // exact midpoint of two centres: tie
-                    _ => (i as f64) * 0.37 - 6.0,
-                })
-                .collect();
-            let mut out = vec![0u32; n];
-            sc.nearest_batch(&xs, &mut out);
-            for (j, &x) in xs.iter().enumerate() {
-                assert_eq!(out[j] as usize, sc.nearest(x), "n={n} j={j} x={x}");
-            }
-        }
-    }
-
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|x| x.to_bits()).collect()
     }
@@ -488,20 +450,14 @@ mod tests {
         assert_eq!(res.inertia, 0.0);
     }
 
-    fn nearest_all(centers: &SortedCenters, data: &[f64]) -> Vec<u32> {
-        let mut out = vec![0u32; data.len()];
-        centers.nearest_batch(data, &mut out);
-        out
-    }
-
     #[test]
     fn counts_sum_to_n_and_match_nearest_centres() {
         let data: Vec<f64> = (0..5000).map(|i| ((i * 31) % 997) as f64).collect();
         let res = KMeans1D::new(16).fit(&data);
         assert_eq!(res.counts.iter().sum::<u64>(), data.len() as u64);
         let mut recount = vec![0u64; res.centers.len()];
-        for a in nearest_all(&res.centers, &data) {
-            recount[a as usize] += 1;
+        for &x in &data {
+            recount[res.centers.nearest(x)] += 1;
         }
         assert_eq!(recount, res.counts);
     }
@@ -714,8 +670,8 @@ mod tests {
                 k in 1usize..10
             ) {
                 let res = KMeans1D::new(k).fit(&xs);
-                for (&x, a) in xs.iter().zip(nearest_all(&res.centers, &xs)) {
-                    let da = (x - res.centers.centers()[a as usize]).abs();
+                for &x in &xs {
+                    let da = (x - res.centers.nearest_value(x)).abs();
                     for &c in res.centers.centers() {
                         prop_assert!(da <= (x - c).abs() + 1e-9);
                     }

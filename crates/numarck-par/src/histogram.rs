@@ -1,10 +1,11 @@
 //! Parallel fixed-bin histograms.
 //!
-//! Both the equal-width binning strategy and the histogram-seeded K-means
-//! initialisation (paper §II-C) need a histogram over millions of change
-//! ratios. Each worker fills a private count vector over its chunk; the
-//! partials are merged bin-wise at the end, so there is no shared mutable
-//! state and the result is independent of scheduling.
+//! The histogram-seeded K-means initialisation (paper §II-C) and the
+//! anomaly detector's quantile bracketing both need a histogram over
+//! millions of change ratios. Each worker fills a private count vector
+//! over its chunk; the partials are merged bin-wise at the end, so there
+//! is no shared mutable state and the result is independent of
+//! scheduling.
 
 
 use crate::chunk::chunk_size_for;
@@ -69,7 +70,9 @@ impl HistogramSpec {
 }
 
 /// A filled histogram: the spec plus per-bin counts and the number of
-/// out-of-range (or NaN) values encountered.
+/// out-of-range (or NaN) values encountered. Fill it with
+/// [`FixedHistogram::fill_par`]; [`FixedHistogram::fill_seq`] is the
+/// per-chunk fill and the test oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedHistogram {
     /// The binning this histogram was filled with.
@@ -109,12 +112,6 @@ impl FixedHistogram {
         self.counts.iter().sum()
     }
 
-    /// Index of the most populated bin (`None` if all counts are zero).
-    pub fn mode_bin(&self) -> Option<usize> {
-        let (i, &c) = self.counts.iter().enumerate().max_by_key(|(_, &c)| c)?;
-        (c > 0).then_some(i)
-    }
-
     /// Sequential fill (used for small inputs and as a test oracle).
     pub fn fill_seq(spec: HistogramSpec, data: &[f64]) -> Self {
         let mut h = Self::empty(spec);
@@ -137,14 +134,6 @@ impl FixedHistogram {
         total
     }
 
-    /// The `n` most populated bins, ordered by descending count, ties
-    /// broken by bin index. Used by the K-means histogram seeding.
-    pub fn top_bins(&self, n: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.counts.len()).collect();
-        order.sort_by(|&a, &b| self.counts[b].cmp(&self.counts[a]).then(a.cmp(&b)));
-        order.truncate(n);
-        order
-    }
 }
 
 #[cfg(test)]
@@ -219,16 +208,6 @@ mod tests {
         assert_eq!(a.counts[1], 2);
         assert_eq!(a.counts[2], 1);
         assert_eq!(a.out_of_range, 1);
-    }
-
-    #[test]
-    fn mode_and_top_bins() {
-        let s = spec();
-        let h = FixedHistogram::fill_seq(s, &[1.1, 1.2, 1.3, 5.5, 5.6, 9.0]);
-        assert_eq!(h.mode_bin(), Some(1));
-        assert_eq!(h.top_bins(2), vec![1, 5]);
-        let empty = FixedHistogram::empty(s);
-        assert_eq!(empty.mode_bin(), None);
     }
 
     #[test]

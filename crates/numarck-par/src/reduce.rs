@@ -50,35 +50,6 @@ impl Neumaier {
     }
 }
 
-/// Compensated sequential sum of a slice.
-pub fn seq_sum(data: &[f64]) -> f64 {
-    let mut acc = Neumaier::new();
-    for &x in data {
-        acc.add(x);
-    }
-    acc.value()
-}
-
-/// Deterministic parallel compensated sum.
-pub fn par_sum(data: &[f64]) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let chunk = chunk_size_for(data.len());
-    let partials: Vec<Neumaier> = par_map(data.chunks(chunk), |_, c| {
-        let mut acc = Neumaier::new();
-        for &x in c {
-            acc.add(x);
-        }
-        acc
-    });
-    let mut total = Neumaier::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    total.value()
-}
-
 /// Minimum and maximum of a slice, ignoring NaNs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinMax {
@@ -210,11 +181,6 @@ impl Moments {
     pub fn total(&self) -> f64 {
         self.sum.value()
     }
-
-    /// Compensated sum of squares.
-    pub fn total_sq(&self) -> f64 {
-        self.sum_sq.value()
-    }
 }
 
 /// Parallel moment accumulation over a slice.
@@ -268,22 +234,13 @@ mod tests {
     fn neumaier_beats_naive_on_cancellation() {
         // 1 + 1e100 + 1 - 1e100 == 2 exactly under Neumaier, 0 naively.
         let data = [1.0, 1e100, 1.0, -1e100];
-        assert_eq!(seq_sum(&data), 2.0);
+        let mut acc = Neumaier::new();
+        for x in data {
+            acc.add(x);
+        }
+        assert_eq!(acc.value(), 2.0);
         let naive: f64 = data.iter().sum();
         assert_eq!(naive, 0.0);
-    }
-
-    #[test]
-    fn par_sum_matches_seq_sum() {
-        let data: Vec<f64> = (0..100_000).map(|i| (i as f64).sin() * 1e3).collect();
-        let s = seq_sum(&data);
-        let p = par_sum(&data);
-        assert!((s - p).abs() <= 1e-9 * s.abs().max(1.0), "seq={s} par={p}");
-    }
-
-    #[test]
-    fn par_sum_empty_is_zero() {
-        assert_eq!(par_sum(&[]), 0.0);
     }
 
     #[test]
@@ -332,14 +289,5 @@ mod tests {
     #[should_panic(expected = "equal-length")]
     fn zip_sum_length_mismatch_panics() {
         par_zip_sum(&[1.0], &[1.0, 2.0], |x, y| x + y);
-    }
-
-    #[test]
-    fn par_sum_is_deterministic() {
-        let data: Vec<f64> = (0..50_000).map(|i| ((i * 2654435761_usize) as f64).cos()).collect();
-        let first = par_sum(&data);
-        for _ in 0..5 {
-            assert_eq!(par_sum(&data).to_bits(), first.to_bits());
-        }
     }
 }

@@ -1,68 +1,17 @@
-//! Parallel prefix sums (scans).
+//! Prefix sums over per-chunk tallies.
 //!
-//! The decoder needs, for every 64-point bitmap word, the number of
-//! compressible points before it — an exclusive prefix sum of popcounts.
-//! For the multi-million-word bitmaps of large checkpoint variables the
-//! classic two-pass blocked scan (per-block sums, scan the block sums
-//! sequentially, then offset each block in parallel) is worthwhile;
-//! below the threshold a simple sequential scan wins.
+//! Both scans here run over one entry per parallel chunk or block, not
+//! one per point, so the scan itself is sequential; the per-block counts
+//! that feed it are gathered in parallel where they are expensive.
+//!
+//! * [`chunked_popcount_ranks`] — the decoder's bitmap rank index: the
+//!   number of compressible points before each decode block, per hop.
+//! * [`exclusive_scan_pairs`] — the encoder's placement offsets: each
+//!   chunk's start rank in the packed index stream and the exact-value
+//!   array.
 
-use crate::chunk::{chunk_ranges, chunk_size_for};
-use crate::pool::{par_for_each, par_map};
-
-/// Minimum length for the parallel path (two passes over the data must
-/// beat one sequential pass).
-pub const PAR_THRESHOLD: usize = 1 << 16;
-
-/// Sequential exclusive prefix sum: `out[i] = Σ_{j<i} f(in[j])`.
-/// Returns the vector and the grand total.
-pub fn exclusive_scan_seq<T, F>(input: &[T], f: F) -> (Vec<u64>, u64)
-where
-    F: Fn(&T) -> u64,
-{
-    let mut out = Vec::with_capacity(input.len());
-    let mut acc = 0u64;
-    for x in input {
-        out.push(acc);
-        acc += f(x);
-    }
-    (out, acc)
-}
-
-/// Parallel exclusive prefix sum with the same contract as
-/// [`exclusive_scan_seq`]. `f` must be pure.
-pub fn exclusive_scan<T, F>(input: &[T], f: F) -> (Vec<u64>, u64)
-where
-    T: Sync,
-    F: Fn(&T) -> u64 + Sync,
-{
-    if input.len() < PAR_THRESHOLD {
-        return exclusive_scan_seq(input, f);
-    }
-    let chunk = chunk_size_for(input.len());
-    let ranges: Vec<(usize, usize)> = chunk_ranges(input.len(), chunk).collect();
-    // Pass 1: per-block totals.
-    let block_sums: Vec<u64> = par_map(&ranges, |_, &(s, e)| input[s..e].iter().map(&f).sum());
-    // Scan the (few) block sums sequentially.
-    let (block_offsets, total) = exclusive_scan_seq(&block_sums, |&x| x);
-    // Pass 2: per-block local scans shifted by the block offset.
-    let mut out = vec![0u64; input.len()];
-    let windows = out.chunks_mut(chunk).zip(&ranges).zip(&block_offsets);
-    par_for_each(windows, |_, ((o, &(s, e)), &offset)| {
-        let mut acc = offset;
-        for (slot, x) in o.iter_mut().zip(&input[s..e]) {
-            *slot = acc;
-            acc += f(x);
-        }
-    });
-    (out, total)
-}
-
-/// Exclusive prefix popcount over bitmap words — the decoder's rank
-/// index: `rank[w]` = set bits in words `0..w`.
-pub fn popcount_ranks(bitmap: &[u64]) -> (Vec<u64>, u64) {
-    exclusive_scan(bitmap, |w| w.count_ones() as u64)
-}
+use crate::chunk::chunk_ranges;
+use crate::pool::par_map;
 
 /// Exclusive prefix popcount at block granularity over several bitmaps
 /// of one length: `ranks[c * m + b]` = set bits of bitmap `b` (of `m`)
@@ -70,8 +19,7 @@ pub fn popcount_ranks(bitmap: &[u64]) -> (Vec<u64>, u64) {
 /// `b`'s set bits. This is the decoder's rank index when it decodes one
 /// block of points per parallel task through a chain of `m` hops — it
 /// needs only each hop's rank at each block start (O(blocks × hops)
-/// memory), not at every word (O(words) memory like
-/// [`popcount_ranks`]). One parallel sweep counts every bitmap's
+/// memory), not at every word. One parallel sweep counts every bitmap's
 /// blocks; the scan over the (few) block sums is sequential.
 ///
 /// # Panics
@@ -93,11 +41,11 @@ pub fn chunked_popcount_ranks(bitmaps: &[&[u64]], words_per_block: usize) -> (Ve
 }
 
 /// Exclusive scan over `(u64, u64)` tally pairs, scanning both components
-/// independently. The encoder's rank-partitioned packer feeds it per-chunk
-/// `(num_compressible, num_escaped)` counts; the result gives every chunk
-/// its exact start rank in the bit-packed index stream and in the escaped
-/// exact-value array. Sequential on purpose: the input has one entry per
-/// parallel chunk, so its length is O(threads), not O(points).
+/// independently. The encoder feeds it per-chunk `(num_compressible,
+/// num_escaped)` counts; the result gives every chunk its exact start
+/// rank in the bit-packed index stream and in the escaped exact-value
+/// array. Sequential on purpose: the input has one entry per parallel
+/// chunk, so its length is O(threads), not O(points).
 pub fn exclusive_scan_pairs(input: &[(u64, u64)]) -> (Vec<(u64, u64)>, (u64, u64)) {
     let mut out = Vec::with_capacity(input.len());
     let mut acc = (0u64, 0u64);
@@ -113,35 +61,16 @@ pub fn exclusive_scan_pairs(input: &[(u64, u64)]) -> (Vec<(u64, u64)>, (u64, u64
 mod tests {
     use super::*;
 
-    #[test]
-    fn seq_scan_basic() {
-        let (scan, total) = exclusive_scan_seq(&[1u64, 2, 3, 4], |&x| x);
-        assert_eq!(scan, vec![0, 1, 3, 6]);
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn empty_scan() {
-        let (scan, total) = exclusive_scan::<u64, _>(&[], |&x| x);
-        assert!(scan.is_empty());
-        assert_eq!(total, 0);
-    }
-
-    #[test]
-    fn par_matches_seq_across_threshold() {
-        let input: Vec<u64> = (0..PAR_THRESHOLD as u64 + 1000).map(|i| i % 7).collect();
-        let (par, pt) = exclusive_scan(&input, |&x| x);
-        let (seq, st) = exclusive_scan_seq(&input, |&x| x);
-        assert_eq!(par, seq);
-        assert_eq!(pt, st);
-    }
-
-    #[test]
-    fn popcount_ranks_hand_checked() {
-        let bitmap = [0b1011u64, 0, u64::MAX, 0b1];
-        let (ranks, total) = popcount_ranks(&bitmap);
-        assert_eq!(ranks, vec![0, 3, 3, 67]);
-        assert_eq!(total, 68);
+    /// Per-word reference rank index: `ranks[w]` = set bits in words
+    /// `0..w`, plus the total.
+    fn word_ranks(bitmap: &[u64]) -> (Vec<u64>, u64) {
+        let mut ranks = Vec::with_capacity(bitmap.len());
+        let mut acc = 0u64;
+        for w in bitmap {
+            ranks.push(acc);
+            acc += u64::from(w.count_ones());
+        }
+        (ranks, acc)
     }
 
     #[test]
@@ -154,10 +83,10 @@ mod tests {
             let (block_ranks, totals) = chunked_popcount_ranks(&views, wpb);
             assert_eq!(block_ranks.len(), 1000usize.div_ceil(wpb) * views.len(), "wpb={wpb}");
             for (b, bitmap) in views.iter().enumerate() {
-                let (word_ranks, word_total) = popcount_ranks(bitmap);
-                assert_eq!(totals[b], word_total, "wpb={wpb} bitmap={b}");
+                let (ranks, total) = word_ranks(bitmap);
+                assert_eq!(totals[b], total, "wpb={wpb} bitmap={b}");
                 for (c, r) in block_ranks.chunks(views.len()).enumerate() {
-                    assert_eq!(r[b], word_ranks[c * wpb], "wpb={wpb} block={c} bitmap={b}");
+                    assert_eq!(r[b], ranks[c * wpb], "wpb={wpb} block={c} bitmap={b}");
                 }
             }
         }
@@ -181,32 +110,5 @@ mod tests {
         let (empty, zero) = exclusive_scan_pairs(&[]);
         assert!(empty.is_empty());
         assert_eq!(zero, (0, 0));
-    }
-
-    #[test]
-    fn scan_is_deterministic() {
-        let input: Vec<u64> = (0..200_000).map(|i| (i * 31) % 13).collect();
-        let a = exclusive_scan(&input, |&x| x);
-        let b = exclusive_scan(&input, |&x| x);
-        assert_eq!(a, b);
-    }
-
-    mod properties {
-        use super::*;
-        use numarck_prop::prelude::*;
-
-        proptest! {
-            #[test]
-            fn scan_invariant(xs in numarck_prop::collection::vec(0u64..1000, 0..500)) {
-                let (scan, total) = exclusive_scan(&xs, |&x| x);
-                prop_assert_eq!(scan.len(), xs.len());
-                let mut acc = 0u64;
-                for (s, x) in scan.iter().zip(&xs) {
-                    prop_assert_eq!(*s, acc);
-                    acc += x;
-                }
-                prop_assert_eq!(total, acc);
-            }
-        }
     }
 }

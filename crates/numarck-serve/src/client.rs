@@ -165,8 +165,8 @@ impl Client {
     /// and kills the connection (the acceptor never queued it), so each
     /// retry reconnects from scratch. `backoff` is the base delay —
     /// attempt `n` sleeps roughly `backoff × 2^(n-1)`, never more than
-    /// [`BACKOFF_CAP`]; the whole loop never spends more than
-    /// [`RETRY_WALL_CLOCK_CAP`] of wall-clock. When the budget runs out
+    /// `BACKOFF_CAP`; the whole loop never spends more than
+    /// `RETRY_WALL_CLOCK_CAP` of wall-clock. When the budget runs out
     /// the error is [`ClientError::RetriesExhausted`], carrying the
     /// attempt count and the last underlying failure. Returns the
     /// client and the session id.

@@ -699,7 +699,7 @@ pub enum ConnectionEnd {
 /// connection ended before the peer sees it close.
 ///
 /// Two timescales: *between* requests the socket is polled every
-/// [`IDLE_POLL`] so drain is noticed promptly on quiet connections, and
+/// `IDLE_POLL` so drain is noticed promptly on quiet connections, and
 /// a peer mute for `idle_timeout` is dropped ([`ConnectionEnd::Idle`]);
 /// once a frame's first byte arrives, the socket timeout widens to the
 /// per-request `deadline`: a peer that starts a frame and stalls past it
@@ -978,30 +978,21 @@ fn put_iterations(
     Response::PutDone { outcomes }
 }
 
-/// Journal an intent under the same transient-retry judgement the
-/// manager applies to store writes. A torn append left behind by a
-/// failed attempt is harmless: replay stops at the damage, and every
-/// acknowledged iteration before it still resolves from its on-disk CRC.
+/// Journal an intent under the manager's retry policy, sleeping on
+/// `SystemClock` as serve's managers do; every retry counts in
+/// `write_retries`. A torn append left behind by a failed attempt is
+/// harmless: replay stops at the damage, and every acknowledged
+/// iteration before it still resolves from its on-disk CRC.
 fn begin_with_retry(
     journal: &mut IntentJournal,
     prepared: &numarck_checkpoint::PreparedCheckpoint,
     shared: &Shared,
 ) -> io::Result<u64> {
-    let mut attempt: u32 = 0;
-    loop {
-        match journal.begin(prepared.iteration(), prepared.is_full(), prepared.content_crc()) {
-            Ok(seq) => return Ok(seq),
-            Err(e)
-                if numarck_checkpoint::manager::is_transient(&e)
-                    && attempt < shared.config.retry.max_retries =>
-            {
-                thread::sleep(shared.config.retry.backoff_for(attempt));
-                attempt += 1;
-                shared.obs.write_retries.inc();
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    shared.config.retry.run(
+        &SystemClock,
+        || journal.begin(prepared.iteration(), prepared.is_full(), prepared.content_crc()),
+        |_, _, _| shared.obs.write_retries.inc(),
+    )
 }
 
 fn restart(id: u64, at_or_before: u64, shared: &Shared) -> Response {

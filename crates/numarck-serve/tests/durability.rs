@@ -1,6 +1,7 @@
 //! Durability integration: intent-journal recovery across a server
-//! restart, and the idle-connection guard that keeps a silent peer from
-//! pinning a worker (slowloris).
+//! restart, the retry policy on the journal append, and the
+//! idle-connection guard that keeps a silent peer from pinning a worker
+//! (slowloris).
 
 use std::io::Read;
 use std::net::TcpStream;
@@ -8,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use numarck::{Config, Strategy};
-use numarck_checkpoint::{FsBackend, VariableSet};
-use numarck_serve::{Client, IntentJournal, Server, ServerConfig};
+use numarck_checkpoint::{FaultSchedule, FaultyBackend, FsBackend, VariableSet, WriteFault};
+use numarck_serve::{Client, ClientError, ErrorCode, IntentJournal, Server, ServerConfig};
 
 mod util;
 use util::TempDir;
@@ -132,6 +133,63 @@ fn half_applied_write_is_quarantined_on_restart() {
         }
     }
     server.shutdown();
+}
+
+/// Spawn a server over `backend`, open session "sim" and put iteration
+/// 0. Returns the put's result, the server's `write_retries` and the
+/// backend writes made before the put.
+fn put_through(
+    root: &std::path::Path,
+    backend: Arc<FaultyBackend>,
+) -> (Result<numarck_serve::PutOutcome, ClientError>, u64, u64) {
+    let mut config = ServerConfig::new(root, test_config());
+    config.io_timeout = TIMEOUT;
+    config.backend = Arc::clone(&backend) as _;
+    let server = Server::spawn("127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+    let session = client.open_session("sim").unwrap();
+    let writes_before_put = backend.writes_attempted();
+    let put = client.put_iteration(session, 0, &vars(0));
+    let retries = client.stats().unwrap().write_retries;
+    server.shutdown();
+    (put, retries, writes_before_put)
+}
+
+/// The put's first backend write is its intent-journal append (encoding
+/// writes nothing). A transient fault there is retried under the
+/// server's retry policy and the put lands, counted once in
+/// `write_retries` and not as a store-write retry; a permanent fault
+/// there answers `Io` without a retry.
+#[test]
+fn journal_append_faults_are_retried_or_answer_io() {
+    let tmp = TempDir::new("journal-retry");
+    // A fault-free run finds the number of writes that opening the
+    // session makes; the next write is the intent append.
+    let (put, retries, before) =
+        put_through(&tmp.0.join("probe"), Arc::new(FaultyBackend::default()));
+    put.unwrap();
+    assert_eq!(retries, 0);
+    let append = before + 1;
+
+    let transient = FaultSchedule::new()
+        .fail_write(append, WriteFault::Error(std::io::ErrorKind::Interrupted));
+    let (put, retries, _) =
+        put_through(&tmp.0.join("transient"), Arc::new(FaultyBackend::new(transient)));
+    let outcome = put.expect("a transient journal fault is retried");
+    assert_eq!(outcome.retries, 0, "the store write itself needed no retry");
+    assert_eq!(retries, 1, "the journal retry is counted once");
+
+    let permanent = FaultSchedule::new()
+        .fail_write(append, WriteFault::Error(std::io::ErrorKind::PermissionDenied));
+    let (put, retries, _) =
+        put_through(&tmp.0.join("permanent"), Arc::new(FaultyBackend::new(permanent)));
+    match put {
+        Err(ClientError::Server { code: ErrorCode::Io, message }) => {
+            assert!(message.contains("intent journal"), "{message}")
+        }
+        other => panic!("a permanent journal fault must answer Io, got {other:?}"),
+    }
+    assert_eq!(retries, 0, "a permanent fault is not retried");
 }
 
 /// Slowloris guard: a client that connects and goes mute is

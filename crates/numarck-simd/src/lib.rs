@@ -18,22 +18,22 @@
 //!   `#[target_feature]` and selected only when the CPU reports AVX2,
 //!   POPCNT and PCLMULQDQ at runtime.
 //!
-//! For the CRC ([`crc`]) the levels are: scalar = one 256-entry table
-//! lookup per byte, unrolled = slice-by-16, avx2 = a PCLMULQDQ fold of
-//! four 128-bit lanes (which is why `Avx2` requires PCLMULQDQ).
+//! Bin quantization ([`quantize`]) is the exception: it has one portable
+//! kernel, run at every level. For the CRC ([`crc`]) the levels are:
+//! scalar = one 256-entry table lookup per byte, unrolled =
+//! slice-by-16, avx2 = a PCLMULQDQ fold of four 128-bit lanes (which is
+//! why `Avx2` requires PCLMULQDQ).
 //!
 //! The dispatch decision is made once per process ([`active_level`]) and
 //! recorded in the global observability registry as the
 //! `simd_dispatch_level` gauge (0 = scalar, 1 = unrolled, 2 = avx2) so
-//! benchmark numbers are interpretable across hosts. Two environment
-//! knobs override detection:
+//! benchmark numbers are interpretable across hosts. One environment
+//! knob overrides detection: `NUMARCK_SIMD=scalar|unrolled|avx2` pins a
+//! level (`avx2` silently degrades to `unrolled` when unsupported; any
+//! other value is ignored).
 //!
-//! * `NUMARCK_FORCE_SCALAR=1` — force the scalar reference everywhere.
-//! * `NUMARCK_SIMD=scalar|unrolled|avx2` — pin a specific level
-//!   (`avx2` silently degrades to `unrolled` when unsupported).
-//!
-//! Every kernel also has a `*_with(level, …)` variant taking an explicit
-//! [`Level`], which is what the oracle-equivalence tests sweep.
+//! Every other kernel also has a `*_with(level, …)` variant taking an
+//! explicit [`Level`], which is what the oracle-equivalence tests sweep.
 
 pub mod crc;
 pub mod popcount;
@@ -100,10 +100,9 @@ pub fn avx2_available() -> bool {
 static ACTIVE: OnceLock<Level> = OnceLock::new();
 
 /// The level every dispatched kernel entry point uses. Resolved once per
-/// process: environment overrides first (`NUMARCK_FORCE_SCALAR`,
-/// `NUMARCK_SIMD`), then CPU feature detection. The resolution is
-/// recorded in the `simd_dispatch_level` gauge of the global metrics
-/// registry.
+/// process: the `NUMARCK_SIMD` override first, then CPU feature
+/// detection. The resolution is recorded in the `simd_dispatch_level`
+/// gauge of the global metrics registry.
 pub fn active_level() -> Level {
     *ACTIVE.get_or_init(|| {
         let level = resolve_level();
@@ -113,29 +112,13 @@ pub fn active_level() -> Level {
 }
 
 fn resolve_level() -> Level {
-    if std::env::var("NUMARCK_FORCE_SCALAR").is_ok_and(|v| v == "1") {
-        return Level::Scalar;
-    }
     match std::env::var("NUMARCK_SIMD").as_deref() {
         Ok("scalar") => Level::Scalar,
         Ok("unrolled") => Level::Unrolled,
         // A pinned avx2 on a host without it degrades rather than
         // crashing on an illegal instruction.
-        Ok("avx2") if avx2_available() => Level::Avx2,
-        Ok(_) => {
-            if avx2_available() {
-                Level::Avx2
-            } else {
-                Level::Unrolled
-            }
-        }
-        Err(_) => {
-            if avx2_available() {
-                Level::Avx2
-            } else {
-                Level::Unrolled
-            }
-        }
+        _ if avx2_available() => Level::Avx2,
+        _ => Level::Unrolled,
     }
 }
 

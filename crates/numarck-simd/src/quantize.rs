@@ -1,164 +1,26 @@
-//! Kernel 2: bin quantization — sorted-table lower bound plus the
-//! nearest-of-two pick, and the encoder's fused classify+quantize pass.
+//! Kernel 2: bin quantization — the encoder's fused classify+quantize
+//! pass over a dense change-ratio array.
 //!
-//! Two call sites share the lower-bound machinery:
+//! Per point, [`classify_quantize`] makes the encoder's whole decision:
+//! small/large/undefined classification, a lower bound over the sorted
+//! representatives, a pick between the two enclosing neighbours with
+//! midpoint ties resolving to the *lower* index (the rule of
+//! `BinTable::quantize` in the core crate), and the escape decision
+//! against the tolerance.
 //!
-//! * the encoder's per-point hot path (`BinTable::quantize` in the core
-//!   crate): lower bound over the representative values themselves, then
-//!   a branchless pick between the two enclosing neighbours with midpoint
-//!   ties resolving to the *lower* index, then an escape decision against
-//!   the tolerance. [`classify_quantize`] fuses the whole per-point
-//!   decision — small/large/undefined classification included — into one
-//!   kernel over a dense ratio array.
-//! * K-means assignment (`SortedCenters::nearest`): lower bound over the
-//!   precomputed midpoints is already the answer. [`lower_bound_batch`]
-//!   serves that path.
-//!
-//! Every level replicates `slice::partition_point(|&c| c < x)` exactly —
-//! including its `x = NaN` behaviour (all comparisons false ⇒ 0) — so the
-//! outputs are bit-identical to the scalar oracle by construction.
+//! Unlike the other kernels this one has a single implementation, run at
+//! every [`Level`](crate::Level). Only a large finite ratio searches the
+//! table (`slice::partition_point`, which steps without a data-dependent
+//! branch), and the tolerance check is masks, not a branch. A
+//! hand-unrolled search and a four-lane AVX2 kernel were deleted: on
+//! real change ratios this kernel beat both, except that the AVX2
+//! gathers won on climate `rlds` (99 % large ratios), and there the
+//! end-to-end put latency did not change (EXPERIMENTS.md "One path per
+//! encoder kernel").
 
-use crate::{Level, ESCAPE};
+use crate::ESCAPE;
 
-/// `sorted.partition_point(|&c| c < x)` — the scalar oracle for the
-/// lower-bound kernels.
-#[inline]
-pub fn lower_bound(sorted: &[f64], x: f64) -> usize {
-    sorted.partition_point(|&c| c < x)
-}
-
-/// Branchless lower bound, identical to [`lower_bound`] for sorted input.
-///
-/// The classic two-pointer halving loop: no mispredictable branch on the
-/// probe result, just an index add masked by the comparison.
-#[inline(always)]
-fn lower_bound_branchless(sorted: &[f64], x: f64) -> usize {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let mut base = 0usize;
-    let mut size = sorted.len();
-    while size > 1 {
-        let half = size / 2;
-        base += usize::from(sorted[base + half] < x) * half;
-        size -= half;
-    }
-    base + usize::from(sorted[base] < x)
-}
-
-/// Dispatched batch lower bound: `out[j] = partition_point(sorted, < xs[j])`.
-///
-/// # Panics
-/// Panics if `xs` and `out` differ in length or `sorted.len()` exceeds
-/// `u32::MAX`.
-#[inline]
-pub fn lower_bound_batch(sorted: &[f64], xs: &[f64], out: &mut [u32]) {
-    lower_bound_batch_with(crate::active_level(), sorted, xs, out)
-}
-
-/// [`lower_bound_batch`] at an explicit level (oracle sweeps).
-pub fn lower_bound_batch_with(level: Level, sorted: &[f64], xs: &[f64], out: &mut [u32]) {
-    assert_eq!(xs.len(), out.len(), "input and output must align");
-    assert!(u32::try_from(sorted.len()).is_ok(), "table too large for u32 indices");
-    match level {
-        Level::Scalar => lower_bound_batch_scalar(sorted, xs, out),
-        Level::Unrolled => lower_bound_batch_unrolled(sorted, xs, out),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { lower_bound_batch_avx2(sorted, xs, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => lower_bound_batch_unrolled(sorted, xs, out),
-    }
-}
-
-/// Scalar reference: one `partition_point` per query.
-pub fn lower_bound_batch_scalar(sorted: &[f64], xs: &[f64], out: &mut [u32]) {
-    for (&x, o) in xs.iter().zip(out.iter_mut()) {
-        *o = lower_bound(sorted, x) as u32;
-    }
-}
-
-/// Portable chunks-of-8 variant: eight independent branchless searches
-/// per iteration keep the memory level parallelism up.
-pub fn lower_bound_batch_unrolled(sorted: &[f64], xs: &[f64], out: &mut [u32]) {
-    let mut x8 = xs.chunks_exact(8);
-    let mut o8 = out.chunks_exact_mut(8);
-    for (x, o) in (&mut x8).zip(&mut o8) {
-        for k in 0..8 {
-            o[k] = lower_bound_branchless(sorted, x[k]) as u32;
-        }
-    }
-    for (&x, o) in x8.remainder().iter().zip(o8.into_remainder()) {
-        *o = lower_bound_branchless(sorted, x) as u32;
-    }
-}
-
-/// AVX2 variant: four searches advance in lockstep, one gathered probe
-/// per halving step.
-///
-/// # Safety
-/// Requires the `avx2` CPU feature.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub unsafe fn lower_bound_batch_avx2(sorted: &[f64], xs: &[f64], out: &mut [u32]) {
-    use std::arch::x86_64::*;
-    if sorted.is_empty() {
-        out.fill(0);
-        return;
-    }
-    let n = xs.len();
-    let lanes = n - n % 4;
-    let one = _mm256_set1_epi64x(1);
-    let mut i = 0;
-    while i < lanes {
-        let x = _mm256_loadu_pd(xs.as_ptr().add(i));
-        let pp = search4(sorted, x, one);
-        let mut tmp = [0i64; 4];
-        _mm256_storeu_si256(tmp.as_mut_ptr().cast(), pp);
-        for (k, &v) in tmp.iter().enumerate() {
-            out[i + k] = v as u32;
-        }
-        i += 4;
-    }
-    for j in lanes..n {
-        out[j] = lower_bound_branchless(sorted, xs[j]) as u32;
-    }
-}
-
-/// Four simultaneous branchless lower bounds over `sorted` (non-empty):
-/// each halving step gathers one probe per lane and conditionally
-/// advances the lane's base. Probe indices stay within `0..len` by the
-/// usual two-pointer invariant, so the gathers are always in bounds,
-/// even for `±inf`/`NaN` queries.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn search4(
-    sorted: &[f64],
-    x: std::arch::x86_64::__m256d,
-    one: std::arch::x86_64::__m256i,
-) -> std::arch::x86_64::__m256i {
-    use std::arch::x86_64::*;
-    let mut base = _mm256_setzero_si256();
-    let mut size = sorted.len();
-    while size > 1 {
-        let half = size / 2;
-        let half_v = _mm256_set1_epi64x(half as i64);
-        let probe_idx = _mm256_add_epi64(base, half_v);
-        let probe = _mm256_i64gather_pd::<8>(sorted.as_ptr(), probe_idx);
-        // probe < x, ordered: false for NaN x, matching partition_point.
-        let go = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LT_OQ>(probe, x));
-        base = _mm256_add_epi64(base, _mm256_and_si256(go, half_v));
-        size -= half;
-    }
-    let last = _mm256_i64gather_pd::<8>(sorted.as_ptr(), base);
-    let inc = _mm256_and_si256(
-        _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LT_OQ>(last, x)),
-        one,
-    );
-    _mm256_add_epi64(base, inc)
-}
-
-/// Per-point result of the fused pass, shared by the scalar paths.
+/// Per-point result of the fused pass.
 ///
 /// Mirrors the encoder's decision table exactly:
 ///
@@ -168,8 +30,12 @@ unsafe fn search4(
 /// | `\|r\| < tol` (small)         | 0           | `\|r\|`       |
 /// | quantizes within tol          | `idx + 1`   | `\|rep − r\|` |
 /// | misses tol, or empty table    | [`ESCAPE`]  | 0.0 (none)    |
+///
+/// Only large finite points search the table: on FLASH ratios, where
+/// about nine points in ten are small, searching every point ran the
+/// kernel at a quarter of this speed.
 #[inline(always)]
-fn classify_point(reps: &[f64], tol: f64, r: f64, pp: usize) -> (u32, f64) {
+fn classify_point(reps: &[f64], tol: f64, r: f64) -> (u32, f64) {
     if !r.is_finite() {
         return (ESCAPE, 0.0);
     }
@@ -180,20 +46,27 @@ fn classify_point(reps: &[f64], tol: f64, r: f64, pp: usize) -> (u32, f64) {
     if reps.is_empty() {
         return (ESCAPE, 0.0);
     }
+    let pp = reps.partition_point(|&c| c < r);
     // The nearest-of-two pick from `BinTable::quantize`: midpoint ties
     // resolve to the lower index because the comparison is strict.
     let lo = pp.saturating_sub(1);
     let hi = pp.min(reps.len() - 1);
     let idx = lo + usize::from((reps[hi] - r).abs() < (r - reps[lo]).abs()) * (hi - lo);
     let err = (reps[idx] - r).abs();
-    if err <= tol {
-        (idx as u32 + 1, err)
-    } else {
-        (ESCAPE, 0.0)
-    }
+    // The tolerance check as masks, not a branch: whether a large ratio
+    // misses is unpredictable, and without the branch the kernel ran
+    // about 1.4× faster on climate `rlus`. A miss turns the code into
+    // `ESCAPE` (all ones) and the error's bits into +0.0 (even when the
+    // subtraction overflowed to infinity).
+    let hit = err <= tol;
+    let miss = u32::from(!hit).wrapping_neg();
+    (
+        (idx as u32 + 1) | miss,
+        f64::from_bits(err.to_bits() & u64::from(hit).wrapping_neg()),
+    )
 }
 
-/// Dispatched fused classify+quantize over a dense ratio array.
+/// Fused classify+quantize over a dense ratio array.
 ///
 /// For each point: `codes[j]` gets 0 (small change), `idx + 1` (table
 /// entry `idx`), or [`ESCAPE`]; `errs[j]` gets the incurred ratio-space
@@ -213,151 +86,16 @@ pub fn classify_quantize(
     codes: &mut [u32],
     errs: &mut [f64],
 ) {
-    classify_quantize_with(crate::active_level(), ratios, reps, tol, codes, errs)
-}
-
-/// [`classify_quantize`] at an explicit level (oracle sweeps).
-pub fn classify_quantize_with(
-    level: Level,
-    ratios: &[f64],
-    reps: &[f64],
-    tol: f64,
-    codes: &mut [u32],
-    errs: &mut [f64],
-) {
     assert_eq!(ratios.len(), codes.len(), "codes must align with ratios");
     assert_eq!(ratios.len(), errs.len(), "errs must align with ratios");
-    assert!(u32::try_from(reps.len()).is_ok(), "table too large for u32 codes");
-    match level {
-        Level::Scalar => classify_quantize_scalar(ratios, reps, tol, codes, errs),
-        Level::Unrolled => classify_quantize_unrolled(ratios, reps, tol, codes, errs),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { classify_quantize_avx2(ratios, reps, tol, codes, errs) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => classify_quantize_unrolled(ratios, reps, tol, codes, errs),
-    }
-}
-
-/// Scalar reference: `partition_point` per large point (the oracle).
-pub fn classify_quantize_scalar(
-    ratios: &[f64],
-    reps: &[f64],
-    tol: f64,
-    codes: &mut [u32],
-    errs: &mut [f64],
-) {
+    assert!(
+        u32::try_from(reps.len()).is_ok(),
+        "table too large for u32 codes"
+    );
     for ((&r, code), err) in ratios.iter().zip(codes.iter_mut()).zip(errs.iter_mut()) {
-        let (c, e) = classify_point(reps, tol, r, lower_bound(reps, r));
+        let (c, e) = classify_point(reps, tol, r);
         *code = c;
         *err = e;
-    }
-}
-
-/// Portable chunks-of-8 variant with branchless searches.
-pub fn classify_quantize_unrolled(
-    ratios: &[f64],
-    reps: &[f64],
-    tol: f64,
-    codes: &mut [u32],
-    errs: &mut [f64],
-) {
-    let mut r8 = ratios.chunks_exact(8);
-    let mut c8 = codes.chunks_exact_mut(8);
-    let mut e8 = errs.chunks_exact_mut(8);
-    for ((r, c), e) in (&mut r8).zip(&mut c8).zip(&mut e8) {
-        for k in 0..8 {
-            let (code, err) = classify_point(reps, tol, r[k], lower_bound_branchless(reps, r[k]));
-            c[k] = code;
-            e[k] = err;
-        }
-    }
-    for ((&r, c), e) in
-        r8.remainder().iter().zip(c8.into_remainder()).zip(e8.into_remainder())
-    {
-        let (code, err) = classify_point(reps, tol, r, lower_bound_branchless(reps, r));
-        *c = code;
-        *e = err;
-    }
-}
-
-/// AVX2 variant: the full decision table — finiteness, smallness, the
-/// four-lane binary search, the nearest-of-two pick and the tolerance
-/// check — evaluated branchlessly on 4 points at a time.
-///
-/// # Safety
-/// Requires the `avx2` CPU feature.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub unsafe fn classify_quantize_avx2(
-    ratios: &[f64],
-    reps: &[f64],
-    tol: f64,
-    codes: &mut [u32],
-    errs: &mut [f64],
-) {
-    use std::arch::x86_64::*;
-    if reps.is_empty() {
-        // Without a table every large point escapes; no searches to run.
-        classify_quantize_scalar(ratios, reps, tol, codes, errs);
-        return;
-    }
-    let n = ratios.len();
-    let lanes = n - n % 4;
-    let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFF_FFFF_FFFF_FFFFu64 as i64));
-    let inf = _mm256_set1_pd(f64::INFINITY);
-    let tol_v = _mm256_set1_pd(tol);
-    let len1 = _mm256_set1_epi64x((reps.len() - 1) as i64);
-    let zero64 = _mm256_setzero_si256();
-    let escape = _mm256_set1_epi64x(ESCAPE as i64);
-    let one = _mm256_set1_epi64x(1);
-    let mut i = 0;
-    while i < lanes {
-        let r = _mm256_loadu_pd(ratios.as_ptr().add(i));
-        let r_abs = _mm256_and_pd(r, abs_mask);
-        let fin = _mm256_cmp_pd::<_CMP_LT_OQ>(r_abs, inf);
-        let small = _mm256_cmp_pd::<_CMP_LT_OQ>(r_abs, tol_v);
-        // Search runs for every lane (indices stay in bounds even for
-        // inf/NaN queries); non-quantizing lanes are blended away below.
-        let pp = search4(reps, r, one);
-        // lo = pp.saturating_sub(1): cmpgt yields −1 exactly where pp > 0.
-        let lo = _mm256_add_epi64(pp, _mm256_cmpgt_epi64(pp, zero64));
-        let hi = _mm256_blendv_epi8(pp, len1, _mm256_cmpgt_epi64(pp, len1));
-        let rep_lo = _mm256_i64gather_pd::<8>(reps.as_ptr(), lo);
-        let rep_hi = _mm256_i64gather_pd::<8>(reps.as_ptr(), hi);
-        let d_hi = _mm256_and_pd(_mm256_sub_pd(rep_hi, r), abs_mask);
-        let d_lo = _mm256_and_pd(_mm256_sub_pd(r, rep_lo), abs_mask);
-        // Strict < keeps midpoint ties on the lower index.
-        let pick_hi = _mm256_cmp_pd::<_CMP_LT_OQ>(d_hi, d_lo);
-        let idx = _mm256_blendv_epi8(lo, hi, _mm256_castpd_si256(pick_hi));
-        let rep = _mm256_blendv_pd(rep_lo, rep_hi, pick_hi);
-        let err_q = _mm256_and_pd(_mm256_sub_pd(rep, r), abs_mask);
-        let ok = _mm256_cmp_pd::<_CMP_LE_OQ>(err_q, tol_v);
-        let small_m = _mm256_and_pd(fin, small);
-        let quant_m = _mm256_andnot_pd(small, _mm256_and_pd(fin, ok));
-        // code: ESCAPE, overridden to idx+1 where quantized, then to 0
-        // where small.
-        let mut code_v = _mm256_blendv_epi8(
-            escape,
-            _mm256_add_epi64(idx, one),
-            _mm256_castpd_si256(quant_m),
-        );
-        code_v = _mm256_blendv_epi8(code_v, zero64, _mm256_castpd_si256(small_m));
-        // err: 0.0, overridden to |rep − r| where quantized, |r| where
-        // small.
-        let mut err_v = _mm256_and_pd(quant_m, err_q);
-        err_v = _mm256_blendv_pd(err_v, r_abs, small_m);
-        _mm256_storeu_pd(errs.as_mut_ptr().add(i), err_v);
-        let mut tmp = [0i64; 4];
-        _mm256_storeu_si256(tmp.as_mut_ptr().cast(), code_v);
-        for (k, &v) in tmp.iter().enumerate() {
-            codes[i + k] = v as u32;
-        }
-        i += 4;
-    }
-    for j in lanes..n {
-        let (code, err) = classify_point(reps, tol, ratios[j], lower_bound(reps, ratios[j]));
-        codes[j] = code;
-        errs[j] = err;
     }
 }
 
@@ -367,10 +105,52 @@ mod tests {
 
     const SIZES: [usize; 14] = [0, 1, 3, 4, 7, 8, 9, 31, 63, 64, 65, 100, 1024, 1025];
 
+    /// The decision table by exhaustive search: the nearest entry over the
+    /// whole table, the first one on a tie (so midpoints take the lower
+    /// index).
+    fn reference(reps: &[f64], tol: f64, r: f64) -> (u32, f64) {
+        if !r.is_finite() {
+            return (ESCAPE, 0.0);
+        }
+        if r.abs() < tol {
+            return (0, r.abs());
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (i, &c) in reps.iter().enumerate() {
+            let d = (c - r).abs();
+            if best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((i, d));
+            }
+        }
+        match best {
+            Some((i, d)) if d <= tol => (i as u32 + 1, d),
+            _ => (ESCAPE, 0.0),
+        }
+    }
+
+    fn assert_matches_reference(ratios: &[f64], table: &[f64], tol: f64, ctx: &str) {
+        let n = ratios.len();
+        let mut codes = vec![1u32; n];
+        let mut errs = vec![f64::NAN; n];
+        classify_quantize(ratios, table, tol, &mut codes, &mut errs);
+        for j in 0..n {
+            let (c, e) = reference(table, tol, ratios[j]);
+            assert_eq!(codes[j], c, "code: {ctx} j={j} r={}", ratios[j]);
+            assert_eq!(
+                errs[j].to_bits(),
+                e.to_bits(),
+                "err: {ctx} j={j} r={}",
+                ratios[j]
+            );
+        }
+    }
+
     fn reps(k: usize) -> Vec<f64> {
         // Sorted, irregular spacing, mixed signs; dyadic values keep
         // midpoints exact.
-        (0..k).map(|i| (i as f64) * 0.0625 - (k as f64) * 0.03125 + ((i % 3) as f64) * 0.015625).collect::<Vec<_>>()
+        (0..k)
+            .map(|i| (i as f64) * 0.0625 - (k as f64) * 0.03125 + ((i % 3) as f64) * 0.015625)
+            .collect::<Vec<_>>()
             .into_iter()
             .scan(f64::NEG_INFINITY, |prev, x| {
                 let v = if x <= *prev { *prev + 0.0078125 } else { x };
@@ -387,83 +167,33 @@ mod tests {
                 1 => f64::INFINITY,
                 2 => f64::NEG_INFINITY,
                 3 => f64::NAN,
-                4 => 1e-12,   // deep small
-                5 => 1e6,     // far above the table: escapes
+                4 => 1e-12, // deep small
+                5 => 1e6,   // far above the table: escapes
                 _ => ((i * 29) % 257) as f64 / 64.0 - 2.0,
             })
             .collect()
     }
 
     #[test]
-    fn branchless_lower_bound_matches_partition_point() {
-        for k in [0usize, 1, 2, 3, 5, 8, 13, 100] {
-            let table = reps(k);
-            for &x in &queries(200) {
-                assert_eq!(
-                    lower_bound_branchless(&table, x),
-                    lower_bound(&table, x),
-                    "k={k} x={x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lower_bound_batch_levels_match_oracle() {
+    fn classify_matches_exhaustive_search_across_sizes_and_tables() {
         for k in [0usize, 1, 2, 7, 255] {
             let table = reps(k);
             for n in SIZES {
-                let xs = queries(n);
-                let mut oracle = vec![0u32; n];
-                lower_bound_batch_scalar(&table, &xs, &mut oracle);
-                for level in Level::all_supported() {
-                    let mut got = vec![u32::MAX; n];
-                    lower_bound_batch_with(level, &table, &xs, &mut got);
-                    assert_eq!(got, oracle, "level {} k={k} n={n}", level.name());
-                }
+                assert_matches_reference(&queries(n), &table, 0.05, &format!("k={k} n={n}"));
             }
         }
     }
 
     #[test]
-    fn classify_levels_match_oracle_across_sizes_and_tables() {
-        for k in [0usize, 1, 2, 7, 255] {
-            let table = reps(k);
-            for n in SIZES {
-                let xs = queries(n);
-                let mut c0 = vec![0u32; n];
-                let mut e0 = vec![0.0f64; n];
-                classify_quantize_scalar(&xs, &table, 0.05, &mut c0, &mut e0);
-                for level in Level::all_supported() {
-                    let mut c = vec![1u32; n];
-                    let mut e = vec![f64::NAN; n];
-                    classify_quantize_with(level, &xs, &table, 0.05, &mut c, &mut e);
-                    assert_eq!(c, c0, "codes: level {} k={k} n={n}", level.name());
-                    for j in 0..n {
-                        assert_eq!(
-                            e[j].to_bits(),
-                            e0[j].to_bits(),
-                            "errs: level {} k={k} n={n} j={j}",
-                            level.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn midpoint_tie_takes_lower_index_at_every_level() {
+    fn midpoint_tie_takes_lower_index() {
         // Dyadic reps make the midpoint exact: 0.5 is equidistant from
         // 0.25 and 0.75 and must map to index 0 (code 1).
         let table = [0.25, 0.75];
-        for level in Level::all_supported() {
-            let ratios = [0.5, 0.5, 0.5, 0.5, 0.5]; // crosses the lane boundary
-            let mut codes = [0u32; 5];
-            let mut errs = [0.0f64; 5];
-            classify_quantize_with(level, &ratios, &table, 0.3, &mut codes, &mut errs);
-            assert_eq!(codes, [1; 5], "level {}", level.name());
-        }
+        let ratios = [0.5; 5];
+        let mut codes = [0u32; 5];
+        let mut errs = [0.0f64; 5];
+        classify_quantize(&ratios, &table, 0.3, &mut codes, &mut errs);
+        assert_eq!(codes, [1; 5]);
     }
 
     #[test]
@@ -479,28 +209,41 @@ mod tests {
             f64::NAN,      // undefined: escape
             f64::INFINITY, // undefined: escape
         ];
-        for level in Level::all_supported() {
-            let mut codes = [9u32; 7];
-            let mut errs = [9.0f64; 7];
-            classify_quantize_with(level, &ratios, &table, tol, &mut codes, &mut errs);
-            assert_eq!(codes, [0, 0, 2, 1, ESCAPE, ESCAPE, ESCAPE], "level {}", level.name());
-            assert_eq!(errs[0], 0.0);
-            assert_eq!(errs[1], 0.05);
-            assert!((errs[2] - 0.05).abs() < 1e-15);
-            assert_eq!(errs[4], 0.0, "escapes carry no error");
-            assert_eq!(errs[5], 0.0);
-        }
+        let mut codes = [9u32; 7];
+        let mut errs = [9.0f64; 7];
+        classify_quantize(&ratios, &table, tol, &mut codes, &mut errs);
+        assert_eq!(codes, [0, 0, 2, 1, ESCAPE, ESCAPE, ESCAPE]);
+        assert_eq!(errs[0], 0.0);
+        assert_eq!(errs[1], 0.05);
+        assert!((errs[2] - 0.05).abs() < 1e-15);
+        assert_eq!(errs[4], 0.0, "escapes carry no error");
+        assert_eq!(errs[5], 0.0);
+
+        // At the boundaries (dyadic values keep them exact): an error of
+        // exactly the tolerance still quantizes, one ulp more escapes, and
+        // `|r| = tol` is not small.
+        let ratios = [0.625, f64::from_bits(0.625f64.to_bits() + 1), 0.125];
+        let mut codes = [9u32; 3];
+        let mut errs = [9.0f64; 3];
+        classify_quantize(&ratios, &table, 0.125, &mut codes, &mut errs);
+        assert_eq!(codes, [2, ESCAPE, ESCAPE]);
+        assert_eq!(errs, [0.125, 0.0, 0.0]);
+
+        // An error that overflows to infinity escapes with error +0.0.
+        let mut codes = [9u32; 1];
+        let mut errs = [9.0f64; 1];
+        classify_quantize(&[f64::MAX], &[-f64::MAX], tol, &mut codes, &mut errs);
+        assert_eq!(codes, [ESCAPE]);
+        assert_eq!(errs[0].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn empty_table_escapes_every_large_point() {
         let ratios = [0.0, 0.5, f64::NAN];
-        for level in Level::all_supported() {
-            let mut codes = [9u32; 3];
-            let mut errs = [9.0f64; 3];
-            classify_quantize_with(level, &ratios, &[], 0.1, &mut codes, &mut errs);
-            assert_eq!(codes, [0, ESCAPE, ESCAPE], "level {}", level.name());
-        }
+        let mut codes = [9u32; 3];
+        let mut errs = [9.0f64; 3];
+        classify_quantize(&ratios, &[], 0.1, &mut codes, &mut errs);
+        assert_eq!(codes, [0, ESCAPE, ESCAPE]);
     }
 
     mod properties {
@@ -515,39 +258,19 @@ mod tests {
 
         proptest! {
             #[test]
-            fn classify_matches_oracle(
+            fn classify_matches_exhaustive_search(
                 raw_table in numarck_prop::collection::vec(-2.0f64..2.0, 0..64),
                 ratios in numarck_prop::collection::vec(-3.0f64..3.0, 0..200),
                 tol in 1e-4f64..0.5
             ) {
                 let table = sorted_table(raw_table);
-                let n = ratios.len();
-                let mut c0 = vec![0u32; n];
-                let mut e0 = vec![0.0f64; n];
-                classify_quantize_scalar(&ratios, &table, tol, &mut c0, &mut e0);
-                for level in Level::all_supported() {
-                    let mut c = vec![0u32; n];
-                    let mut e = vec![0.0f64; n];
-                    classify_quantize_with(level, &ratios, &table, tol, &mut c, &mut e);
-                    prop_assert_eq!(&c, &c0);
-                    for j in 0..n {
-                        prop_assert_eq!(e[j].to_bits(), e0[j].to_bits());
-                    }
-                }
-            }
-
-            #[test]
-            fn lower_bound_matches_oracle(
-                raw_table in numarck_prop::collection::vec(-2.0f64..2.0, 0..64),
-                xs in numarck_prop::collection::vec(-3.0f64..3.0, 0..200)
-            ) {
-                let table = sorted_table(raw_table);
-                let mut o = vec![0u32; xs.len()];
-                lower_bound_batch_scalar(&table, &xs, &mut o);
-                for level in Level::all_supported() {
-                    let mut g = vec![0u32; xs.len()];
-                    lower_bound_batch_with(level, &table, &xs, &mut g);
-                    prop_assert_eq!(&g, &o);
+                let mut codes = vec![0u32; ratios.len()];
+                let mut errs = vec![0.0f64; ratios.len()];
+                classify_quantize(&ratios, &table, tol, &mut codes, &mut errs);
+                for (j, &r) in ratios.iter().enumerate() {
+                    let (c, e) = reference(&table, tol, r);
+                    prop_assert_eq!(codes[j], c);
+                    prop_assert_eq!(errs[j].to_bits(), e.to_bits());
                 }
             }
         }

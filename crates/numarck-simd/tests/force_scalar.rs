@@ -1,4 +1,4 @@
-//! `NUMARCK_FORCE_SCALAR` pins the dispatcher to the scalar path.
+//! `NUMARCK_SIMD=scalar` pins the dispatcher to the scalar path.
 //!
 //! Lives in its own test binary: the level is resolved once per process
 //! through a `OnceLock`, so the override must be in the environment
@@ -11,7 +11,7 @@ use numarck_simd::Level;
 fn force_scalar_env_pins_dispatch() {
     // Set before any dispatch query in this process; single test in
     // this binary, so no other thread has resolved the level yet.
-    std::env::set_var("NUMARCK_FORCE_SCALAR", "1");
+    std::env::set_var("NUMARCK_SIMD", "scalar");
     assert_eq!(numarck_simd::active_level(), Level::Scalar);
 
     // And the dispatched entry points actually run the scalar kernels:

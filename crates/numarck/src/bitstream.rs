@@ -52,66 +52,6 @@ impl BitWriter {
         self.len_bits += bits as usize;
     }
 
-    /// Bulk variant of [`BitWriter::push`] for parallel packers: write
-    /// `values` as consecutive `bits`-wide fields starting at the absolute
-    /// bit offset `start_bit` of the shared word buffer `words`.
-    ///
-    /// `words` must be zero in the target bit range. Words fully covered by
-    /// this call's bit range are written with plain (relaxed) stores; the
-    /// first and last touched words may be shared with writers of the
-    /// adjacent bit ranges, so they are merged with a relaxed `fetch_or`.
-    /// Because OR of disjoint bit fields commutes, concurrent calls over
-    /// disjoint bit ranges produce exactly the words a sequential
-    /// [`BitWriter::push`] loop would, regardless of thread interleaving.
-    ///
-    /// # Panics
-    /// Panics if `bits` is 0 or > 32, or (in debug builds) if a value does
-    /// not fit or the bit range overruns `words`.
-    pub fn write_packed_at(words: &[AtomicU64], start_bit: usize, values: &[u32], bits: u8) {
-        assert!((1..=32).contains(&bits), "bits must be in 1..=32");
-        if values.is_empty() {
-            return;
-        }
-        let end_bit = start_bit + values.len() * bits as usize;
-        debug_assert!(end_bit <= words.len() * 64, "bit range overruns the word buffer");
-        let first_word = start_bit / 64;
-        let last_word = (end_bit - 1) / 64;
-        let flush = |wi: usize, word: u64| {
-            if wi == first_word || wi == last_word {
-                words[wi].fetch_or(word, Ordering::Relaxed);
-            } else {
-                words[wi].store(word, Ordering::Relaxed);
-            }
-        };
-        // Accumulate each output word locally and flush it once complete;
-        // every word is flushed exactly once.
-        let mut acc = 0u64;
-        let mut acc_word = first_word;
-        let mut pos = start_bit;
-        for &v in values {
-            debug_assert!(
-                bits == 32 || v < (1u32 << bits),
-                "value {v} does not fit in {bits} bits"
-            );
-            let wi = pos / 64;
-            let bit = pos % 64;
-            if wi != acc_word {
-                flush(acc_word, acc);
-                acc = 0;
-                acc_word = wi;
-            }
-            acc |= (v as u64) << bit;
-            let spill = bit + bits as usize;
-            if spill > 64 {
-                flush(acc_word, acc);
-                acc_word = wi + 1;
-                acc = (v as u64) >> (64 - bit);
-            }
-            pos += bits as usize;
-        }
-        flush(acc_word, acc);
-    }
-
     /// Splice a chunk-local bit stream into the shared word buffer: OR
     /// the first `src_len_bits` bits of `src` into `dst` starting at the
     /// absolute bit offset `dst_bit_start`, funnel-shifting whole words
@@ -120,11 +60,12 @@ impl BitWriter {
     /// This is the fused encoder's placement primitive: each chunk packs
     /// its own codes into a private [`BitWriter`] while they are still
     /// cache-hot, then splices the finished words here once the global
-    /// offsets are known. Same stitching discipline as
-    /// [`BitWriter::write_packed_at`] — the first and last touched words
-    /// may be shared with adjacent ranges and are merged with a relaxed
-    /// `fetch_or`; interior words are plain stores — so concurrent calls
-    /// over disjoint bit ranges reproduce the serial packing exactly.
+    /// offsets are known. `dst` must be zero in the target bit range. The
+    /// first and last touched words may be shared with adjacent ranges
+    /// and are merged with a relaxed `fetch_or`; interior words are plain
+    /// stores. Because OR of disjoint bit fields commutes, concurrent
+    /// calls over disjoint bit ranges reproduce the serial packing
+    /// exactly, whatever the thread interleaving.
     ///
     /// # Panics
     /// Debug-panics if `src_len_bits` overruns either buffer.
@@ -340,46 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn write_packed_at_matches_push_for_any_split() {
-        // Split the value stream at every position; the two bulk writes
-        // (second at a word-unaligned offset) must stitch boundary words
-        // back into exactly the serial packing.
-        for bits in [1u8, 3, 7, 9, 13, 16] {
-            let max = (1u32 << bits) - 1;
-            let values: Vec<u32> = (0..150u32).map(|i| i.wrapping_mul(2654435761) & max).collect();
-            let expected = pushed_words(&values, bits);
-            for split in 0..=values.len() {
-                let words = atomic_buffer(expected.len());
-                let (a, b) = values.split_at(split);
-                BitWriter::write_packed_at(&words, 0, a, bits);
-                BitWriter::write_packed_at(&words, split * bits as usize, b, bits);
-                assert_eq!(into_plain(words), expected, "bits={bits} split={split}");
-            }
-        }
-    }
-
-    #[test]
-    fn write_packed_at_concurrent_chunks_match_serial() {
-        let bits = 11u8;
-        let values: Vec<u32> = (0..10_000u32).map(|i| i.wrapping_mul(40503) & ((1 << 11) - 1)).collect();
-        let expected = pushed_words(&values, bits);
-        let words = atomic_buffer(expected.len());
-        // Deliberately word-misaligned chunk size (97 values × 11 bits).
-        numarck_par::par_for_each(values.chunks(97), |c, chunk| {
-            BitWriter::write_packed_at(&words, c * 97 * bits as usize, chunk, bits);
-        });
-        assert_eq!(into_plain(words), expected);
-    }
-
-    #[test]
-    fn write_packed_at_empty_is_a_noop() {
-        let words = atomic_buffer(2);
-        BitWriter::write_packed_at(&words, 37, &[], 9);
-        assert_eq!(into_plain(words), vec![0, 0]);
-    }
-
-    #[test]
-    fn shift_or_into_matches_write_packed_at_for_any_split() {
+    fn shift_or_into_matches_push_for_any_split() {
         // Pack each half locally with a BitWriter, splice both into one
         // buffer at every possible (word-misaligned) split; the result
         // must equal the one-shot serial packing bit for bit.

@@ -319,8 +319,8 @@ pub(crate) fn encode_prepared(
     Ok((compressed, stats))
 }
 
-/// The three storage sections produced by packing a per-point code array
-/// (plus the counts the stats need). `codes` uses the encoder's
+/// The three storage sections produced by [`pack_codes_serial`] (plus the
+/// counts the stats need). `codes` uses the encoder's
 /// convention: [`ESCAPE`] marks an escaped point, anything else is a
 /// `bits`-wide index value.
 #[derive(Debug, Clone, PartialEq)]
@@ -338,9 +338,10 @@ pub struct PackedSections {
     pub exact_values: Vec<f64>,
 }
 
-/// Sequential reference packer — the oracle the parallel packer is tested
-/// against (bit-identical output is a hard requirement, enforced by
-/// `tests/pack_parallel_oracle.rs`).
+/// Sequential packer of a per-point code array. Compaction packs merged
+/// deltas with it, and it is the oracle the encoder's fused parallel
+/// packer is tested against (bit-identical output is a hard requirement,
+/// enforced by `tests/pack_parallel_oracle.rs`).
 pub fn pack_codes_serial(codes: &[u32], curr: &[f64], bits: u8) -> PackedSections {
     assert_eq!(codes.len(), curr.len(), "codes and curr must align");
     let n = codes.len();
@@ -366,90 +367,6 @@ pub fn pack_codes_serial(codes: &[u32], curr: &[f64], bits: u8) -> PackedSection
         index_words: writer.into_words(),
         num_compressible,
         num_small,
-        exact_values,
-    }
-}
-
-/// Rank-partitioned parallel packer, bit-identical to
-/// [`pack_codes_serial`].
-///
-/// Points are chunked in multiples of 64 so every chunk owns whole bitmap
-/// words. A first cheap pass tallies each chunk's `(compressible,
-/// escaped)` counts; an exclusive scan over those pairs gives every chunk
-/// its exact bit offset into the index stream and its slot range in
-/// `exact_values`. Chunks then write all three sections concurrently:
-/// bitmap words and escape slots into disjoint windows, and bit-packed
-/// indices via [`BitWriter::write_packed_at`], which OR-stitches the one
-/// word each pair of adjacent chunks may share. Output is deterministic
-/// for any thread count.
-pub fn pack_codes_parallel(codes: &[u32], curr: &[f64], bits: u8) -> PackedSections {
-    assert_eq!(codes.len(), curr.len(), "codes and curr must align");
-    assert!((1..=32).contains(&bits), "bits must be in 1..=32");
-    let n = codes.len();
-    if n == 0 {
-        return PackedSections {
-            bitmap: Vec::new(),
-            index_words: Vec::new(),
-            num_compressible: 0,
-            num_small: 0,
-            exact_values: Vec::new(),
-        };
-    }
-    let chunk = chunk_size_aligned(n, 64);
-    let words_per_chunk = chunk / 64;
-
-    // Per-chunk (compressible, escaped) tallies → scan → offsets.
-    let counts: Vec<(u64, u64)> = par_map(codes.chunks(chunk), |_, c| {
-        let escaped = c.iter().filter(|&&code| code == ESCAPE).count();
-        ((c.len() - escaped) as u64, escaped as u64)
-    });
-    let (offsets, (total_comp, total_esc)) = exclusive_scan_pairs(&counts);
-    let num_compressible = total_comp as usize;
-
-    let mut bitmap = vec![0u64; n.div_ceil(64)];
-    let index_words: Vec<AtomicU64> = (0..(num_compressible * bits as usize).div_ceil(64))
-        .map(|_| AtomicU64::new(0))
-        .collect();
-    let mut exact_values = vec![0.0f64; total_esc as usize];
-    let exact_windows = partition_mut(&mut exact_values, counts.iter().map(|&(_, e)| e as usize));
-
-    let windows = codes
-        .chunks(chunk)
-        .zip(curr.chunks(chunk))
-        .zip(bitmap.chunks_mut(words_per_chunk))
-        .zip(exact_windows)
-        .zip(&offsets);
-    let smalls: Vec<usize> =
-        par_map(windows, |_, ((((codes, curr), bitmap), exacts), &(comp_before, _))| {
-            let mut packable = Vec::with_capacity(codes.len());
-            let mut escaped = 0usize;
-            let mut num_small = 0usize;
-            for (b, (&code, &cv)) in codes.iter().zip(curr).enumerate() {
-                if code == ESCAPE {
-                    exacts[escaped] = cv;
-                    escaped += 1;
-                } else {
-                    bitmap[b / 64] |= 1u64 << (b % 64);
-                    if code == 0 {
-                        num_small += 1;
-                    }
-                    packable.push(code);
-                }
-            }
-            BitWriter::write_packed_at(
-                &index_words,
-                comp_before as usize * bits as usize,
-                &packable,
-                bits,
-            );
-            num_small
-        });
-
-    PackedSections {
-        bitmap,
-        index_words: index_words.into_iter().map(AtomicU64::into_inner).collect(),
-        num_compressible,
-        num_small: smalls.into_iter().sum(),
         exact_values,
     }
 }
@@ -646,109 +563,6 @@ mod tests {
                 st.mean_error_rate,
                 ref_mean
             );
-        }
-    }
-
-    #[test]
-    fn parallel_packer_matches_serial_on_encoder_output() {
-        // Direct serial-vs-parallel check on codes the encoder actually
-        // produces (the exhaustive sweep lives in
-        // tests/pack_parallel_oracle.rs).
-        let n = 20_000;
-        let prev: Vec<f64> =
-            (0..n).map(|i| if i % 11 == 0 { 0.0 } else { 1.0 + (i % 23) as f64 }).collect();
-        let curr: Vec<f64> = prev
-            .iter()
-            .enumerate()
-            .map(|(i, v)| if *v == 0.0 { 1.5 } else { v * (1.0 + 0.01 * ((i % 5) as f64)) })
-            .collect();
-        let config = cfg(Strategy::Clustering);
-        let ratios = ratio::compute(&prev, &curr, config.tolerance()).unwrap();
-        let table = strategy::fit_table(
-            config.strategy(),
-            &ratios.fit_sample,
-            config.max_table_len(),
-            &config.clustering(),
-        );
-        let codes: Vec<u32> = ratios
-            .iter_classes()
-            .map(|c| match c {
-                ratio::RatioClass::Small(_) => 0,
-                ratio::RatioClass::Undefined => ESCAPE,
-                ratio::RatioClass::Large(r) => match table.quantize(r) {
-                    Some((idx, _, err)) if err <= config.tolerance() => idx as u32 + 1,
-                    _ => ESCAPE,
-                },
-            })
-            .collect();
-        let serial = pack_codes_serial(&codes, &curr, config.bits());
-        let parallel = pack_codes_parallel(&codes, &curr, config.bits());
-        assert_eq!(serial, parallel);
-        assert!(!serial.exact_values.is_empty() && serial.num_compressible > 0);
-    }
-
-    #[test]
-    fn fused_encode_sections_match_serial_reference() {
-        // The fused cache-blocked classify+pack pass must produce every
-        // compressed section — bitmap, packed indices, exact values —
-        // bit-identically to the retired two-pass path: per-point
-        // classification against the same table, then the serial packer.
-        // Sweep lane-boundary sizes and a mix of escape densities.
-        for n in [0usize, 1, 7, 63, 64, 65, 1023, 1024, 1025, 4097, 20_000] {
-            let prev: Vec<f64> = (0..n)
-                .map(|i| match i % 13 {
-                    0 => 0.0,
-                    1 => f64::NAN,
-                    _ => 1.0 + (i % 29) as f64,
-                })
-                .collect();
-            let curr: Vec<f64> = prev
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    if *v == 0.0 || !v.is_finite() {
-                        2.5
-                    } else {
-                        v * (1.0
-                            + match i % 4 {
-                                0 => 0.0004,           // small change
-                                1 => 0.05,             // common large ratio
-                                2 => 0.07,             // second cluster
-                                _ => 9.0 + i as f64,   // unquantizable -> escape
-                            })
-                    }
-                })
-                .collect();
-            // NaN prev is a whole-input error for encode(); only keep it
-            // when the transform would reject it — here replace with 1.0.
-            let prev: Vec<f64> = prev.iter().map(|&v| if v.is_finite() { v } else { 1.0 }).collect();
-            let config = cfg(Strategy::Clustering);
-            let tol = config.tolerance();
-            let (fused, _) = encode(&prev, &curr, &config).unwrap();
-            let ratios = ratio::compute(&prev, &curr, tol).unwrap();
-            let table = strategy::fit_table(
-                config.strategy(),
-                &ratios.fit_sample,
-                config.max_table_len(),
-                &config.clustering(),
-            );
-            assert_eq!(fused.table, table, "n={n}: table fit must be unchanged");
-            let codes: Vec<u32> = ratios
-                .iter_classes()
-                .map(|c| match c {
-                    ratio::RatioClass::Small(_) => 0,
-                    ratio::RatioClass::Undefined => ESCAPE,
-                    ratio::RatioClass::Large(r) => match table.quantize(r) {
-                        Some((idx, _, err)) if err <= tol => idx as u32 + 1,
-                        _ => ESCAPE,
-                    },
-                })
-                .collect();
-            let reference = pack_codes_serial(&codes, &curr, config.bits());
-            assert_eq!(fused.bitmap, reference.bitmap, "n={n}");
-            assert_eq!(fused.index_words, reference.index_words, "n={n}");
-            assert_eq!(fused.num_compressible, reference.num_compressible, "n={n}");
-            assert_eq!(fused.exact_values, reference.exact_values, "n={n}");
         }
     }
 
