@@ -128,12 +128,10 @@ fn main() {
         [("flash_sedov_dens", &flash), ("climate_rlus", &climate)];
     // 8-hop restart chains: FLASH density (every word fully index-coded)
     // and climate `rlds` (a share of points escaped in every word).
+    let rlds_seq = climate_sequence(ClimateVar::Rlds, REPLAY_HOPS + 1);
     let chains = [
         ("flash_sedov_dens", replay_chain(&flash_seq, points, &config)),
-        (
-            "climate_rlds",
-            replay_chain(&climate_sequence(ClimateVar::Rlds, REPLAY_HOPS + 1), points, &config),
-        ),
+        ("climate_rlds", replay_chain(&rlds_seq, points, &config)),
     ];
 
     // Inputs of the one-hop rows: the fit sample and the encoded block.
@@ -248,10 +246,17 @@ fn main() {
     // dispatch level this host supports, single-threaded. These rows are
     // informational (not regression-gated): they answer "which level is
     // the dispatcher picking, and what is each level worth here".
-    let kernels = kernel_microbench(points, reps);
+    // The quantize kernel's rows run on real ratios: FLASH `dens` (about
+    // nine points in ten small) and climate `rlds` (almost all large).
+    let quantize_inputs = [
+        QuantizeInput::new("flash_sedov_dens", &flash, &config),
+        QuantizeInput::new("climate_rlds", &tile_to(&rlds_seq[..2].to_vec(), points), &config),
+    ];
+    let kernels = kernel_microbench(points, reps, &quantize_inputs);
     let mut krows = vec![vec![
         "kernel".to_string(),
         "level".to_string(),
+        "input".to_string(),
         "unit".to_string(),
         "M units/s".to_string(),
     ]];
@@ -259,6 +264,7 @@ fn main() {
         krows.push(vec![
             k.kernel.to_string(),
             k.level.to_string(),
+            k.input.unwrap_or("-").to_string(),
             k.unit.to_string(),
             format!("{:.2}", k.count as f64 / k.secs / 1e6),
         ]);
@@ -421,10 +427,36 @@ fn replay_chain(
     (base, hops)
 }
 
+/// The quantize kernel's inputs on one real iteration pair.
+struct QuantizeInput {
+    name: &'static str,
+    /// The sorted representatives the encoder fits to the pair.
+    reps: Vec<f64>,
+    /// The pair's dense change ratios.
+    ratios: Vec<f64>,
+}
+
+impl QuantizeInput {
+    fn new(name: &'static str, pair: &[Vec<f64>], config: &Config) -> Self {
+        let ratios =
+            ratio::compute(&pair[0], &pair[1], config.tolerance()).expect("finite bench data");
+        let table = strategy::fit_table(
+            config.strategy(),
+            &ratios.fit_sample,
+            config.max_table_len(),
+            &config.clustering(),
+        );
+        Self { name, reps: table.representatives().to_vec(), ratios: ratios.ratios }
+    }
+}
+
 /// One lane-kernel measurement at one explicit dispatch level.
 struct KernelSample {
     kernel: &'static str,
     level: &'static str,
+    /// The real workload a row's input comes from; `None` for the
+    /// synthetic inputs.
+    input: Option<&'static str>,
     /// What `count` counts: `"points"` for the lane kernels, `"bytes"`
     /// for the checksum.
     unit: &'static str,
@@ -433,40 +465,48 @@ struct KernelSample {
 }
 
 /// Time the five `numarck-simd` kernels at every dispatch level the host
-/// supports (quantize, which has one kernel, once).
+/// supports (quantize, which has one kernel, once per real input).
 ///
-/// Inputs are shaped like real encoder traffic: ratios spread over a
-/// 255-entry representative table with a mix of small changes and
-/// escapes, an 8-bit packed index stream for the unpack kernel, and the
+/// The quantize rows classify the change ratios of real iteration
+/// pairs against the table the encoder fits to them, so the mix of
+/// small, searched and escaped points is the encoder's. The other
+/// inputs are synthetic: a periodic iteration pair for the transform,
+/// an 8-bit packed index stream for the unpack kernel, and the
 /// `8 × points` bytes of the variable itself for the CRC.
-fn kernel_microbench(points: usize, reps: usize) -> Vec<KernelSample> {
+fn kernel_microbench(
+    points: usize,
+    reps: usize,
+    quantize_inputs: &[QuantizeInput],
+) -> Vec<KernelSample> {
     use numarck_simd::{crc, popcount, quantize, transform, unpack};
 
     let prev: Vec<f64> = (0..points).map(|i| 1.0 + ((i * 31) % 1009) as f64 / 100.0).collect();
     let curr: Vec<f64> =
         prev.iter().enumerate().map(|(i, v)| v * (1.0 + 0.01 * ((i % 7) as f64))).collect();
-    let mut ratios = vec![0.0f64; points];
-    let _ = transform::change_ratios(&prev, &curr, &mut ratios);
-    let table: Vec<f64> = (0..255).map(|t| -0.02 + t as f64 * 0.08 / 254.0).collect();
     let words = vec![0x9E37_79B9_7F4A_7C15u64; points / 64 + 1];
     let bits = 8u8;
     let packed_words = vec![0x0102_0304_0506_0708u64; (points * bits as usize).div_ceil(64) + 1];
     let raw: Vec<u8> = curr.iter().flat_map(|v| v.to_le_bytes()).collect();
 
-    // Quantize has one kernel, run at every level: one row, under `scalar`.
-    let mut codes = vec![0u32; points];
-    let mut errs = vec![0.0f64; points];
-    let quantize_secs = best_of(reps, || {
-        quantize::classify_quantize(&ratios, &table, 0.001, &mut codes, &mut errs);
-        std::hint::black_box(codes.last());
-    });
-    let mut out = vec![KernelSample {
-        kernel: "quantize",
-        level: numarck_simd::Level::Scalar.name(),
-        unit: "points",
-        count: points,
-        secs: quantize_secs,
-    }];
+    // Quantize has one kernel, run at every level: one row per input,
+    // under `scalar`.
+    let mut out = Vec::new();
+    for q in quantize_inputs {
+        let mut codes = vec![0u32; q.ratios.len()];
+        let mut errs = vec![0.0f64; q.ratios.len()];
+        let secs = best_of(reps, || {
+            quantize::classify_quantize(&q.ratios, &q.reps, 0.001, &mut codes, &mut errs);
+            std::hint::black_box(codes.last());
+        });
+        out.push(KernelSample {
+            kernel: "quantize",
+            level: numarck_simd::Level::Scalar.name(),
+            input: Some(q.name),
+            unit: "points",
+            count: q.ratios.len(),
+            secs,
+        });
+    }
     for level in numarck_simd::Level::all_supported() {
         let name = level.name();
         let mut rbuf = vec![0.0f64; points];
@@ -490,7 +530,7 @@ fn kernel_microbench(points: usize, reps: usize) -> Vec<KernelSample> {
             ("unpack", "points", points, unpack_secs),
             ("crc", "bytes", raw.len(), crc_secs),
         ] {
-            out.push(KernelSample { kernel, level: name, unit, count, secs });
+            out.push(KernelSample { kernel, level: name, input: None, unit, count, secs });
         }
     }
     out
@@ -547,9 +587,10 @@ fn render_json(
         let _ = writeln!(s, "  \"kernels\": [");
         for (i, k) in ks.iter().enumerate() {
             let comma = if i + 1 == ks.len() { "" } else { "," };
+            let input = k.input.map_or(String::new(), |i| format!(" \"input\": \"{i}\","));
             let _ = writeln!(
                 s,
-                "    {{\"kernel\": \"{}\", \"level\": \"{}\", \"{unit}\": {}, \
+                "    {{\"kernel\": \"{}\", \"level\": \"{}\",{input} \"{unit}\": {}, \
                  \"secs\": {:.6}, \"{unit}_per_sec\": {:.1}}}{comma}",
                 k.kernel,
                 k.level,

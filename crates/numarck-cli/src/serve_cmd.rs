@@ -14,9 +14,9 @@ use std::time::Duration;
 
 use numarck_checkpoint::{FaultSchedule, FaultyBackend, ReplicatedBackend, VariableSet};
 use numarck_compact::{CompactionConfig, CostModel};
-use numarck_obs::{render_json, render_prometheus, MetricsServer, Snapshot};
+use numarck_obs::{render_json, render_prometheus, MetricsServer};
 use numarck_serve::{
-    install_signal_handlers, Client, ClientError, ErrorCode, Server, ServerConfig, StatsReply,
+    install_signal_handlers, Client, ClientError, ErrorCode, Server, ServerConfig,
 };
 
 use crate::commands::{parse_args, parse_strategy};
@@ -337,36 +337,6 @@ fn restart(raw: &[String]) -> CliResult {
     Ok(out)
 }
 
-/// Project a [`StatsReply`] onto an obs [`Snapshot`] so the wire reply
-/// renders through the same Prometheus/JSON exposition as `/metrics`.
-fn reply_to_snapshot(s: &StatsReply) -> Snapshot {
-    let mut snap = Snapshot {
-        counters: vec![
-            ("nsrv_accepted_total".to_owned(), s.accepted),
-            ("nsrv_busy_rejected_total".to_owned(), s.busy_rejected),
-            ("nsrv_bytes_ingested_total".to_owned(), s.bytes_ingested),
-            ("nsrv_idle_disconnects_total".to_owned(), s.idle_disconnects),
-            ("nsrv_iterations_ingested_total".to_owned(), s.iterations_ingested),
-            ("nsrv_journal_replayed_total".to_owned(), s.journal_replayed),
-            ("nsrv_journal_rolled_back_total".to_owned(), s.journal_rolled_back),
-            ("nsrv_recovery_repairs_total".to_owned(), s.recovery_repairs),
-            ("nsrv_served_total".to_owned(), s.served),
-            ("nsrv_write_retries_total".to_owned(), s.write_retries),
-            ("ckpt_replica_quorum_failures_total".to_owned(), s.replica_quorum_failures),
-            ("ckpt_replica_repairs_total".to_owned(), s.replica_repairs),
-            ("nck_compact_runs_total".to_owned(), s.compact_runs),
-            ("nck_compact_deltas_merged_total".to_owned(), s.compact_deltas_merged),
-            ("nck_compact_bytes_reclaimed_total".to_owned(), s.compact_bytes_reclaimed),
-            ("nck_gc_files_removed_total".to_owned(), s.gc_files_removed),
-        ],
-        gauges: vec![("nsrv_queue_depth".to_owned(), s.queue_depth)],
-        histograms: s.latencies.iter().map(|l| (l.name.clone(), l.summary)).collect(),
-        events: Vec::new(),
-    };
-    snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-    snap
-}
-
 /// `numarck stats` / `numarck client stats`: server counters and
 /// per-session summaries, human-readable by default, or rendered as
 /// Prometheus text (`--prometheus`) / JSON (`--json`) for scrapers.
@@ -379,39 +349,33 @@ pub fn stats(raw: &[String]) -> CliResult {
     let mut client = connect(&require_addr(&p)?)?;
     let s = client.stats().map_err(map_client_err)?;
     if p.has("prometheus") {
-        return Ok(render_prometheus(&reply_to_snapshot(&s)));
+        return Ok(render_prometheus(&s.metrics()));
     }
     if p.has("json") {
-        return Ok(render_json(&reply_to_snapshot(&s)));
+        return Ok(render_json(&s.metrics()));
     }
     let mut out = format!(
-        "accepted {} · served {} · busy-rejected {} · queued {} · draining {}\n\
-         ingested {} iteration(s), {} byte(s), {} storage retrie(s)\n\
-         durability: {} intent(s) replayed, {} rolled back, {} repair(s), \
-         {} idle disconnect(s)\n",
-        s.accepted, s.served, s.busy_rejected, s.queue_depth, s.draining,
+        "accepted {} · served {} · busy-rejected {} · draining {}\n\
+         ingested {} iteration(s), {} byte(s), {} storage retrie(s)\n",
+        s.accepted, s.served, s.busy_rejected, s.draining,
         s.iterations_ingested, s.bytes_ingested, s.write_retries,
-        s.journal_replayed, s.journal_rolled_back, s.recovery_repairs, s.idle_disconnects
     );
-    if s.replica_repairs > 0 || s.replica_quorum_failures > 0 {
-        out.push_str(&format!(
-            "replicas: {} read-repair(s), {} quorum failure(s)\n",
-            s.replica_repairs, s.replica_quorum_failures
-        ));
+    for (name, v) in &s.counters {
+        if *v != 0 {
+            out.push_str(&format!("{name} {v}\n"));
+        }
     }
-    if s.compact_runs > 0 {
-        out.push_str(&format!(
-            "compaction: {} run(s), {} delta(s) merged, {} byte(s) reclaimed, \
-             {} file(s) collected\n",
-            s.compact_runs, s.compact_deltas_merged, s.compact_bytes_reclaimed, s.gc_files_removed
-        ));
+    for (name, v) in &s.gauges {
+        if *v != 0 {
+            out.push_str(&format!("{name} {v}\n"));
+        }
     }
     for lat in &s.latencies {
         if lat.summary.count == 0 {
             continue;
         }
         out.push_str(&format!(
-            "{}: {} sample(s), p50 {}ns p90 {}ns p99 {}ns\n",
+            "{}: {} sample(s), p50 {} p90 {} p99 {}\n",
             lat.name, lat.summary.count, lat.summary.p50, lat.summary.p90, lat.summary.p99
         ));
     }
@@ -730,7 +694,10 @@ mod tests {
         assert_eq!(reply.quarantined, 0, "no quorum loss, nothing to quarantine");
         assert!(copy(1).join("ckpt_0000000000.full").is_file(), "read-repair rewrote the copy");
         let stats = client.stats().unwrap();
-        assert!(stats.replica_repairs >= 1, "repair must be counted: {stats:?}");
+        assert!(
+            stats.counter("ckpt_replica_repairs_total") >= 1,
+            "repair must be counted: {stats:?}"
+        );
 
         client.shutdown().unwrap();
         let out = server.join().unwrap().unwrap();

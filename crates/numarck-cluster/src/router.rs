@@ -293,11 +293,11 @@ impl Shared {
     fn finish_stats(&self, results: &[(usize, ShardResult)]) -> Response {
         let mut replies: Vec<StatsReply> = Vec::new();
         for (_, r) in results {
+            // Either stats layout decodes; a reply that does not is
+            // dropped from the fold rather than forwarded.
             if let ShardResult::Frame(f) = r {
-                if f.opcode() == opcode::STATS_DATA {
-                    if let Ok(Response::StatsData(s)) = Response::from_frame(f) {
-                        replies.push(*s);
-                    }
+                if let Ok(Response::StatsData(s)) = Response::from_frame(f) {
+                    replies.push(*s);
                 }
             }
         }

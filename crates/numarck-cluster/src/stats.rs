@@ -4,27 +4,30 @@
 //! are folded into one `StatsReply` a stock client decodes unchanged.
 //! Aggregation rules:
 //!
-//! * **Counters** (`accepted`, `served`, `iterations_ingested`, ...)
-//!   are summed. They count *shard-side* work, so with replication
-//!   factor R an ingested iteration appears R times in the sum —
-//!   that is the true amount of work the cluster did, and per-shard
-//!   gauges on the router's own `/metrics` endpoint give the
-//!   de-duplicated view.
+//! * **The base counters** (`accepted`, `served`,
+//!   `iterations_ingested`, ...) are summed. They count *shard-side*
+//!   work, so with replication factor R an ingested iteration appears R
+//!   times in the sum — that is the true amount of work the cluster did,
+//!   and per-shard gauges on the router's own `/metrics` endpoint give
+//!   the de-duplicated view.
+//! * **The named instruments** fold with [`Snapshot::merge`], so an
+//!   instrument no code here knows merges like every other: counters and
+//!   gauges sum; histogram counts and sums add, and p50/p90/p99 take the
+//!   max (a lossy but conservative merge — true cluster-wide quantiles
+//!   would need the raw buckets on the wire).
 //! * **Sessions** are merged by *name* (each replica shard reports the
 //!   session under its own local id): `files` and `latest_restartable`
 //!   take the max across replicas — the best any single replica can
 //!   serve — and the reported id is the gateway id when the router
 //!   knows the name, so a follow-up `Restart { session }` from the same
 //!   client works.
-//! * **Latency summaries** merge by metric name: counts and sums add;
-//!   p50/p90/p99 take the max (a lossy but conservative merge — true
-//!   cluster-wide quantiles would need the raw buckets on the wire).
-//! * `queue_depth` sums; `draining` reflects the *router*, since that
-//!   is what the asking client is connected to.
+//! * `draining` reflects the *router*, since that is what the asking
+//!   client is connected to.
 
 use std::collections::BTreeMap;
 
-use numarck_serve::wire::{LatencyStat, SessionStat, StatsReply};
+use numarck_obs::Snapshot;
+use numarck_serve::wire::{SessionStat, StatsReply};
 
 /// Fold per-shard replies into one cluster-level reply.
 ///
@@ -39,7 +42,7 @@ pub fn aggregate(
 ) -> StatsReply {
     let mut out = StatsReply { draining, ..StatsReply::default() };
     let mut sessions: BTreeMap<String, SessionStat> = BTreeMap::new();
-    let mut latencies: BTreeMap<String, LatencyStat> = BTreeMap::new();
+    let mut metrics = Snapshot::default();
     for r in replies {
         out.accepted += r.accepted;
         out.served += r.served;
@@ -47,17 +50,7 @@ pub fn aggregate(
         out.iterations_ingested += r.iterations_ingested;
         out.bytes_ingested += r.bytes_ingested;
         out.write_retries += r.write_retries;
-        out.queue_depth += r.queue_depth;
-        out.journal_replayed += r.journal_replayed;
-        out.journal_rolled_back += r.journal_rolled_back;
-        out.recovery_repairs += r.recovery_repairs;
-        out.idle_disconnects += r.idle_disconnects;
-        out.replica_repairs += r.replica_repairs;
-        out.replica_quorum_failures += r.replica_quorum_failures;
-        out.compact_runs += r.compact_runs;
-        out.compact_deltas_merged += r.compact_deltas_merged;
-        out.compact_bytes_reclaimed += r.compact_bytes_reclaimed;
-        out.gc_files_removed += r.gc_files_removed;
+        metrics.merge(r.metrics());
         for s in &r.sessions {
             let entry = sessions.entry(s.name.clone()).or_insert_with(|| SessionStat {
                 id: gateway_id(&s.name).unwrap_or(s.id),
@@ -71,20 +64,10 @@ pub fn aggregate(
                 (a, b) => a.or(b),
             };
         }
-        for l in &r.latencies {
-            let entry = latencies
-                .entry(l.name.clone())
-                .or_insert_with(|| LatencyStat { name: l.name.clone(), ..Default::default() });
-            entry.summary.count += l.summary.count;
-            entry.summary.sum += l.summary.sum;
-            entry.summary.p50 = entry.summary.p50.max(l.summary.p50);
-            entry.summary.p90 = entry.summary.p90.max(l.summary.p90);
-            entry.summary.p99 = entry.summary.p99.max(l.summary.p99);
-        }
     }
     out.sessions = sessions.into_values().collect();
     out.sessions.sort_by_key(|s| s.id);
-    out.latencies = latencies.into_values().collect();
+    out.set_metrics(metrics);
     out
 }
 
@@ -92,6 +75,7 @@ pub fn aggregate(
 mod tests {
     use super::*;
     use numarck_obs::HistogramSummary;
+    use numarck_serve::wire::LatencyStat;
 
     fn shard_reply(id: u64, name: &str, latest: Option<u64>, ingested: u64) -> StatsReply {
         StatsReply {
@@ -104,6 +88,7 @@ mod tests {
                 files: latest.map_or(0, |l| l as u32 + 1),
                 latest_restartable: latest,
             }],
+            counters: vec![("nsrv_iterations_ingested_total".into(), ingested)],
             latencies: vec![LatencyStat {
                 name: "nsrv_request_put_ns".into(),
                 summary: HistogramSummary { count: ingested, sum: ingested * 10, p50: 5, p90: 9, p99: 12 },
@@ -116,27 +101,36 @@ mod tests {
     fn counters_sum_and_sessions_merge_by_name() {
         // The same session replicated on two shards under different
         // local ids; one replica is one iteration behind.
-        let a = StatsReply {
-            compact_runs: 3,
-            compact_deltas_merged: 8,
-            compact_bytes_reclaimed: 1000,
-            gc_files_removed: 5,
-            ..shard_reply(1, "ha", Some(7), 8)
+        let compaction = |runs, merged, reclaimed, removed| {
+            vec![
+                ("nck_compact_bytes_reclaimed_total".to_owned(), reclaimed),
+                ("nck_compact_deltas_merged_total".to_owned(), merged),
+                ("nck_compact_runs_total".to_owned(), runs),
+                ("nck_gc_files_removed_total".to_owned(), removed),
+                // A name no code in the tree knows merges like any other.
+                ("zz_instrument_nobody_registered_total".to_owned(), runs * 100),
+            ]
         };
-        let b = StatsReply {
-            compact_runs: 2,
-            compact_deltas_merged: 4,
-            compact_bytes_reclaimed: 500,
-            gc_files_removed: 1,
-            ..shard_reply(3, "ha", Some(6), 7)
+        let with = |mut r: StatsReply, extra: Vec<(String, u64)>, queue: i64| {
+            r.counters.extend(extra);
+            r.counters.sort();
+            r.gauges = vec![("nsrv_queue_depth".to_owned(), queue)];
+            r
         };
+        let a = with(shard_reply(1, "ha", Some(7), 8), compaction(3, 8, 1000, 5), 2);
+        let b = with(shard_reply(3, "ha", Some(6), 7), compaction(2, 4, 500, 1), 1);
         let merged = aggregate(&[a, b], |name| (name == "ha").then_some(42), false);
         assert_eq!(merged.iterations_ingested, 15, "shard-side work sums");
+        assert_eq!(merged.counter("nsrv_iterations_ingested_total"), 15);
         assert_eq!(merged.accepted, 2);
-        assert_eq!(merged.compact_runs, 5, "maintenance counters sum too");
-        assert_eq!(merged.compact_deltas_merged, 12);
-        assert_eq!(merged.compact_bytes_reclaimed, 1500);
-        assert_eq!(merged.gc_files_removed, 6);
+        assert_eq!(merged.counter("nck_compact_runs_total"), 5, "maintenance counters sum too");
+        assert_eq!(merged.counter("nck_compact_deltas_merged_total"), 12);
+        assert_eq!(merged.counter("nck_compact_bytes_reclaimed_total"), 1500);
+        assert_eq!(merged.counter("nck_gc_files_removed_total"), 6);
+        assert_eq!(merged.counter("zz_instrument_nobody_registered_total"), 500);
+        assert_eq!(merged.gauge("nsrv_queue_depth"), 3, "gauges sum");
+        let names: Vec<&str> = merged.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert!(names.is_sorted(), "merged counters stay sorted: {names:?}");
         assert_eq!(merged.sessions.len(), 1, "merged by name, not id");
         let s = &merged.sessions[0];
         assert_eq!(s.id, 42, "gateway id wins");

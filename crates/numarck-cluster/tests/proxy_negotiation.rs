@@ -1,10 +1,11 @@
 //! Wire version negotiation *through a forwarding hop*: a stock client
 //! talking to the router must get typed results even when the shards
-//! behind it speak older dialects of the stats reply — the base format
-//! with no extensions, or the observability extension without the
+//! behind it speak older dialects of the stats reply — the frozen `0x85`
+//! layout with no tails, or with the observability tail but no
 //! durability tail. The router decodes each shard's reply with the same
-//! tolerant rules a direct client uses, aggregates, and re-encodes in
-//! the current format; nothing old leaks through to the client.
+//! frozen decoder a direct client uses, which puts the old fields under
+//! their instrument names, aggregates, and re-encodes as the current
+//! `0x88` reply; nothing old leaks through to the client.
 //!
 //! The shards here are fakes: bare TCP threads that frame-decode
 //! requests and answer `Stats` with hand-encoded payloads frozen in the
@@ -47,20 +48,18 @@ fn old_format_stats_payload() -> Vec<u8> {
     payload
 }
 
-/// A payload with the observability extension but no durability tail:
-/// the current encoding truncated by exactly the trailing durability
-/// (six u64s) + compaction (four u64s) extensions.
+/// A frozen `0x85` payload with the observability extension but no
+/// durability tail, hand-encoded: base counters, no sessions, queue
+/// depth 4 and an empty latency list.
 fn obs_only_stats_payload() -> Vec<u8> {
-    let full = numarck_serve::Response::StatsData(Box::new(numarck_serve::StatsReply {
-        accepted: 2,
-        served: 9,
-        iterations_ingested: 11,
-        queue_depth: 4,
-        journal_replayed: 99, // must NOT survive the truncation
-        ..Default::default()
-    }));
-    let mut payload = full.payload();
-    payload.truncate(payload.len() - 80);
+    let mut payload = Vec::new();
+    for v in [2u64, 9, 0, 11, 0, 0] {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    payload.push(0); // draining
+    payload.extend_from_slice(&0u32.to_le_bytes()); // no sessions
+    payload.extend_from_slice(&4i64.to_le_bytes()); // queue depth
+    payload.extend_from_slice(&0u32.to_le_bytes()); // no latencies
     payload
 }
 
@@ -145,9 +144,13 @@ fn old_format_shard_reply_proxies_to_typed_defaults() {
     assert_eq!(stats.sessions.len(), 1);
     assert_eq!(stats.sessions[0].name, "legacy");
     assert_eq!(stats.sessions[0].latest_restartable, Some(15));
-    assert_eq!(stats.queue_depth, 0, "observability extension defaults through the hop");
+    assert_eq!(stats.gauge("nsrv_queue_depth"), 0, "observability extension defaults through the hop");
     assert!(stats.latencies.is_empty(), "observability extension defaults through the hop");
-    assert_eq!(stats.journal_replayed, 0, "durability extension defaults through the hop");
+    assert_eq!(
+        stats.counter("nsrv_journal_replayed_total"),
+        0,
+        "durability extension defaults through the hop"
+    );
     assert!(!stats.draining, "draining reflects the router, and it is not draining");
 
     stop.store(true, Ordering::SeqCst);
@@ -164,9 +167,13 @@ fn obs_only_shard_reply_proxies_with_durability_defaults() {
     let mut client = Client::connect(router.addr(), TIMEOUT).expect("connect via router");
     let stats = client.stats().expect("stats via router from obs-only shard");
     assert_eq!(stats.served, 9);
-    assert_eq!(stats.queue_depth, 4, "observability extension survives the hop");
-    assert_eq!(stats.journal_replayed, 0, "missing durability extension decodes to defaults");
-    assert_eq!(stats.replica_repairs, 0);
+    assert_eq!(stats.gauge("nsrv_queue_depth"), 4, "observability extension survives the hop");
+    assert_eq!(
+        stats.counter("nsrv_journal_replayed_total"),
+        0,
+        "missing durability extension decodes to defaults"
+    );
+    assert_eq!(stats.counter("ckpt_replica_repairs_total"), 0);
 
     stop.store(true, Ordering::SeqCst);
     drop(client);

@@ -4,8 +4,8 @@
 //! into plain data, which then renders to Prometheus text exposition
 //! ([`render_prometheus`]) or a JSON object ([`render_json`], embedded
 //! by `numarck-bench` into `BENCH_*.json`). Histograms are summarised
-//! as count/sum plus p50/p90/p99 midpoints — the same shape that rides
-//! the extended `Stats` wire reply.
+//! as count/sum plus p50/p90/p99 midpoints — the same shape in which
+//! the `Stats` wire reply carries every instrument by name.
 
 use crate::instrument::{Counter, Gauge, Histogram};
 use crate::ring::{Event, EventRing};
@@ -80,13 +80,20 @@ impl Snapshot {
         }
     }
 
-    /// Merge another snapshot into this one. Metric names across the
-    /// NUMARCK subsystems carry disjoint prefixes (`numarck_`, `ckpt_`,
-    /// `nsrv_`, `par_`), so collisions are not expected; if one occurs,
-    /// counters and gauges are summed and histogram summaries are
-    /// combined (count/sum added, quantiles take the max — an
-    /// approximation that only matters for a name clash that should
-    /// not happen).
+    /// Merge another snapshot into this one, by name. Two uses:
+    ///
+    /// * A server merges its private registry with the process-global
+    ///   one. Their names carry disjoint prefixes (`numarck_`, `ckpt_`,
+    ///   `nsrv_`, `par_`), so nothing collides.
+    /// * The cluster router folds its shards' stats replies. Every
+    ///   shard reports the same names, so a collision is the normal
+    ///   case.
+    ///
+    /// On a collision counters and gauges are summed, and histogram
+    /// summaries combine: count and sum add, quantiles take the max (a
+    /// conservative bound; exact merged quantiles would need the
+    /// bucket counts). `self` stays sorted by name whatever order
+    /// `other` arrives in.
     pub fn merge(&mut self, other: Snapshot) {
         merge_sorted(&mut self.counters, other.counters, |a, b| *a += b);
         merge_sorted(&mut self.gauges, other.gauges, |a, b| *a += b);

@@ -41,13 +41,12 @@ use numarck_checkpoint::{
     RestartEngine, RetryPolicy, SystemClock,
 };
 use numarck_compact::{CompactionConfig, Compactor, CostModel};
-use numarck_obs::{Counter, Gauge, Histogram, HistogramSummary, Level, Registry, Snapshot};
+use numarck_obs::{Counter, Gauge, Histogram, Level, Registry, Snapshot};
 
 use crate::journal::IntentJournal;
 use crate::recovery::{self, RecoveryReport};
 use crate::wire::{
-    self, ErrorCode, LatencyStat, PutOutcome, Request, Response, SessionStat, StatsReply,
-    WrittenKind,
+    self, ErrorCode, PutOutcome, Request, Response, SessionStat, StatsReply, WrittenKind,
 };
 
 /// How often idle workers, the maintenance thread and a thread waiting
@@ -123,9 +122,10 @@ struct SessionState {
 
 /// Per-server instruments, backed by a *private* [`Registry`] so
 /// several servers in one process (tests, embedded use) do not blur
-/// each other's numbers. `/metrics` and [`ServerHandle::metrics_snapshot`]
-/// merge this registry with the process-global one (encoder + checkpoint
-/// instruments), whose names carry disjoint prefixes.
+/// each other's numbers. `/metrics`, [`ServerHandle::metrics_snapshot`]
+/// and the Stats reply merge this registry with the process-global one
+/// (encoder + checkpoint instruments), whose names carry disjoint
+/// prefixes.
 struct Instruments {
     registry: Arc<Registry>,
     accepted: Arc<Counter>,
@@ -208,22 +208,6 @@ impl Instruments {
             Request::Shutdown => &self.req_shutdown,
         }
     }
-
-    /// Latency summaries for the stats-reply extension, fixed order.
-    fn latencies(&self) -> Vec<LatencyStat> {
-        [
-            ("nsrv_request_open_ns", &self.req_open),
-            ("nsrv_request_put_ns", &self.req_put),
-            ("nsrv_request_restart_ns", &self.req_restart),
-            ("nsrv_request_scrub_ns", &self.req_scrub),
-            ("nsrv_request_stats_ns", &self.req_stats),
-            ("nsrv_request_close_ns", &self.req_close),
-            ("nsrv_request_shutdown_ns", &self.req_shutdown),
-        ]
-        .into_iter()
-        .map(|(name, h)| LatencyStat { name: name.to_owned(), summary: HistogramSummary::of(h) })
-        .collect()
-    }
 }
 
 /// State shared by the acceptor, the workers, and the handle.
@@ -242,23 +226,15 @@ struct Shared {
 }
 
 impl Shared {
+    /// The stats reply: the base counters, every session, and the
+    /// whole metrics snapshot by instrument name. The snapshot is taken
+    /// last, so instruments the session replays create are in it.
     fn stats(&self) -> StatsReply {
-        let mut sessions: Vec<SessionStat> = Vec::new();
         let handles: Vec<Arc<Mutex<SessionState>>> =
             self.sessions.lock().expect("sessions lock").values().cloned().collect();
-        for handle in handles {
-            let sess = handle.lock().expect("session lock");
-            let files =
-                sess.manager.list_iterations().map(|l| l.len() as u32).unwrap_or(0);
-            sessions.push(SessionStat {
-                id: sess.id,
-                name: sess.name.clone(),
-                files,
-                latest_restartable: sess.manager.latest_restartable(),
-            });
-        }
+        let mut sessions: Vec<SessionStat> = handles.iter().map(session_stat).collect();
         sessions.sort_by_key(|s| s.id);
-        StatsReply {
+        let mut reply = StatsReply {
             accepted: self.obs.accepted.get(),
             served: self.obs.served.get(),
             busy_rejected: self.obs.busy_rejected.get(),
@@ -267,30 +243,10 @@ impl Shared {
             write_retries: self.obs.write_retries.get(),
             draining: self.draining.load(Ordering::Relaxed),
             sessions,
-            queue_depth: self.obs.queue_depth.get(),
-            latencies: self.obs.latencies(),
-            journal_replayed: self.obs.journal_replayed.get(),
-            journal_rolled_back: self.obs.journal_rolled_back.get(),
-            recovery_repairs: self.obs.recovery_repairs.get(),
-            idle_disconnects: self.obs.idle_disconnects.get(),
-            // The replica counters live in the process-global registry
-            // (they are bumped by numarck-checkpoint's scrub/backends,
-            // which know nothing of this server).
-            replica_repairs: Registry::global().counter("ckpt_replica_repairs_total").get(),
-            replica_quorum_failures: Registry::global()
-                .counter("ckpt_replica_quorum_failures_total")
-                .get(),
-            // The compaction counters also live in the process-global
-            // registry (numarck-compact's policy engine bumps them).
-            compact_runs: Registry::global().counter("nck_compact_runs_total").get(),
-            compact_deltas_merged: Registry::global()
-                .counter("nck_compact_deltas_merged_total")
-                .get(),
-            compact_bytes_reclaimed: Registry::global()
-                .counter("nck_compact_bytes_reclaimed_total")
-                .get(),
-            gc_files_removed: Registry::global().counter("nck_gc_files_removed_total").get(),
-        }
+            ..StatsReply::default()
+        };
+        reply.set_metrics(self.metrics_snapshot());
+        reply
     }
 
     /// This server's registry merged with the process-global one.
@@ -993,6 +949,27 @@ fn begin_with_retry(
         || journal.begin(prepared.iteration(), prepared.is_full(), prepared.content_crc()),
         |_, _, _| shared.obs.write_retries.inc(),
     )
+}
+
+/// One session's stats entry. `files` and the newest stored iteration
+/// are read under a short session lock; the newest chain is then pinned
+/// under the lock and replayed outside it, as [`restart`] does, so a
+/// Stats request never stalls the session's puts for a whole replay.
+/// `latest_restartable` stays a replayed guarantee, not a guess from
+/// file names.
+fn session_stat(handle: &Arc<Mutex<SessionState>>) -> SessionStat {
+    let (id, name, store, entries) = {
+        let sess = handle.lock().expect("session lock");
+        let entries = sess.manager.list_iterations().unwrap_or_default();
+        (sess.id, sess.name.clone(), sess.manager.store().clone(), entries)
+    };
+    let latest_restartable = entries.last().and_then(|newest| {
+        RestartEngine::new(store)
+            .restart_at_or_before_locked(newest.iteration, || handle.lock().expect("session lock"))
+            .ok()
+            .map(|d| d.achieved())
+    });
+    SessionStat { id, name, files: entries.len() as u32, latest_restartable }
 }
 
 fn restart(id: u64, at_or_before: u64, shared: &Shared) -> Response {

@@ -17,7 +17,8 @@
 //! ```
 //!
 //! Requests use opcodes `0x01..=0x07`; responses set the high bit
-//! (`0x81..`), plus two out-of-band replies: [`Response::Busy`] (`0xBB`,
+//! (`0x81..=0x88`; `0x85` is the frozen stats layout, decoded but no
+//! longer sent), plus two out-of-band replies: [`Response::Busy`] (`0xBB`,
 //! sent by the acceptor when the work queue is full — the typed
 //! backpressure signal) and [`Response::Error`] (`0xEE`). A frame that
 //! fails CRC or structural validation is answered with
@@ -28,7 +29,7 @@ use std::io::{self, Read, Write};
 
 use numarck::serialize as nser;
 use numarck_checkpoint::VariableSet;
-use numarck_obs::HistogramSummary;
+use numarck_obs::{HistogramSummary, Snapshot};
 
 /// Magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"NSRV";
@@ -59,9 +60,13 @@ pub mod opcode {
     pub const PUT_DONE: u8 = 0x82;
     pub const RESTART_DATA: u8 = 0x83;
     pub const SCRUB_DONE: u8 = 0x84;
+    /// The frozen stats layout (base payload plus three fixed tails):
+    /// decoded, never sent.
     pub const STATS_DATA: u8 = 0x85;
     pub const SESSION_CLOSED: u8 = 0x86;
     pub const SHUTTING_DOWN: u8 = 0x87;
+    /// The stats reply: base payload plus the named instruments.
+    pub const STATS_METRICS: u8 = 0x88;
     pub const BUSY: u8 = 0xBB;
     pub const ERROR: u8 = 0xEE;
 }
@@ -182,22 +187,23 @@ pub struct SessionStat {
     pub latest_restartable: Option<u64>,
 }
 
-/// One named latency summary inside the [`StatsReply`] extension.
+/// One named histogram summary inside a [`StatsReply`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LatencyStat {
     /// Metric name (e.g. `nsrv_request_put_ns`).
     pub name: String,
-    /// Count/sum plus p50/p90/p99 midpoints, in nanoseconds.
+    /// Count/sum plus p50/p90/p99 midpoints.
     pub summary: HistogramSummary,
 }
 
 /// Payload of [`Response::StatsData`].
 ///
-/// The fields after `sessions` form the *observability extension*
-/// introduced together with the `numarck-obs` registry. The extension
-/// is appended after the original payload, so a new decoder reading an
-/// old-format peer's reply (no trailing bytes after the sessions) fills
-/// the extension with defaults instead of failing.
+/// The fields up to `sessions` are the frozen base payload. After them
+/// the reply carries the server's whole metrics snapshot (the one its
+/// `/metrics` listener renders) by instrument name, so an instrument
+/// added to any registry reaches the client with no wire change. A
+/// reply decoded from a peer that still sends the frozen `0x85` layout
+/// carries that layout's fields under their instrument names.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsReply {
     /// Connections accepted into service (excludes Busy rejections).
@@ -216,40 +222,47 @@ pub struct StatsReply {
     pub draining: bool,
     /// Per-session summaries, ordered by id.
     pub sessions: Vec<SessionStat>,
-    /// Extension: connections sitting in the bounded hand-off queue at
-    /// reply time (0 from an old-format peer).
-    pub queue_depth: i64,
-    /// Extension: per-request-type latency summaries (empty from an
-    /// old-format peer).
+    /// Every counter, sorted by name.
+    pub counters: Vec<(String, u64)>,
+    /// Every gauge, sorted by name.
+    pub gauges: Vec<(String, i64)>,
+    /// Every histogram, sorted by name.
     pub latencies: Vec<LatencyStat>,
-    /// Durability extension: uncommitted journal intents replayed by
-    /// recovery passes since the server started (0 from older peers, as
-    /// for every field below).
-    pub journal_replayed: u64,
-    /// Durability extension: replayed intents whose write never finished
-    /// and was rolled back.
-    pub journal_rolled_back: u64,
-    /// Durability extension: recovery passes that had to quarantine a
-    /// half-applied write and re-anchor the chain.
-    pub recovery_repairs: u64,
-    /// Durability extension: idle connections disconnected to reclaim
-    /// their worker (see `ServerConfig::idle_timeout`).
-    pub idle_disconnects: u64,
-    /// Durability extension: replica copies rewritten by read-repair
-    /// during scrub (process-wide, replicated backends only).
-    pub replica_repairs: u64,
-    /// Durability extension: files where no replica quorum agreed on
-    /// valid content (process-wide, replicated backends only).
-    pub replica_quorum_failures: u64,
-    /// Compaction extension: background maintenance passes run
-    /// (process-wide, 0 from older peers, as for every field below).
-    pub compact_runs: u64,
-    /// Compaction extension: plain deltas superseded by merged deltas.
-    pub compact_deltas_merged: u64,
-    /// Compaction extension: store bytes reclaimed by compaction + GC.
-    pub compact_bytes_reclaimed: u64,
-    /// Compaction extension: files deleted by retention GC.
-    pub gc_files_removed: u64,
+}
+
+impl StatsReply {
+    /// A counter's value by name, 0 when the peer did not report it.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+    }
+
+    /// A gauge's value by name, 0 when the peer did not report it.
+    pub fn gauge(&self, name: &str) -> i64 {
+        self.gauges.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+    }
+
+    /// The named instruments as a metrics snapshot (no events), ready
+    /// for [`numarck_obs::render_prometheus`] or [`Snapshot::merge`].
+    pub fn metrics(&self) -> Snapshot {
+        Snapshot {
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
+            histograms: self.latencies.iter().map(|l| (l.name.clone(), l.summary)).collect(),
+            events: Vec::new(),
+        }
+    }
+
+    /// Replace the named instruments with a snapshot's (its events are
+    /// not carried).
+    pub fn set_metrics(&mut self, snap: Snapshot) {
+        self.counters = snap.counters;
+        self.gauges = snap.gauges;
+        self.latencies = snap
+            .histograms
+            .into_iter()
+            .map(|(name, summary)| LatencyStat { name, summary })
+            .collect();
+    }
 }
 
 /// A client-to-server message.
@@ -568,6 +581,38 @@ impl<'a> Cursor<'a> {
         declared.min(self.0.len() / min_size.max(1))
     }
 
+    /// A counted list of histograms, each a name, then count, sum, p50,
+    /// p90 and p99.
+    fn latencies(&mut self) -> io::Result<Vec<LatencyStat>> {
+        let summary = |cur: &mut Self| {
+            Ok(HistogramSummary {
+                count: cur.u64()?,
+                sum: cur.u64()?,
+                p50: cur.u64()?,
+                p90: cur.u64()?,
+                p99: cur.u64()?,
+            })
+        };
+        let named = self.named(40, summary)?;
+        Ok(named.into_iter().map(|(name, summary)| LatencyStat { name, summary }).collect())
+    }
+
+    /// A u32-counted list of (name, value) entries, each value at
+    /// least `value_size` bytes on the wire.
+    fn named<V>(
+        &mut self,
+        value_size: usize,
+        value: impl Fn(&mut Self) -> io::Result<V>,
+    ) -> io::Result<Vec<(String, V)>> {
+        let count = self.u32()? as usize;
+        let mut out = Vec::with_capacity(self.seq_capacity(count, 2 + value_size));
+        for _ in 0..count {
+            let name = self.string()?;
+            out.push((name, value(self)?));
+        }
+        Ok(out)
+    }
+
     fn string(&mut self) -> io::Result<String> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
@@ -608,6 +653,12 @@ fn put_string(buf: &mut Vec<u8>, s: &str) {
     assert!(s.len() <= u16::MAX as usize, "string too long for wire");
     buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
+}
+
+fn put_summary(buf: &mut Vec<u8>, h: &HistogramSummary) {
+    for v in [h.count, h.sum, h.p50, h.p90, h.p99] {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
 fn put_vars(buf: &mut Vec<u8>, vars: &VariableSet) {
@@ -710,7 +761,7 @@ impl Response {
             Response::PutDone { .. } => opcode::PUT_DONE,
             Response::RestartData { .. } => opcode::RESTART_DATA,
             Response::ScrubDone { .. } => opcode::SCRUB_DONE,
-            Response::StatsData(_) => opcode::STATS_DATA,
+            Response::StatsData(_) => opcode::STATS_METRICS,
             Response::SessionClosed => opcode::SESSION_CLOSED,
             Response::ShuttingDown => opcode::SHUTTING_DOWN,
             Response::Busy => opcode::BUSY,
@@ -767,40 +818,21 @@ impl Response {
                     buf.push(u8::from(sess.latest_restartable.is_some()));
                     buf.extend_from_slice(&sess.latest_restartable.unwrap_or(0).to_le_bytes());
                 }
-                // Observability extension (see `StatsReply` docs).
-                buf.extend_from_slice(&s.queue_depth.to_le_bytes());
+                // The named instruments (see `StatsReply` docs).
+                buf.extend_from_slice(&(s.counters.len() as u32).to_le_bytes());
+                for (name, v) in &s.counters {
+                    put_string(&mut buf, name);
+                    buf.extend_from_slice(&v.to_le_bytes());
+                }
+                buf.extend_from_slice(&(s.gauges.len() as u32).to_le_bytes());
+                for (name, v) in &s.gauges {
+                    put_string(&mut buf, name);
+                    buf.extend_from_slice(&v.to_le_bytes());
+                }
                 buf.extend_from_slice(&(s.latencies.len() as u32).to_le_bytes());
                 for lat in &s.latencies {
                     put_string(&mut buf, &lat.name);
-                    for v in [
-                        lat.summary.count,
-                        lat.summary.sum,
-                        lat.summary.p50,
-                        lat.summary.p90,
-                        lat.summary.p99,
-                    ] {
-                        buf.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                // Durability extension (see `StatsReply` docs).
-                for v in [
-                    s.journal_replayed,
-                    s.journal_rolled_back,
-                    s.recovery_repairs,
-                    s.idle_disconnects,
-                    s.replica_repairs,
-                    s.replica_quorum_failures,
-                ] {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-                // Compaction extension (see `StatsReply` docs).
-                for v in [
-                    s.compact_runs,
-                    s.compact_deltas_merged,
-                    s.compact_bytes_reclaimed,
-                    s.gc_files_removed,
-                ] {
-                    buf.extend_from_slice(&v.to_le_bytes());
+                    put_summary(&mut buf, &lat.summary);
                 }
             }
             Response::SessionClosed | Response::ShuttingDown | Response::Busy => {}
@@ -850,7 +882,7 @@ impl Response {
                     lost,
                 }
             }
-            opcode::STATS_DATA => {
+            op @ (opcode::STATS_DATA | opcode::STATS_METRICS) => {
                 let mut s = StatsReply {
                     accepted: cur.u64()?,
                     served: cur.u64()?,
@@ -875,41 +907,12 @@ impl Response {
                         latest_restartable: has_latest.then_some(latest),
                     });
                 }
-                // Observability extension: absent from old-format peers,
-                // in which case the defaults above stand.
-                if !cur.is_empty() {
-                    s.queue_depth = cur.i64()?;
-                    let lat_count = cur.u32()? as usize;
-                    for _ in 0..lat_count {
-                        let name = cur.string()?;
-                        let summary = HistogramSummary {
-                            count: cur.u64()?,
-                            sum: cur.u64()?,
-                            p50: cur.u64()?,
-                            p90: cur.u64()?,
-                            p99: cur.u64()?,
-                        };
-                        s.latencies.push(LatencyStat { name, summary });
-                    }
-                    // Durability extension: again absent from peers that
-                    // predate it; defaults stand. A *truncated* tail is
-                    // still an error (the u64 reads below fail).
-                    if !cur.is_empty() {
-                        s.journal_replayed = cur.u64()?;
-                        s.journal_rolled_back = cur.u64()?;
-                        s.recovery_repairs = cur.u64()?;
-                        s.idle_disconnects = cur.u64()?;
-                        s.replica_repairs = cur.u64()?;
-                        s.replica_quorum_failures = cur.u64()?;
-                        // Compaction extension: once more, absent from
-                        // peers that predate it; defaults stand.
-                        if !cur.is_empty() {
-                            s.compact_runs = cur.u64()?;
-                            s.compact_deltas_merged = cur.u64()?;
-                            s.compact_bytes_reclaimed = cur.u64()?;
-                            s.gc_files_removed = cur.u64()?;
-                        }
-                    }
+                if op == opcode::STATS_METRICS {
+                    s.counters = cur.named(8, Cursor::u64)?;
+                    s.gauges = cur.named(8, Cursor::i64)?;
+                    s.latencies = cur.latencies()?;
+                } else {
+                    legacy_stats_tails(&mut cur, &mut s)?;
                 }
                 Response::StatsData(Box::new(s))
             }
@@ -925,6 +928,56 @@ impl Response {
         cur.done()?;
         Ok(resp)
     }
+}
+
+/// Read the frozen `0x85` stats layout's tails onto the instrument
+/// names its fields always reported, so a new client or router still
+/// reads an old shard. Three tails follow the base payload, each absent
+/// from a peer that predates it: observability (the queue-depth gauge
+/// and the request histograms), durability (six counters) and
+/// compaction (four counters). A tail that is present but short is an
+/// error. Frozen: new instruments travel in the `0x88` lists.
+fn legacy_stats_tails(cur: &mut Cursor<'_>, s: &mut StatsReply) -> io::Result<()> {
+    let mut counters = vec![
+        ("nsrv_accepted_total", s.accepted),
+        ("nsrv_served_total", s.served),
+        ("nsrv_busy_rejected_total", s.busy_rejected),
+        ("nsrv_iterations_ingested_total", s.iterations_ingested),
+        ("nsrv_bytes_ingested_total", s.bytes_ingested),
+        ("nsrv_write_retries_total", s.write_retries),
+    ];
+    if !cur.is_empty() {
+        s.gauges.push(("nsrv_queue_depth".to_owned(), cur.i64()?));
+        s.latencies = cur.latencies()?;
+        s.latencies.sort_by(|a, b| a.name.cmp(&b.name));
+        let tails: [&[&str]; 2] = [
+            &[
+                "nsrv_journal_replayed_total",
+                "nsrv_journal_rolled_back_total",
+                "nsrv_recovery_repairs_total",
+                "nsrv_idle_disconnects_total",
+                "ckpt_replica_repairs_total",
+                "ckpt_replica_quorum_failures_total",
+            ],
+            &[
+                "nck_compact_runs_total",
+                "nck_compact_deltas_merged_total",
+                "nck_compact_bytes_reclaimed_total",
+                "nck_gc_files_removed_total",
+            ],
+        ];
+        for tail in tails {
+            if cur.is_empty() {
+                break;
+            }
+            for &name in tail {
+                counters.push((name, cur.u64()?));
+            }
+        }
+    }
+    counters.sort_unstable_by_key(|&(name, _)| name);
+    s.counters = counters.into_iter().map(|(name, v)| (name.to_owned(), v)).collect();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1010,7 +1063,11 @@ mod tests {
                 SessionStat { id: 1, name: "a".into(), files: 16, latest_restartable: Some(15) },
                 SessionStat { id: 2, name: "b".into(), files: 0, latest_restartable: None },
             ],
-            queue_depth: 3,
+            counters: vec![
+                ("nsrv_accepted_total".into(), 5),
+                ("some_instrument_no_code_knows_total".into(), 11),
+            ],
+            gauges: vec![("nsrv_queue_depth".into(), 3), ("simd_dispatch_level".into(), -1)],
             latencies: vec![
                 LatencyStat {
                     name: "nsrv_request_put_ns".into(),
@@ -1024,16 +1081,6 @@ mod tests {
                 },
                 LatencyStat { name: "nsrv_request_stats_ns".into(), summary: Default::default() },
             ],
-            journal_replayed: 4,
-            journal_rolled_back: 1,
-            recovery_repairs: 1,
-            idle_disconnects: 6,
-            replica_repairs: 9,
-            replica_quorum_failures: 2,
-            compact_runs: 11,
-            compact_deltas_merged: 44,
-            compact_bytes_reclaimed: 1 << 16,
-            gc_files_removed: 33,
         })));
         roundtrip_response(Response::SessionClosed);
         roundtrip_response(Response::ShuttingDown);
@@ -1044,11 +1091,9 @@ mod tests {
         });
     }
 
-    /// A `StatsData` payload from an old-format peer (no observability
-    /// extension after the sessions) decodes with the extension fields
-    /// at their defaults instead of failing.
-    #[test]
-    fn old_format_stats_reply_decodes_with_default_extension() {
+    /// The frozen `0x85` base payload, hand-encoded: six counters, the
+    /// draining flag and one session. An old encoder stopped here.
+    fn legacy_base() -> Vec<u8> {
         let mut payload = Vec::new();
         for v in [5u64, 40, 2, 64, 1 << 20, 3] {
             payload.extend_from_slice(&v.to_le_bytes());
@@ -1056,108 +1101,189 @@ mod tests {
         payload.push(1); // draining
         payload.extend_from_slice(&1u32.to_le_bytes()); // one session
         payload.extend_from_slice(&7u64.to_le_bytes());
-        put_string(&mut payload, "legacy");
+        payload.extend_from_slice(&6u16.to_le_bytes());
+        payload.extend_from_slice(b"legacy");
         payload.extend_from_slice(&16u32.to_le_bytes());
         payload.push(1);
         payload.extend_from_slice(&15u64.to_le_bytes());
-        // No extension bytes: this is where an old encoder stopped.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, opcode::STATS_DATA, 11, &payload).unwrap();
-        let frame = read_frame(&mut buf.as_slice()).unwrap();
-        match Response::from_frame(&frame).unwrap() {
-            Response::StatsData(s) => {
-                assert_eq!(s.accepted, 5);
-                assert_eq!(s.write_retries, 3);
-                assert!(s.draining);
-                assert_eq!(s.sessions.len(), 1);
-                assert_eq!(s.sessions[0].name, "legacy");
-                assert_eq!(s.sessions[0].latest_restartable, Some(15));
-                assert_eq!(s.queue_depth, 0, "extension default");
-                assert!(s.latencies.is_empty(), "extension default");
-                assert_eq!(s.journal_replayed, 0, "durability extension default");
-                assert_eq!(s.replica_repairs, 0, "durability extension default");
+        payload
+    }
+
+    /// The frozen observability tail: the queue depth, then a counted
+    /// list of (name, count, sum, p50, p90, p99) latencies.
+    fn legacy_obs_tail(payload: &mut Vec<u8>, queue_depth: i64, latencies: &[(&str, [u64; 5])]) {
+        payload.extend_from_slice(&queue_depth.to_le_bytes());
+        payload.extend_from_slice(&(latencies.len() as u32).to_le_bytes());
+        for (name, values) in latencies {
+            payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            payload.extend_from_slice(name.as_bytes());
+            for v in values {
+                payload.extend_from_slice(&v.to_le_bytes());
             }
+        }
+    }
+
+    /// A frozen tail of plain u64s (durability: six, compaction: four).
+    fn legacy_u64_tail(payload: &mut Vec<u8>, values: &[u64]) {
+        for v in values {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    fn decode_stats(op: u8, payload: &[u8]) -> io::Result<StatsReply> {
+        let bytes = encode_frame(op, 11, payload);
+        match Response::from_frame(&read_frame(&mut bytes.as_slice())?)? {
+            Response::StatsData(s) => Ok(*s),
             other => panic!("expected StatsData, got {other:?}"),
         }
+    }
+
+    /// A `0x85` payload from an old-format peer (no observability
+    /// extension after the sessions) decodes with the extension
+    /// instruments absent, which read as 0, instead of failing.
+    #[test]
+    fn old_format_stats_reply_decodes_with_default_extension() {
+        let s = decode_stats(opcode::STATS_DATA, &legacy_base()).unwrap();
+        assert_eq!(s.accepted, 5);
+        assert_eq!(s.write_retries, 3);
+        assert!(s.draining);
+        assert_eq!(s.sessions.len(), 1);
+        assert_eq!(s.sessions[0].name, "legacy");
+        assert_eq!(s.sessions[0].latest_restartable, Some(15));
+        assert_eq!(s.counter("nsrv_accepted_total"), 5, "base fields carry their names");
+        assert_eq!(s.counter("nsrv_write_retries_total"), 3);
+        assert_eq!(s.gauge("nsrv_queue_depth"), 0, "extension default");
+        assert!(s.latencies.is_empty(), "extension default");
+        assert_eq!(s.counter("nsrv_journal_replayed_total"), 0, "durability extension default");
+        assert_eq!(s.counter("ckpt_replica_repairs_total"), 0, "durability extension default");
     }
 
     /// A peer with the observability extension but not the durability
     /// one (it stops after the latencies) decodes with the durability
-    /// fields at their defaults.
+    /// instruments absent.
     #[test]
     fn stats_reply_without_durability_extension_decodes_with_defaults() {
-        let full = Response::StatsData(Box::new(StatsReply {
-            queue_depth: 2,
-            latencies: vec![LatencyStat { name: "x_ns".into(), summary: Default::default() }],
-            journal_replayed: 7,
-            idle_disconnects: 3,
-            ..Default::default()
-        }));
-        let payload = full.payload();
-        // The durability extension is six u64s, the compaction
-        // extension four more: 80 tail bytes in total.
-        let short = &payload[..payload.len() - 80];
-        let mut buf = Vec::new();
-        write_frame(&mut buf, opcode::STATS_DATA, 1, short).unwrap();
-        let frame = read_frame(&mut buf.as_slice()).unwrap();
-        match Response::from_frame(&frame).unwrap() {
-            Response::StatsData(s) => {
-                assert_eq!(s.queue_depth, 2, "first extension still decodes");
-                assert_eq!(s.latencies.len(), 1);
-                assert_eq!(s.journal_replayed, 0, "durability default");
-                assert_eq!(s.idle_disconnects, 0, "durability default");
-                assert_eq!(s.compact_runs, 0, "compaction default");
-            }
-            other => panic!("expected StatsData, got {other:?}"),
-        }
+        let mut payload = legacy_base();
+        legacy_obs_tail(&mut payload, 2, &[("x_ns", [0; 5])]);
+        let s = decode_stats(opcode::STATS_DATA, &payload).unwrap();
+        assert_eq!(s.gauge("nsrv_queue_depth"), 2, "first extension still decodes");
+        assert_eq!(s.latencies.len(), 1);
+        assert_eq!(s.counter("nsrv_journal_replayed_total"), 0, "durability default");
+        assert_eq!(s.counter("nsrv_idle_disconnects_total"), 0, "durability default");
+        assert_eq!(s.counter("nck_compact_runs_total"), 0, "compaction default");
     }
 
     /// A peer with the durability extension but not the compaction one
     /// (it stops after the six durability u64s) decodes with the
-    /// compaction fields at their defaults.
+    /// compaction instruments absent.
     #[test]
     fn stats_reply_without_compaction_extension_decodes_with_defaults() {
-        let full = Response::StatsData(Box::new(StatsReply {
-            journal_replayed: 7,
-            replica_repairs: 5,
-            compact_runs: 9,
-            gc_files_removed: 4,
-            ..Default::default()
-        }));
-        let payload = full.payload();
-        // The compaction extension is exactly four u64s at the tail.
-        let short = &payload[..payload.len() - 32];
-        let mut buf = Vec::new();
-        write_frame(&mut buf, opcode::STATS_DATA, 1, short).unwrap();
-        let frame = read_frame(&mut buf.as_slice()).unwrap();
-        match Response::from_frame(&frame).unwrap() {
-            Response::StatsData(s) => {
-                assert_eq!(s.journal_replayed, 7, "durability still decodes");
-                assert_eq!(s.replica_repairs, 5, "durability still decodes");
-                assert_eq!(s.compact_runs, 0, "compaction default");
-                assert_eq!(s.gc_files_removed, 0, "compaction default");
-            }
-            other => panic!("expected StatsData, got {other:?}"),
-        }
+        let mut payload = legacy_base();
+        legacy_obs_tail(&mut payload, 0, &[]);
+        legacy_u64_tail(&mut payload, &[7, 0, 0, 0, 5, 0]);
+        let s = decode_stats(opcode::STATS_DATA, &payload).unwrap();
+        assert_eq!(s.counter("nsrv_journal_replayed_total"), 7, "durability still decodes");
+        assert_eq!(s.counter("ckpt_replica_repairs_total"), 5, "durability still decodes");
+        assert_eq!(s.counter("nck_compact_runs_total"), 0, "compaction default");
+        assert_eq!(s.counter("nck_gc_files_removed_total"), 0, "compaction default");
     }
 
-    /// A *truncated* extension (bytes present but not a whole one) is
-    /// still a decode error, not a silent partial parse.
+    /// A peer with all three frozen tails: every old field decodes onto
+    /// the instrument name it always reported, each list sorted by name.
+    #[test]
+    fn legacy_stats_reply_with_every_tail_decodes_into_named_instruments() {
+        let mut payload = legacy_base();
+        legacy_obs_tail(
+            &mut payload,
+            4,
+            &[("nsrv_request_put_ns", [40, 4_000, 90, 150, 400]), ("nsrv_request_open_ns", [1; 5])],
+        );
+        legacy_u64_tail(&mut payload, &[4, 1, 1, 6, 9, 2]);
+        legacy_u64_tail(&mut payload, &[11, 44, 1 << 16, 33]);
+        let s = decode_stats(opcode::STATS_DATA, &payload).unwrap();
+        let expected: Vec<(String, u64)> = [
+            ("ckpt_replica_quorum_failures_total", 2),
+            ("ckpt_replica_repairs_total", 9),
+            ("nck_compact_bytes_reclaimed_total", 1 << 16),
+            ("nck_compact_deltas_merged_total", 44),
+            ("nck_compact_runs_total", 11),
+            ("nck_gc_files_removed_total", 33),
+            ("nsrv_accepted_total", 5),
+            ("nsrv_busy_rejected_total", 2),
+            ("nsrv_bytes_ingested_total", 1 << 20),
+            ("nsrv_idle_disconnects_total", 6),
+            ("nsrv_iterations_ingested_total", 64),
+            ("nsrv_journal_replayed_total", 4),
+            ("nsrv_journal_rolled_back_total", 1),
+            ("nsrv_recovery_repairs_total", 1),
+            ("nsrv_served_total", 40),
+            ("nsrv_write_retries_total", 3),
+        ]
+        .into_iter()
+        .map(|(n, v)| (n.to_owned(), v))
+        .collect();
+        assert_eq!(s.counters, expected);
+        assert_eq!(s.gauges, vec![("nsrv_queue_depth".to_owned(), 4)]);
+        let names: Vec<&str> = s.latencies.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, ["nsrv_request_open_ns", "nsrv_request_put_ns"]);
+        assert_eq!(
+            s.latencies[1].summary,
+            HistogramSummary { count: 40, sum: 4_000, p50: 90, p90: 150, p99: 400 }
+        );
+    }
+
+    /// A *truncated* tail (bytes present but not a whole one) is still a
+    /// decode error, not a silent partial parse, in both layouts; so are
+    /// trailing bytes after the last tail.
     #[test]
     fn truncated_stats_extension_is_rejected() {
-        let full = Response::StatsData(Box::new(StatsReply {
-            queue_depth: 2,
+        let mut legacy = legacy_base();
+        legacy_obs_tail(&mut legacy, 2, &[("x_ns", [0; 5])]);
+        for cut in 1..12 {
+            let short = &legacy[..legacy.len() - cut];
+            assert!(decode_stats(opcode::STATS_DATA, short).is_err(), "0x85 cut {cut} bytes");
+        }
+        let current = Response::StatsData(Box::new(StatsReply {
+            counters: vec![("a_total".into(), 1)],
+            gauges: vec![("g".into(), -2)],
             latencies: vec![LatencyStat { name: "x_ns".into(), summary: Default::default() }],
             ..Default::default()
-        }));
-        let payload = full.payload();
-        for cut in 1..12 {
-            let short = &payload[..payload.len() - cut];
-            let mut buf = Vec::new();
-            write_frame(&mut buf, opcode::STATS_DATA, 1, short).unwrap();
-            let frame = read_frame(&mut buf.as_slice()).unwrap();
-            assert!(Response::from_frame(&frame).is_err(), "cut {cut} bytes");
+        }))
+        .payload();
+        // Every cut at or after the end of the base payload, which is 53
+        // bytes long here (six u64s, the flag, an empty session count).
+        for cut in 53..current.len() {
+            assert!(decode_stats(opcode::STATS_METRICS, &current[..cut]).is_err(), "0x88 at {cut}");
         }
+        for (op, payload) in [(opcode::STATS_DATA, &legacy), (opcode::STATS_METRICS, &current)] {
+            let mut long = payload.clone();
+            long.push(0);
+            assert!(decode_stats(op, &long).is_err(), "trailing byte after {op:#x}");
+        }
+        // The legacy layout with every tail and a byte more is rejected.
+        let mut full = legacy_base();
+        legacy_obs_tail(&mut full, 0, &[]);
+        legacy_u64_tail(&mut full, &[0; 10]);
+        assert!(decode_stats(opcode::STATS_DATA, &full).is_ok());
+        full.push(0);
+        assert!(decode_stats(opcode::STATS_DATA, &full).is_err());
+    }
+
+    /// A hostile element count in any named list fails without a huge
+    /// pre-allocation.
+    #[test]
+    fn hostile_stats_list_counts_are_rejected() {
+        for list in 0..3 {
+            let mut payload = Response::StatsData(Box::default()).payload();
+            // The three empty list counts sit at the payload's tail.
+            let at = payload.len() - 12 + 4 * list;
+            payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_stats(opcode::STATS_METRICS, &payload).is_err(), "list {list}");
+        }
+        let mut payload = legacy_base();
+        payload.extend_from_slice(&0i64.to_le_bytes());
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_stats(opcode::STATS_DATA, &payload).is_err());
     }
 
     #[test]

@@ -68,9 +68,9 @@ fn dirty_journal_is_recovered_on_server_restart() {
     let server = Server::spawn("127.0.0.1:0", config).unwrap();
     let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
     let stats = client.stats().unwrap();
-    assert_eq!(stats.journal_replayed, 1, "the uncommitted intent was replayed");
-    assert_eq!(stats.journal_rolled_back, 1, "nothing landed for it, so it rolled back");
-    assert_eq!(stats.recovery_repairs, 0, "no half-applied file, so no re-anchor");
+    assert_eq!(stats.counter("nsrv_journal_replayed_total"), 1, "the uncommitted intent was replayed");
+    assert_eq!(stats.counter("nsrv_journal_rolled_back_total"), 1, "nothing landed for it, so it rolled back");
+    assert_eq!(stats.counter("nsrv_recovery_repairs_total"), 0, "no half-applied file, so no re-anchor");
     assert!(!session_dir.join("ckpt_0000000007.tmp").exists(), "temp debris swept");
 
     // Every acknowledged iteration is still restartable (deltas are
@@ -121,8 +121,8 @@ fn half_applied_write_is_quarantined_on_restart() {
     let server = Server::spawn("127.0.0.1:0", config).unwrap();
     let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
     let stats = client.stats().unwrap();
-    assert_eq!(stats.journal_rolled_back, 1);
-    assert_eq!(stats.recovery_repairs, 1, "the garbage file forced a re-anchor");
+    assert_eq!(stats.counter("nsrv_journal_rolled_back_total"), 1);
+    assert_eq!(stats.counter("nsrv_recovery_repairs_total"), 1, "the garbage file forced a re-anchor");
 
     let session = client.open_session("sim").unwrap();
     for it in 0..=5 {
@@ -220,6 +220,6 @@ fn frozen_client_is_disconnected_and_worker_reclaimed() {
     let mut buf = [0u8; 1];
     assert_eq!(frozen.read(&mut buf).unwrap(), 0, "server must hang up on the idle peer");
     let stats = client.stats().unwrap();
-    assert!(stats.idle_disconnects >= 1, "idle disconnect must be counted");
+    assert!(stats.counter("nsrv_idle_disconnects_total") >= 1, "idle disconnect must be counted");
     server.shutdown();
 }

@@ -82,8 +82,8 @@ fn background_worker_compacts_live_session_bit_exact() {
     assert_eq!(client.restart(session, iters).unwrap().achieved, iters);
 
     let stats = client.stats().unwrap();
-    assert!(stats.compact_runs >= 1, "stats: {stats:?}");
-    assert!(stats.compact_deltas_merged >= 4, "stats: {stats:?}");
+    assert!(stats.counter("nck_compact_runs_total") >= 1, "stats: {stats:?}");
+    assert!(stats.counter("nck_compact_deltas_merged_total") >= 4, "stats: {stats:?}");
 
     // Drain must also stop the maintenance worker (join would hang
     // otherwise).
@@ -210,8 +210,8 @@ fn restarts_of_the_acked_latest_never_fall_back_under_gc() {
     assert!(restarts.load(Ordering::Relaxed) > 0);
 
     let stats = client.stats().unwrap();
-    assert!(stats.compact_deltas_merged >= 4, "maintenance must have merged: {stats:?}");
-    assert!(stats.gc_files_removed > 0, "GC must have collected: {stats:?}");
+    assert!(stats.counter("nck_compact_deltas_merged_total") >= 4, "maintenance must have merged: {stats:?}");
+    assert!(stats.counter("nck_gc_files_removed_total") > 0, "GC must have collected: {stats:?}");
     drop(client);
     server.shutdown();
 }

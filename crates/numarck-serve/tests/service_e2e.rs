@@ -271,7 +271,7 @@ fn stats_extension_and_metrics_snapshot_agree_with_traffic() {
     // The stats request being answered is itself still in flight, so
     // its own span has not recorded yet.
     assert_eq!(lat("nsrv_request_stats_ns").count, 0);
-    assert_eq!(stats.queue_depth, 0, "no queued connections at rest");
+    assert_eq!(stats.gauge("nsrv_queue_depth"), 0, "no queued connections at rest");
 
     let snap = server.metrics_snapshot();
     let counter = |name: &str| {
@@ -302,6 +302,64 @@ fn stats_extension_and_metrics_snapshot_agree_with_traffic() {
         snap.gauges.iter().any(|(n, v)| n == "nck_format_version" && *v == 2),
         "merged snapshot must report nck_format_version = 2"
     );
+    server.shutdown();
+}
+
+/// The stats reply carries the server's whole metrics snapshot: its
+/// counter, gauge and histogram names are exactly those `/metrics`
+/// renders. Other tests in this process share the global registry and
+/// may add names at any moment, and names are never removed, so each
+/// round brackets the reply between two snapshots and compares on a
+/// round where the two agree.
+#[test]
+fn stats_reply_names_every_instrument_of_the_metrics_snapshot() {
+    let tmp = TempDir::new("serve-stats-names");
+    let mut config = ServerConfig::new(tmp.0.join("root"), test_config());
+    config.io_timeout = TIMEOUT;
+    let server = Server::spawn("127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+    let session = client.open_session("names").unwrap();
+    for (it, vars) in truth(0, 3, 64).iter().enumerate() {
+        client.put_iteration(session, it as u64, vars).unwrap();
+    }
+    client.restart(session, 2).unwrap();
+
+    type Names = (Vec<String>, Vec<String>, Vec<String>);
+    fn names(snap: &numarck_obs::Snapshot) -> Names {
+        (
+            snap.counters.iter().map(|(n, _)| n.clone()).collect(),
+            snap.gauges.iter().map(|(n, _)| n.clone()).collect(),
+            snap.histograms.iter().map(|(n, _)| n.clone()).collect(),
+        )
+    }
+    let subset = |a: &[String], b: &[String]| a.iter().all(|n| b.contains(n));
+    let mut agreed = 0;
+    for _ in 0..20 {
+        let before = names(&server.metrics_snapshot());
+        let stats = client.stats().unwrap();
+        let after = names(&server.metrics_snapshot());
+        let got = names(&stats.metrics());
+        assert!(
+            subset(&before.0, &got.0) && subset(&before.1, &got.1) && subset(&before.2, &got.2),
+            "the reply lacks a name the snapshot had before it: {got:?} vs {before:?}"
+        );
+        assert!(
+            subset(&got.0, &after.0) && subset(&got.1, &after.1) && subset(&got.2, &after.2),
+            "the reply names an instrument the snapshot lacks: {got:?} vs {after:?}"
+        );
+        if before == after {
+            assert_eq!(got, after, "stats and the metrics snapshot name the same instruments");
+            agreed += 1;
+            if agreed == 3 {
+                break;
+            }
+        }
+    }
+    assert!(agreed > 0, "the registries never held still for one round");
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.counter("nsrv_iterations_ingested_total"), 3);
+    assert!(stats.latencies.iter().any(|l| l.name.starts_with("numarck_encode_")));
+    assert!(stats.counters.iter().any(|(n, _)| n.starts_with("ckpt_")));
     server.shutdown();
 }
 

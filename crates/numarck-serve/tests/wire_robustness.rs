@@ -11,8 +11,8 @@ use std::io;
 
 use numarck_checkpoint::VariableSet;
 use numarck_serve::wire::{
-    read_frame, write_frame, Frame, LatencyStat, Request, Response, SessionStat, StatsReply,
-    HEADER_LEN, MAX_PAYLOAD,
+    opcode, read_frame, write_frame, Frame, LatencyStat, Request, Response, SessionStat,
+    StatsReply, HEADER_LEN, MAX_PAYLOAD,
 };
 
 /// SplitMix64: deterministic stream for the corruption sweeps.
@@ -64,7 +64,8 @@ fn corpus() -> Vec<Vec<u8>> {
                 files: 3,
                 latest_restartable: Some(2),
             }],
-            queue_depth: 1,
+            counters: vec![("nsrv_accepted_total".into(), 2)],
+            gauges: vec![("nsrv_queue_depth".into(), 1)],
             latencies: vec![LatencyStat { name: "nsrv_request_put_ns".into(), ..Default::default() }],
             ..Default::default()
         })),
@@ -80,7 +81,39 @@ fn corpus() -> Vec<Vec<u8>> {
         write_frame(&mut buf, resp.opcode(), 1, &resp.payload()).unwrap();
         frames.push(buf);
     }
+    let mut buf = Vec::new();
+    write_frame(&mut buf, opcode::STATS_DATA, 1, &legacy_stats_payload()).unwrap();
+    frames.push(buf);
     frames
+}
+
+/// A frozen `0x85` stats payload with all three tails, hand-encoded:
+/// the base payload with no sessions, the observability tail (queue
+/// depth and one latency), six durability and four compaction u64s.
+fn legacy_stats_payload() -> Vec<u8> {
+    let mut payload = Vec::new();
+    for v in [2u64, 9, 0, 0, 0, 0] {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    payload.push(0); // draining
+    payload.extend_from_slice(&0u32.to_le_bytes()); // no sessions
+    payload.extend_from_slice(&1i64.to_le_bytes()); // queue depth
+    payload.extend_from_slice(&1u32.to_le_bytes()); // one latency
+    payload.extend_from_slice(&4u16.to_le_bytes());
+    payload.extend_from_slice(b"x_ns");
+    for v in [3u64, 30, 10, 10, 10] {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    for v in 1..=10u64 {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    payload
+}
+
+/// The stats frames of the corpus: the current `0x88` reply and the
+/// frozen `0x85` fixture.
+fn stats_frames() -> Vec<Vec<u8>> {
+    corpus().into_iter().filter(|f| matches!(f[6], opcode::STATS_DATA | opcode::STATS_METRICS)).collect()
 }
 
 /// Full decode pipeline on raw bytes; the return value only matters in
@@ -112,7 +145,7 @@ fn truncated_frames_always_error() {
 /// byte before it, and a flipped CRC no longer matches).
 #[test]
 fn single_bit_flips_are_always_caught() {
-    for frame in corpus().into_iter().take(4) {
+    for frame in corpus().into_iter().take(4).chain(stats_frames()) {
         for byte in 0..frame.len() {
             for bit in 0..8 {
                 let mut bad = frame.clone();
@@ -181,12 +214,33 @@ fn random_garbage_never_panics() {
         // Same bytes under a valid header shell: random payloads against
         // every known opcode.
         let mut framed = Vec::new();
-        let opcode = [0x01, 0x02, 0x03, 0x04, 0x05, 0x81, 0x82, 0x83, 0x85, 0xEE]
-            [round % 10];
+        let opcode = [0x01, 0x02, 0x03, 0x04, 0x05, 0x81, 0x82, 0x83, 0x85, 0x88, 0xEE]
+            [round % 11];
         write_frame(&mut framed, opcode, rng.next(), &bytes).unwrap();
         let frame = read_frame(&mut framed.as_slice()).unwrap();
         let _ = Request::from_frame(&frame);
         let _ = Response::from_frame(&frame);
+    }
+}
+
+/// Both stats layouts decode: the frozen `0x85` fixture's fields land
+/// on their instrument names, and the `0x88` reply round-trips.
+#[test]
+fn both_stats_layouts_decode() {
+    let frames = stats_frames();
+    assert_eq!(frames.len(), 2);
+    for bytes in frames {
+        let frame = read_frame(&mut bytes.as_slice()).unwrap();
+        let Ok(Response::StatsData(s)) = Response::from_frame(&frame) else {
+            panic!("stats frame {:#x} must decode", frame.opcode());
+        };
+        assert_eq!(s.served, 9);
+        assert_eq!(s.gauge("nsrv_queue_depth"), 1);
+        assert_eq!(s.latencies.len(), 1);
+        if frame.opcode() == opcode::STATS_DATA {
+            assert_eq!(s.counter("nsrv_journal_replayed_total"), 1);
+            assert_eq!(s.counter("nck_gc_files_removed_total"), 10);
+        }
     }
 }
 
