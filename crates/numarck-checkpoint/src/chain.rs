@@ -14,9 +14,18 @@
 //! resolve through it, so they cannot disagree about which files a
 //! restart reads.
 //!
-//! An index is a snapshot. A reader that must not race deletion loads it
-//! and opens the files it names under the lock the writers hold (see
-//! [`RestartEngine::restart_at_or_before_locked`]).
+//! An index is a snapshot of the store. A caller on its own store loads
+//! one ([`ChainIndex::load`]: one listing plus a header read per file).
+//! A long-lived owner that changes the store under a lock — a
+//! numarck-serve session — loads it once and keeps it current instead:
+//! every writer holding the lock records its own writes and deletes
+//! with [`ChainIndex::insert`] and [`ChainIndex::remove`], and reloads
+//! only after a failure that may have left the store changed partway. A
+//! reader that must not race deletion then resolves against that index
+//! and opens the files it names under the same lock (see
+//! [`RestartEngine::restart_at_or_before_locked`]). Every file opened is
+//! checked against its entry, so a stale entry reads as
+//! [`NumarckError::Corrupt`], never as wrong data.
 //!
 //! [`RestartEngine::restart_at_or_before_locked`]:
 //!     crate::restart::RestartEngine::restart_at_or_before_locked
@@ -103,6 +112,7 @@ impl ChainIndex {
     /// A file deleted between the listing and its read is simply not
     /// part of the snapshot.
     pub fn load(store: &CheckpointStore) -> io::Result<Self> {
+        crate::obs::index_loads_total().inc();
         let mut index = Self::default();
         for e in store.list()? {
             let path = store.path_of(e.iteration, e.is_full);
@@ -137,6 +147,14 @@ impl ChainIndex {
     /// True when the store holds no checkpoint files at all.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// How many checkpoint files the store holds.
+    pub fn file_count(&self) -> usize {
+        self.entries
+            .values()
+            .map(|e| usize::from(e.full.is_some()) + usize::from(e.delta.is_some()))
+            .sum()
     }
 
     /// Iterations with at least one stored file, ascending.
@@ -314,6 +332,7 @@ mod tests {
         assert_eq!(backend.reads.load(Ordering::Relaxed), reads, "no whole-file read");
         assert_eq!(backend.maps.load(Ordering::Relaxed), maps, "no map");
         assert_eq!(backend.prefixes.load(Ordering::Relaxed), 10, "one header read per file");
+        assert_eq!(index.file_count(), 10);
 
         // The header facts and lengths are the files' own.
         assert_eq!(index.fulls(), vec![0, 4, 8]);
@@ -351,6 +370,7 @@ mod tests {
         assert_eq!(index.total_bytes(), 130);
         index.remove(0, true);
         assert_eq!(index.iterations().collect::<Vec<_>>(), vec![1, 3, 4]);
+        assert_eq!(index.file_count(), 3);
     }
 
     #[test]

@@ -244,6 +244,13 @@ impl PreparedCheckpoint {
     pub fn outcome(&self) -> &CheckpointOutcome {
         &self.outcome
     }
+
+    /// What a [`ChainIndex`](crate::ChainIndex) records for the file
+    /// [`CheckpointManager::commit`] will write, so an owner of a live
+    /// index can insert it once the commit lands.
+    pub fn stored_file(&self) -> crate::StoredFile {
+        crate::StoredFile::of(&self.bytes)
+    }
 }
 
 /// The write-side manager.
@@ -325,31 +332,6 @@ impl CheckpointManager {
     /// it to seed restart cost models from per-block decode timings.
     pub fn variable_count(&self) -> usize {
         self.previous.as_ref().map(|(_, vars)| vars.len()).unwrap_or(0)
-    }
-
-    /// All checkpoints currently stored, sorted by iteration (fulls
-    /// before deltas at the same iteration). Quarantined files are not
-    /// listed.
-    ///
-    /// Takes `&self`: read-side queries never touch the manager's
-    /// mutable encoding state, so a server can answer them on a shared
-    /// reference while holding no write lock.
-    pub fn list_iterations(&self) -> std::io::Result<Vec<crate::store::StoreEntry>> {
-        self.store.list()
-    }
-
-    /// The newest iteration that restarts cleanly, or `None` when the
-    /// store holds nothing restartable.
-    ///
-    /// Verifies by actually replaying the chain (via
-    /// [`RestartEngine::restart_at_or_before`](crate::restart::RestartEngine::restart_at_or_before)),
-    /// so a `Some(n)` answer is a guarantee, not a guess from file names.
-    pub fn latest_restartable(&self) -> Option<u64> {
-        let newest = self.store.list().ok()?.last()?.iteration;
-        crate::restart::RestartEngine::new(self.store.clone())
-            .restart_at_or_before(newest)
-            .ok()
-            .map(|d| d.achieved())
     }
 
     /// Checkpoint `vars` as iteration `iteration`.
@@ -699,25 +681,35 @@ mod tests {
     }
 
     #[test]
-    fn list_iterations_and_latest_restartable_track_the_store() {
+    fn the_chain_index_and_degraded_restart_track_the_store() {
+        use crate::{ChainIndex, RestartEngine};
         let tmp = TempDir::new("mgr-queries");
         let mut mgr = manager(&tmp, 4);
-        assert!(mgr.list_iterations().unwrap().is_empty());
-        assert_eq!(mgr.latest_restartable(), None);
+        let store = mgr.store().clone();
+        let engine = RestartEngine::new(store.clone());
+        // The newest iteration that restarts cleanly, by actually
+        // replaying it: a guarantee, not a guess from file names.
+        let latest_restartable = || {
+            let newest = ChainIndex::load(&store).unwrap().latest()?;
+            engine.restart_at_or_before(newest).ok().map(|d| d.achieved())
+        };
+        assert!(ChainIndex::load(&store).unwrap().is_empty());
+        assert_eq!(latest_restartable(), None);
         for i in 1..=6 {
             mgr.checkpoint(i, &vars_at(i, 100)).unwrap();
         }
-        let listed = mgr.list_iterations().unwrap();
-        assert_eq!(listed.iter().map(|e| e.iteration).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(mgr.latest_restartable(), Some(6));
+        let index = ChainIndex::load(&store).unwrap();
+        assert_eq!(index.iterations().collect::<Vec<_>>(), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(index.file_count(), 6);
+        assert_eq!(latest_restartable(), Some(6));
         // Damage the newest delta: the answer falls back to the newest
         // iteration whose chain still replays.
         crate::fault::inject(
-            &mgr.store().path_of(6, false),
+            &store.path_of(6, false),
             crate::fault::Fault::BitFlip { offset: 40, mask: 0x08 },
         )
         .unwrap();
-        assert_eq!(mgr.latest_restartable(), Some(5));
+        assert_eq!(latest_restartable(), Some(5));
     }
 
     /// A clock that records requested sleeps instead of performing them.

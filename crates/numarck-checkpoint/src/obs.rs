@@ -21,7 +21,9 @@
 //!   `ckpt_repair_lost_total` — scrub → quarantine → repair outcomes;
 //! * `ckpt_replica_repairs_total`, `ckpt_replica_quorum_failures_total`,
 //!   `ckpt_replica_write_errors_total` — replicated-backend read-repair
-//!   and quorum accounting.
+//!   and quorum accounting;
+//! * `ckpt_index_loads_total` — [`crate::ChainIndex::load`] calls, each
+//!   one store listing plus a header read per stored file.
 //!
 //! Retries and quarantines additionally land in the global registry's
 //! event ring, so the most recent degradations are inspectable even
@@ -58,6 +60,7 @@ cached!(repair_lost_total, counter, Counter, "ckpt_repair_lost_total");
 cached!(replica_repairs_total, counter, Counter, "ckpt_replica_repairs_total");
 cached!(replica_quorum_failures_total, counter, Counter, "ckpt_replica_quorum_failures_total");
 cached!(replica_write_errors_total, counter, Counter, "ckpt_replica_write_errors_total");
+cached!(index_loads_total, counter, Counter, "ckpt_index_loads_total");
 
 #[cfg(test)]
 mod tests {

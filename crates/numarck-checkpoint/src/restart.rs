@@ -13,8 +13,9 @@
 //! and verifies every file first, and then replays each variable once,
 //! handing its base values and all of its hops to [`decode::replay`],
 //! which applies the whole chain in one pass over the field. A caller
-//! that shares the store with writers pins under their lock and decodes
-//! after releasing it ([`RestartEngine::restart_at_or_before_locked`]).
+//! that shares the store with writers pins under their lock, from the
+//! index those writers keep current, and decodes after releasing it
+//! ([`RestartEngine::restart_at_or_before_locked`]).
 
 use std::path::{Path, PathBuf};
 
@@ -304,37 +305,44 @@ impl RestartEngine {
     /// error that disqualified it. Succeeds with a [`DegradedRestart`]
     /// describing what was achieved and what was lost; errs only when
     /// *no* iteration at or before `target` can be rebuilt.
+    ///
+    /// Loads one [`ChainIndex`] and resolves every candidate with it.
     pub fn restart_at_or_before(&self, target: u64) -> Result<DegradedRestart, NumarckError> {
-        self.restart_at_or_before_locked(target, || ())
+        let index = self.index()?;
+        self.restart_at_or_before_locked(target, || &index, |index| index)
     }
 
     /// [`Self::restart_at_or_before`] against a store that writers
-    /// change under a lock: `lock()` is held while the index is loaded
-    /// and the chosen chain is pinned, and released before anything is
-    /// parsed or decoded. A writer that removes files only under the
-    /// same lock (numarck-serve's ingest and maintenance) can then never
+    /// change under a lock, resolving with the index those writers keep
+    /// current: `lock()` is held while `index(&guard)` resolves the
+    /// chosen chain and its files are pinned, and released before
+    /// anything is parsed or decoded. Nothing here lists the store or
+    /// reads a header. A writer that removes files only under the same
+    /// lock (numarck-serve's ingest and maintenance) can then never
     /// delete a file between the resolve and the open, so the restart
-    /// never degrades because a file vanished. A pinned chain that fails
-    /// to replay is recorded as lost, and the next older candidate is
-    /// pinned under the lock again.
+    /// never degrades because a file vanished; a stale index entry fails
+    /// its pin check and reads as lost, never as wrong data. A pinned
+    /// chain that fails to replay is recorded as lost, and the next
+    /// older candidate is pinned under the lock again.
     pub fn restart_at_or_before_locked<G>(
         &self,
         target: u64,
         lock: impl Fn() -> G,
+        index: impl Fn(&G) -> &ChainIndex,
     ) -> Result<DegradedRestart, NumarckError> {
         let mut lost = Vec::new();
         let mut bound = Some(target);
         while let Some(b) = bound {
             let pinned = {
-                let _guard = lock();
-                let index = self.index()?;
+                let guard = lock();
+                let index = index(&guard);
                 if b == target && index.entry(target).is_none() {
                     lost.push(LostIteration {
                         iteration: target,
                         reason: "no checkpoint file stored for this iteration".into(),
                     });
                 }
-                self.pin_newest(&index, b, &mut lost)
+                self.pin_newest(index, b, &mut lost)
             };
             let Some(pinned) = pinned else { break };
             let it = pinned.target();

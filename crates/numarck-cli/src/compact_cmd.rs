@@ -81,7 +81,8 @@ pub fn compact(raw: &[String]) -> CliResult {
         ));
     }
 
-    let report = Compactor::new(config).run(&store, &mut journal).map_err(map_err)?;
+    let mut index = ChainIndex::load(&store).map_err(|e| format!("cannot list {dir}: {e}"))?;
+    let report = Compactor::new(config).run(&store, &mut journal, &mut index).map_err(map_err)?;
     out.push_str(&format!(
         "compacted {dir}: {} merge(s) superseding {} delta(s), {} full(s) promoted\n",
         report.merges, report.deltas_merged, report.fulls_promoted

@@ -238,7 +238,7 @@ impl Shared {
                 } else {
                     req_id
                 };
-                wire::encode_frame(resp.opcode(), req_id, &resp.payload())
+                resp.to_frame(req_id)
             }
         }
     }

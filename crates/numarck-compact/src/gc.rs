@@ -66,8 +66,9 @@ pub fn collect(
     collect_in(store, &mut index, keep_last_fulls, keep_every, min_age_secs)
 }
 
-/// [`collect`] over an index the caller just loaded; every file the
-/// pass deletes leaves `index` too.
+/// [`collect`] over an index that describes the store as it is (just
+/// loaded, or kept current by its owner); every file the pass deletes
+/// leaves `index` too.
 pub(crate) fn collect_in(
     store: &CheckpointStore,
     index: &mut ChainIndex,

@@ -130,33 +130,37 @@ impl Compactor {
     /// fulls until the modeled worst-case restart cost meets the SLO,
     /// then collect superseded artefacts.
     ///
-    /// The pass loads one [`ChainIndex`] and keeps it current as its own
-    /// writes land; GC loads a fresh one, so deletion is always judged
-    /// against the store as it is. The caller owns mutual exclusion with
-    /// ingest, scrub and restart pinning (the serve worker holds the
-    /// session lock, exactly as scrub does).
+    /// The pass works on the caller's `index`, which must describe
+    /// `store` as it is (a fresh [`ChainIndex::load`], or an index its
+    /// owner keeps current), and keeps it current as its own writes and
+    /// deletes land; the pass itself never lists the store. After an
+    /// error the store may have changed partway, so the caller must
+    /// reload `index` before trusting it again. GC deletes only files it
+    /// has just CRC-verified a live cover for, so a stale entry makes it
+    /// abort, never delete what a restart needs. The caller owns mutual
+    /// exclusion with ingest, scrub and restart pinning (the serve
+    /// worker holds the session lock, exactly as scrub does).
     pub fn run(
         &self,
         store: &CheckpointStore,
         journal: &mut dyn IntentLog,
+        index: &mut ChainIndex,
     ) -> Result<CompactionReport, NumarckError> {
         obs::runs_total().inc();
         let _span = obs::run_ns().span();
         let mut report = CompactionReport::default();
-        let mut index = load_index(store)?;
         let bytes_before = index.total_bytes();
 
         if self.config.merge_window >= 2 {
-            self.compact(store, journal, &mut index, &mut report)?;
+            self.compact(store, journal, index, &mut report)?;
         }
         if let Some(slo) = self.config.restart_slo_ns {
-            self.place(store, journal, &mut index, slo, &mut report)?;
+            self.place(store, journal, index, slo, &mut report)?;
         }
         if self.config.keep_last_fulls > 0 {
-            index = load_index(store)?;
             report.gc = gc::collect_in(
                 store,
-                &mut index,
+                index,
                 self.config.keep_last_fulls,
                 self.config.keep_every,
                 self.config.min_age_secs,
@@ -166,7 +170,7 @@ impl Compactor {
 
         report.bytes_reclaimed = bytes_before.saturating_sub(index.total_bytes());
         obs::bytes_reclaimed_total().add(report.bytes_reclaimed);
-        report.worst_case_cost_ns = self.config.cost.worst_case_cost_ns(&index);
+        report.worst_case_cost_ns = self.config.cost.worst_case_cost_ns(index);
         Ok(report)
     }
 
@@ -247,10 +251,6 @@ impl Compactor {
         }
         Ok(())
     }
-}
-
-fn load_index(store: &CheckpointStore) -> Result<ChainIndex, NumarckError> {
-    ChainIndex::load(store).map_err(|e| NumarckError::Io(format!("chain index load failed: {e}")))
 }
 
 /// The shared write discipline: journal intent → atomic store write →

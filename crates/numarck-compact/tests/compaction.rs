@@ -14,7 +14,7 @@ use numarck_checkpoint::{
     repair, ChainIndex, FaultSchedule, FaultyBackend, FsBackend, VariableSet, WriteFault,
 };
 use numarck_compact::merge::vars_bits_equal;
-use numarck_compact::{gc, CompactionConfig, Compactor, CostModel, NoJournal};
+use numarck_compact::{gc, CompactionConfig, CompactionReport, Compactor, CostModel, NoJournal};
 
 /// Self-cleaning unique temp directory (store::testutil is crate-private).
 struct TempDir(PathBuf);
@@ -88,6 +88,15 @@ fn restart_all(store: &CheckpointStore, iters: u64) -> Vec<VariableSet> {
     (0..iters).map(|it| engine.restart_at(it).unwrap().vars).collect()
 }
 
+/// One maintenance pass over a freshly loaded index, as a caller
+/// without a session (the CLI) runs it.
+fn run_pass(
+    compactor: &Compactor,
+    store: &CheckpointStore,
+) -> Result<CompactionReport, numarck::NumarckError> {
+    compactor.run(store, &mut NoJournal, &mut ChainIndex::load(store).unwrap())
+}
+
 #[test]
 fn compacted_chain_restarts_bit_exact_everywhere() {
     let tmp = TempDir::new("bit-exact");
@@ -103,7 +112,7 @@ fn compacted_chain_restarts_bit_exact_everywhere() {
         keep_last_fulls: 0,
         ..CompactionConfig::default()
     });
-    let report = compactor.run(&store, &mut NoJournal).unwrap();
+    let report = run_pass(&compactor, &store).unwrap();
 
     // 55 plain deltas (1..=55) yield 13 complete 4-windows.
     assert_eq!(report.merges, 13, "report: {report:?}");
@@ -121,7 +130,7 @@ fn compacted_chain_restarts_bit_exact_everywhere() {
     }
 
     // Merged deltas break plain runs, so a second pass finds nothing new.
-    let second = compactor.run(&store, &mut NoJournal).unwrap();
+    let second = run_pass(&compactor, &store).unwrap();
     assert_eq!(second.merges, 0, "compaction must be idempotent: {second:?}");
 }
 
@@ -158,7 +167,7 @@ fn escape_heavy_delta_compacts_bit_exact() {
         keep_last_fulls: 0,
         ..CompactionConfig::default()
     })
-    .run(&store, &mut NoJournal)
+    .run(&store, &mut NoJournal, &mut ChainIndex::load(&store).unwrap())
     .unwrap();
     assert_eq!(report.merges, 1);
     assert!(
@@ -197,7 +206,7 @@ fn placement_bounds_worst_case_cost_under_slo() {
         cost,
         ..CompactionConfig::default()
     })
-    .run(&store, &mut NoJournal)
+    .run(&store, &mut NoJournal, &mut ChainIndex::load(&store).unwrap())
     .unwrap();
 
     assert!(report.fulls_promoted >= 8, "expected a full every ~6 iterations: {report:?}");
@@ -222,6 +231,7 @@ fn gc_removes_superseded_deltas_and_keeps_retained_chains() {
     let latest_before = engine.restart_at(iters - 1).unwrap().vars;
     let kept_before = engine.restart_at(4).unwrap().vars;
 
+    let mut index = ChainIndex::load(&store).unwrap();
     let report = Compactor::new(CompactionConfig {
         merge_window: 4,
         keep_last_fulls: 1,
@@ -229,8 +239,11 @@ fn gc_removes_superseded_deltas_and_keeps_retained_chains() {
         min_age_secs: 0,
         ..CompactionConfig::default()
     })
-    .run(&store, &mut NoJournal)
+    .run(&store, &mut NoJournal, &mut index)
     .unwrap();
+    // The pass kept the caller's index current through its merges and
+    // deletes.
+    assert_eq!(index, ChainIndex::load(&store).unwrap());
     assert!(report.merges > 0);
     assert!(report.gc.removed > 0, "superseded plain deltas should be collected: {report:?}");
     assert_eq!(report.gc.unresolvable, 0);
@@ -365,7 +378,7 @@ fn gc_racing_concurrent_restart_reads_never_breaks_them() {
         .collect();
 
     for _ in 0..4 {
-        compactor.run(&store, &mut NoJournal).unwrap();
+        run_pass(&compactor, &store).unwrap();
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     for reader in readers {
@@ -393,7 +406,7 @@ fn failed_compaction_write_leaves_the_chain_intact() {
         keep_last_fulls: 0,
         ..CompactionConfig::default()
     });
-    compactor.run(&faulty, &mut NoJournal).expect_err("injected write fault must surface");
+    run_pass(&compactor, &faulty).expect_err("injected write fault must surface");
 
     let after = restart_all(&store, iters);
     for (it, (a, b)) in before.iter().zip(&after).enumerate() {
@@ -401,7 +414,7 @@ fn failed_compaction_write_leaves_the_chain_intact() {
     }
 
     // Once the fault clears, the same pass completes and stays bit-exact.
-    let report = compactor.run(&store, &mut NoJournal).unwrap();
+    let report = run_pass(&compactor, &store).unwrap();
     assert!(report.merges > 0);
     let healed = restart_all(&store, iters);
     for (it, (a, b)) in before.iter().zip(&healed).enumerate() {
@@ -430,7 +443,7 @@ fn torn_compaction_write_quarantines_and_repair_reanchors() {
         keep_last_fulls: 0,
         ..CompactionConfig::default()
     });
-    let err = compactor.run(&faulty, &mut NoJournal).expect_err("torn write must be caught");
+    let err = run_pass(&compactor, &faulty).expect_err("torn write must be caught");
     assert!(format!("{err}").contains("read-back"), "unexpected error: {err}");
 
     // The torn merged delta replaced plain delta 4 in place, so the

@@ -229,7 +229,7 @@ impl Client {
     fn call(&mut self, req: &Request) -> ClientResult<Response> {
         let req_id = self.next_req_id;
         self.next_req_id += 1;
-        wire::write_frame(&mut self.stream, req.opcode(), req_id, &req.payload())?;
+        io::Write::write_all(&mut self.stream, &req.to_frame(req_id))?;
         let frame = wire::read_frame(&mut self.stream)?;
         let resp = Response::from_frame(&frame)?;
         // Busy is sent by the acceptor with id 0 before it ever sees our

@@ -13,7 +13,11 @@
 //! and is backed by a [`CheckpointManager`], so every ingest inherits
 //! the store's retry/backoff and quarantine machinery. Per-session locks
 //! let distinct sessions ingest in parallel while serialising writes
-//! within one session (the delta chain is inherently ordered).
+//! within one session (the delta chain is inherently ordered). Each
+//! session also holds its store's [`ChainIndex`], loaded once when the
+//! session opens and kept current by the writers that hold its lock, so
+//! restarts and maintenance passes never list the store or re-read file
+//! headers.
 //!
 //! Drain (`Shutdown` request or SIGTERM/SIGINT) flips one flag: the
 //! acceptor, woken by [`ServerHandle::join`], closes the listener and
@@ -37,8 +41,8 @@ use numarck::error::NumarckError;
 use numarck::Config;
 use numarck_checkpoint::backend::StorageBackend;
 use numarck_checkpoint::{
-    scrub, CheckpointManager, CheckpointOutcome, CheckpointStore, FsBackend, ManagerPolicy,
-    RestartEngine, RetryPolicy, SystemClock,
+    scrub, ChainIndex, CheckpointManager, CheckpointOutcome, CheckpointStore, DegradedRestart,
+    FsBackend, ManagerPolicy, RestartEngine, RetryPolicy, SystemClock,
 };
 use numarck_compact::{CompactionConfig, Compactor, CostModel};
 use numarck_obs::{Counter, Gauge, Histogram, Level, Registry, Snapshot};
@@ -118,6 +122,31 @@ struct SessionState {
     /// Write-ahead intent journal: every ingest journals (iteration,
     /// content CRC) and fsyncs *before* the store mutates.
     journal: IntentJournal,
+    /// The store's chain index: loaded once when the session opens,
+    /// after recovery, then kept current under this session's lock by
+    /// the writers themselves — a commit inserts the file it wrote, a
+    /// maintenance pass records its merges, promotions and deletes.
+    /// What may change the store partway (a failed commit or pass, a
+    /// scrub or repair) reloads it. Restarts and Stats resolve and pin
+    /// from it under the same lock.
+    index: ChainIndex,
+}
+
+impl SessionState {
+    /// Reload the chain index from the store after something that may
+    /// have changed it partway. If even the reload fails, the old index
+    /// stays: a restart checks every file it pins against its entry, so
+    /// a stale entry reads as a lost iteration, never as wrong data, and
+    /// the next reload repairs it.
+    fn reload_index(&mut self, shared: &Shared) {
+        match ChainIndex::load(self.manager.store()) {
+            Ok(index) => self.index = index,
+            Err(e) => shared.obs.registry.events().push(
+                Level::Error,
+                format!("chain index reload of session {:?} failed: {e}", self.name),
+            ),
+        }
+    }
 }
 
 /// Per-server instruments, backed by a *private* [`Registry`] so
@@ -226,6 +255,17 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: ServerConfig) -> Self {
+        Self {
+            config,
+            draining: AtomicBool::new(false),
+            obs: Instruments::new(),
+            next_session_id: AtomicU64::new(1),
+            by_name: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(HashMap::new()),
+        }
+    }
+
     /// The stats reply: the base counters, every session, and the
     /// whole metrics snapshot by instrument name. The snapshot is taken
     /// last, so instruments the session replays create are in it.
@@ -371,14 +411,7 @@ impl Server {
         // every stats snapshot from the first scrape on.
         numarck_simd::active_level();
         config.backend.create_dir_all(&config.root)?;
-        let shared = Arc::new(Shared {
-            config,
-            draining: AtomicBool::new(false),
-            obs: Instruments::new(),
-            next_session_id: AtomicU64::new(1),
-            by_name: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-        });
+        let shared = Arc::new(Shared::new(config));
         // Recover every existing session directory *before* the listener
         // goes live: no request can observe a half-applied ingest.
         recover_root(&shared)?;
@@ -439,43 +472,55 @@ fn maintenance_loop(shared: &Shared, compaction: CompactionConfig) {
             if shared.draining.load(Ordering::SeqCst) {
                 return;
             }
-            let mut sess = handle.lock().expect("session lock");
-            let store = sess.manager.store().clone();
-            let name = sess.name.clone();
-            // Re-seed the restart cost model from the decode timings the
-            // replay path has actually measured (`numarck_decode_ns`),
-            // scaled by this session's variable count — placement then
-            // chases observed latency, not the compile-time default.
-            let cost = CostModel::from_obs(sess.manager.variable_count());
-            let compactor = Compactor::new(CompactionConfig { cost, ..compaction });
-            match compactor.run(&store, &mut sess.journal) {
-                Ok(report) => {
-                    if report.merges > 0 || report.fulls_promoted > 0 || report.gc.removed > 0 {
-                        shared.obs.registry.events().push(
-                            Level::Info,
-                            format!(
-                                "maintenance on session {name:?}: {} merges \
-                                 ({} deltas), {} fulls promoted, {} files \
-                                 collected, {} bytes reclaimed",
-                                report.merges,
-                                report.deltas_merged,
-                                report.fulls_promoted,
-                                report.gc.removed,
-                                report.bytes_reclaimed,
-                            ),
-                        );
-                    }
-                }
-                Err(e) => {
-                    // A failed pass quarantined anything it damaged and
-                    // left its intent outstanding; scrub/recovery own the
-                    // repair. Maintenance itself just reports and moves on.
-                    shared.obs.registry.events().push(
-                        Level::Error,
-                        format!("maintenance on session {name:?} failed: {e}"),
-                    );
-                }
+            maintain_session(shared, &handle, compaction);
+        }
+    }
+}
+
+/// One maintenance pass over one session, under its lock and on its
+/// live chain index.
+fn maintain_session(
+    shared: &Shared,
+    handle: &Arc<Mutex<SessionState>>,
+    compaction: CompactionConfig,
+) {
+    let mut guard = handle.lock().expect("session lock");
+    let sess = &mut *guard;
+    let store = sess.manager.store().clone();
+    // Re-seed the restart cost model from the decode timings the
+    // replay path has actually measured (`numarck_decode_ns`), scaled
+    // by this session's variable count — placement then chases
+    // observed latency, not the compile-time default.
+    let cost = CostModel::from_obs(sess.manager.variable_count());
+    let compactor = Compactor::new(CompactionConfig { cost, ..compaction });
+    match compactor.run(&store, &mut sess.journal, &mut sess.index) {
+        Ok(report) => {
+            if report.merges > 0 || report.fulls_promoted > 0 || report.gc.removed > 0 {
+                shared.obs.registry.events().push(
+                    Level::Info,
+                    format!(
+                        "maintenance on session {:?}: {} merges ({} deltas), {} fulls \
+                         promoted, {} files collected, {} bytes reclaimed",
+                        sess.name,
+                        report.merges,
+                        report.deltas_merged,
+                        report.fulls_promoted,
+                        report.gc.removed,
+                        report.bytes_reclaimed,
+                    ),
+                );
             }
+        }
+        Err(e) => {
+            // A failed pass quarantined anything it damaged and left its
+            // intent outstanding; scrub/recovery own the repair.
+            // Maintenance reports, re-reads the store it may have changed
+            // partway, and moves on.
+            shared.obs.registry.events().push(
+                Level::Error,
+                format!("maintenance on session {:?} failed: {e}", sess.name),
+            );
+            sess.reload_index(shared);
         }
     }
 }
@@ -588,7 +633,7 @@ fn acceptor_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: &Shar
 pub fn reject_busy(stream: TcpStream, timeout: Duration) {
     let _ = stream.set_write_timeout(Some(timeout));
     let mut stream = stream;
-    let _ = wire::write_frame(&mut stream, Response::Busy.opcode(), 0, &Response::Busy.payload());
+    let _ = io::Write::write_all(&mut stream, &Response::Busy.to_frame(0));
 }
 
 /// Pull connections off the queue and serve each to completion.
@@ -692,7 +737,7 @@ pub fn serve_connection(
                     code: ErrorCode::Malformed,
                     message: format!("unreadable frame ({e}); closing connection"),
                 };
-                let _ = wire::write_frame(stream, resp.opcode(), 0, &resp.payload());
+                let _ = io::Write::write_all(stream, &resp.to_frame(0));
                 return ConnectionEnd::Unreadable;
             }
         };
@@ -752,7 +797,7 @@ fn answer(frame: &wire::Frame, shared: &Shared) -> (Vec<u8>, bool) {
         Err(e) => (Response::Error { code: ErrorCode::Malformed, message: e.to_string() }, true),
     };
     shared.obs.served.inc();
-    (wire::encode_frame(resp.opcode(), frame.req_id(), &resp.payload()), close_after)
+    (resp.to_frame(frame.req_id()), close_after)
 }
 
 /// Handle one request. Returns the response and whether the connection
@@ -836,6 +881,17 @@ fn open_session(name: &str, shared: &Shared) -> Response {
             }
         }
     };
+    // The one index load of the session's life: from here on its
+    // writers keep it current.
+    let index = match ChainIndex::load(&store) {
+        Ok(index) => index,
+        Err(e) => {
+            return Response::Error {
+                code: ErrorCode::Io,
+                message: format!("cannot index session store: {e}"),
+            }
+        }
+    };
     let manager = CheckpointManager::with_retry(
         store,
         shared.config.compression,
@@ -851,7 +907,13 @@ fn open_session(name: &str, shared: &Shared) -> Response {
         .expect("sessions lock")
         .insert(
             id,
-            Arc::new(Mutex::new(SessionState { id, name: name.to_string(), manager, journal })),
+            Arc::new(Mutex::new(SessionState {
+                id,
+                name: name.to_string(),
+                manager,
+                journal,
+                index,
+            })),
         );
     Response::SessionOpened { session: id }
 }
@@ -894,7 +956,14 @@ fn put_iterations(
         let journaled = sess.manager.prepare(*iteration, vars).and_then(|prepared| {
             let seq = begin_with_retry(&mut sess.journal, &prepared, shared)
                 .map_err(|e| NumarckError::Io(format!("intent journal append failed: {e}")))?;
-            let report = sess.manager.commit(prepared)?;
+            let (it, is_full, file) =
+                (prepared.iteration(), prepared.is_full(), prepared.stored_file());
+            let report = sess.manager.commit(prepared).inspect_err(|_| {
+                // A failed write may still have renamed its file into
+                // place (a failed directory sync): read the store again.
+                sess.reload_index(shared);
+            })?;
+            sess.index.insert(it, is_full, file);
             // Best-effort: a lost commit record only means recovery
             // re-verifies this iteration's CRC after a crash.
             let _ = sess.journal.commit(seq);
@@ -952,24 +1021,38 @@ fn begin_with_retry(
 }
 
 /// One session's stats entry. `files` and the newest stored iteration
-/// are read under a short session lock; the newest chain is then pinned
-/// under the lock and replayed outside it, as [`restart`] does, so a
-/// Stats request never stalls the session's puts for a whole replay.
-/// `latest_restartable` stays a replayed guarantee, not a guess from
-/// file names.
+/// come from the session's chain index under a short session lock; the
+/// newest chain is then pinned and replayed exactly as [`restart`] does,
+/// so a Stats request never stalls the session's puts for a whole
+/// replay. `latest_restartable` stays a replayed guarantee, not a guess
+/// from file names.
 fn session_stat(handle: &Arc<Mutex<SessionState>>) -> SessionStat {
-    let (id, name, store, entries) = {
+    let (id, name, files, newest) = {
         let sess = handle.lock().expect("session lock");
-        let entries = sess.manager.list_iterations().unwrap_or_default();
-        (sess.id, sess.name.clone(), sess.manager.store().clone(), entries)
+        (sess.id, sess.name.clone(), sess.index.file_count(), sess.index.latest())
     };
-    let latest_restartable = entries.last().and_then(|newest| {
-        RestartEngine::new(store)
-            .restart_at_or_before_locked(newest.iteration, || handle.lock().expect("session lock"))
-            .ok()
-            .map(|d| d.achieved())
-    });
-    SessionStat { id, name, files: entries.len() as u32, latest_restartable }
+    let latest_restartable =
+        newest.and_then(|newest| restart_session(handle, newest).ok()).map(|d| d.achieved());
+    SessionStat { id, name, files: files as u32, latest_restartable }
+}
+
+/// Rebuild the newest restartable state at or before `target`. The chain
+/// is resolved from the session's live index and pinned under the
+/// session lock — the lock ingest and maintenance (GC included) hold
+/// while they change the store — so no file on it can be collected
+/// between the resolve and the open, and nothing lists the store. The
+/// parse and decode run after the lock is released: restarts are reads
+/// and must not stall ingest.
+fn restart_session(
+    handle: &Arc<Mutex<SessionState>>,
+    target: u64,
+) -> Result<DegradedRestart, NumarckError> {
+    let store = handle.lock().expect("session lock").manager.store().clone();
+    RestartEngine::new(store).restart_at_or_before_locked(
+        target,
+        || handle.lock().expect("session lock"),
+        |sess| &sess.index,
+    )
 }
 
 fn restart(id: u64, at_or_before: u64, shared: &Shared) -> Response {
@@ -977,14 +1060,7 @@ fn restart(id: u64, at_or_before: u64, shared: &Shared) -> Response {
         Ok(h) => h,
         Err(resp) => return resp,
     };
-    let store = handle.lock().expect("session lock").manager.store().clone();
-    // Pin the chain under the session lock — the lock ingest and
-    // maintenance (GC included) hold while they change the store — so no
-    // file on it can be collected between the resolve and the open. The
-    // parse and decode run after the lock is released: restarts are
-    // reads and must not stall ingest.
-    let pin_lock = || handle.lock().expect("session lock");
-    match RestartEngine::new(store).restart_at_or_before_locked(at_or_before, pin_lock) {
+    match restart_session(&handle, at_or_before) {
         Ok(degraded) => Response::RestartData {
             achieved: degraded.achieved(),
             base: degraded.result.base_iteration,
@@ -1005,10 +1081,11 @@ fn run_scrub(id: u64, repair: bool, shared: &Shared) -> Response {
         Err(resp) => return resp,
     };
     // Scrub holds the session lock: it may quarantine and rewrite files,
-    // which must not race the session's own ingest.
-    let sess = handle.lock().expect("session lock");
+    // which must not race the session's own ingest. Whatever it changed,
+    // the session's index is read again before the lock is released.
+    let mut sess = handle.lock().expect("session lock");
     let store = sess.manager.store();
-    if repair {
+    let resp = if repair {
         match scrub::repair(store) {
             Ok(report) => Response::ScrubDone {
                 checked: report.scrub.checked as u32,
@@ -1028,7 +1105,9 @@ fn run_scrub(id: u64, repair: bool, shared: &Shared) -> Response {
             },
             Err(e) => Response::Error { code: ErrorCode::Io, message: format!("scrub failed: {e}") },
         }
-    }
+    };
+    sess.reload_index(shared);
+    resp
 }
 
 fn close_session(id: u64, shared: &Shared) -> Response {
@@ -1043,5 +1122,156 @@ fn close_session(id: u64, shared: &Shared) -> Response {
             code: ErrorCode::UnknownSession,
             message: format!("session {id} is not open"),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::Path;
+
+    use numarck::Strategy;
+    use numarck_checkpoint::{FaultSchedule, FaultyBackend, VariableSet, WriteFault};
+    use numarck_prop::prelude::*;
+
+    use super::*;
+
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            let path = std::env::temp_dir().join(format!(
+                "numarck-server-{tag}-{}-{}",
+                std::process::id(),
+                std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .expect("clock after epoch")
+                    .as_nanos()
+            ));
+            std::fs::create_dir_all(&path).expect("create temp dir");
+            Self(path)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn vars(iteration: u64) -> VariableSet {
+        let mut v = VariableSet::new();
+        v.insert(
+            "x".into(),
+            (0..64).map(|j| (j as f64 + 1.0) * 1.003f64.powi(iteration as i32)).collect(),
+        );
+        v
+    }
+
+    /// A server's shared state on `root`, recovered as [`Server::spawn`]
+    /// recovers it, with no listener or threads: the tests drive
+    /// [`dispatch`] and [`maintain_session`] directly.
+    fn shared_on(root: &Path, backend: Arc<dyn StorageBackend>) -> Shared {
+        let mut config =
+            ServerConfig::new(root, Config::new(8, 0.001, Strategy::Clustering).unwrap());
+        config.full_interval = 6;
+        config.retry = RetryPolicy::none();
+        config.backend = backend;
+        config.backend.create_dir_all(root).expect("root dir");
+        let shared = Shared::new(config);
+        recover_root(&shared).expect("recovery");
+        shared
+    }
+
+    /// Open `name`, retrying when an injected write fault hits the open
+    /// itself (a fault schedule counts every write, journal ones too).
+    fn open(shared: &Shared, name: &str) -> u64 {
+        for _ in 0..8 {
+            if let Response::SessionOpened { session } = open_session(name, shared) {
+                return session;
+            }
+        }
+        panic!("session {name} never opened");
+    }
+
+    fn handle(shared: &Shared, id: u64) -> Arc<Mutex<SessionState>> {
+        session_handle(id, shared).unwrap_or_else(|_| panic!("session {id} is open"))
+    }
+
+    /// The session's live index is exactly what a fresh load of its
+    /// store reads.
+    fn live_index_is_current(
+        shared: &Shared,
+        id: u64,
+        step: &str,
+    ) -> Result<(), numarck_prop::test_runner::TestCaseError> {
+        let handle = handle(shared, id);
+        let sess = handle.lock().expect("session lock");
+        let loaded = ChainIndex::load(sess.manager.store()).expect("index load");
+        let live = &sess.index;
+        prop_assert!(*live == loaded, "after {step}: live {live:?} != loaded {loaded:?}");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// After any seeded sequence of puts (fulls and deltas, some
+        /// failing their commit on an injected write fault), maintenance
+        /// passes that merge and collect, scrubs and repairs, restarts,
+        /// and server restarts on the same root, the session's index
+        /// equals a fresh [`ChainIndex::load`] of its store.
+        #[test]
+        fn the_live_index_always_equals_a_fresh_load(
+            ops in numarck_prop::collection::vec(0u8..10, 1..48),
+            faults in numarck_prop::collection::vec((1u64..60, 0u8..2), 0..6),
+        ) {
+            let tmp = TempDir::new("live-index");
+            let root = tmp.0.join("root");
+            let schedule = faults.iter().fold(FaultSchedule::new(), |s, &(nth, kind)| {
+                let fault = if kind == 0 {
+                    WriteFault::Error(io::ErrorKind::Other)
+                } else {
+                    WriteFault::Torn { keep: 9 }
+                };
+                s.fail_write(nth, fault)
+            });
+            let mut shared = shared_on(&root, Arc::new(FaultyBackend::new(schedule)));
+            let mut id = open(&shared, "sim");
+            let compaction = CompactionConfig {
+                merge_window: 2,
+                keep_last_fulls: 1,
+                min_age_secs: 0,
+                ..CompactionConfig::default()
+            };
+            let mut next = 0u64;
+            for (step, &op) in ops.iter().enumerate() {
+                let step = format!("step {step} (op {op})");
+                match op {
+                    // Puts: mostly the next iteration, sometimes a gap
+                    // that forces a full.
+                    0..=4 => {
+                        let it = if op == 4 { next + 3 } else { next };
+                        let iterations = vec![(it, vars(it))];
+                        let req = Request::PutIterations { session: id, iterations };
+                        if let (Response::PutDone { .. }, _) = dispatch(req, &shared) {
+                            next = it + 1;
+                        }
+                    }
+                    5 | 6 => maintain_session(&shared, &handle(&shared, id), compaction),
+                    7 => {
+                        let repair = next.is_multiple_of(2);
+                        drop(dispatch(Request::Scrub { session: id, repair }, &shared));
+                    }
+                    8 => drop(dispatch(Request::Restart { session: id, at_or_before: next }, &shared)),
+                    // A server restart on the same root.
+                    _ => {
+                        drop(shared);
+                        shared = shared_on(&root, Arc::new(FsBackend));
+                        id = open(&shared, "sim");
+                    }
+                }
+                live_index_is_current(&shared, id, &step)?;
+            }
+        }
     }
 }

@@ -409,15 +409,33 @@ fn corrupt(msg: String) -> io::Error {
 /// that hand a response's bytes to a connection loop instead of writing
 /// straight to a stream.
 pub fn encode_frame(opcode: u8, req_id: u64, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_PAYLOAD as usize, "payload exceeds MAX_PAYLOAD");
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+    let mut buf = begin_frame(opcode, req_id, payload.len());
+    buf.extend_from_slice(payload);
+    seal_frame(buf)
+}
+
+/// A frame buffer with room for `payload_len` payload bytes and the
+/// CRC, holding the header with its length field still zero. The
+/// payload is then written straight after it and [`seal_frame`] closes
+/// the frame, so a message is framed in the one allocation it travels
+/// in.
+fn begin_frame(opcode: u8, req_id: u64, payload_len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload_len + 4);
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.push(opcode);
     buf.push(0);
     buf.extend_from_slice(&req_id.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&0u32.to_le_bytes());
+    buf
+}
+
+/// Fill in the payload length of a frame [`begin_frame`] started and
+/// append the CRC over everything before it.
+fn seal_frame(mut buf: Vec<u8>) -> Vec<u8> {
+    let payload_len = buf.len() - HEADER_LEN;
+    assert!(payload_len <= MAX_PAYLOAD as usize, "payload exceeds MAX_PAYLOAD");
+    buf[16..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
     let crc = nser::crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
     buf
@@ -630,12 +648,7 @@ impl<'a> Cursor<'a> {
                     "variable '{name}' payload not a multiple of 8 bytes"
                 )));
             }
-            let bytes = self.take(byte_len)?;
-            let values: Vec<f64> = bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect();
-            vars.insert(name, values);
+            vars.insert(name, f64s_from_le(self.take(byte_len)?));
         }
         Ok(vars)
     }
@@ -666,10 +679,53 @@ fn put_vars(buf: &mut Vec<u8>, vars: &VariableSet) {
     for (name, data) in vars {
         put_string(buf, name);
         buf.extend_from_slice(&((data.len() * 8) as u64).to_le_bytes());
-        for &v in data {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        put_f64s(buf, data);
     }
+}
+
+/// Wire length of what [`put_vars`] writes.
+fn vars_len(vars: &VariableSet) -> usize {
+    4 + vars.iter().map(|(name, data)| 2 + name.len() + 8 + data.len() * 8).sum::<usize>()
+}
+
+/// Append `data` as little-endian f64s: one bulk copy on little-endian
+/// targets, value by value elsewhere.
+fn put_f64s(buf: &mut Vec<u8>, data: &[f64]) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: an f64 slice is `size_of_val(data)` initialised bytes
+        // with no padding, and u8 needs no alignment. On a little-endian
+        // target those bytes are already the wire encoding.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data))
+        };
+        buf.extend_from_slice(bytes);
+    }
+    #[cfg(not(target_endian = "little"))]
+    for &v in data {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Little-endian f64s back from `bytes` (a multiple of 8 long): one bulk
+/// copy on little-endian targets, value by value elsewhere.
+fn f64s_from_le(bytes: &[u8]) -> Vec<f64> {
+    let n = bytes.len() / 8;
+    #[cfg(target_endian = "little")]
+    {
+        let mut values = Vec::<f64>::with_capacity(n);
+        // SAFETY: `values` has room for `n` f64s, which is `8 n` bytes;
+        // the source is that long and cannot overlap a fresh allocation.
+        // Every bit pattern is a valid f64, so all `n` are initialised
+        // before the length is set.
+        unsafe {
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), values.as_mut_ptr().cast::<u8>(), n * 8);
+            values.set_len(n);
+        }
+        values
+    }
+    #[cfg(not(target_endian = "little"))]
+    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -690,17 +746,37 @@ impl Request {
         }
     }
 
+    /// The complete frame (header, payload and CRC) under `req_id`,
+    /// built in one buffer: the payload is written straight into it.
+    pub fn to_frame(&self, req_id: u64) -> Vec<u8> {
+        let len = match self {
+            Request::PutIterations { iterations, .. } => {
+                12 + iterations.iter().map(|(_, vars)| 8 + vars_len(vars)).sum::<usize>()
+            }
+            // Small messages grow the buffer as they are written.
+            _ => 0,
+        };
+        let mut buf = begin_frame(self.opcode(), req_id, len);
+        self.write_payload(&mut buf);
+        seal_frame(buf)
+    }
+
     /// Serialise the payload (header and CRC are the framing layer's).
     pub fn payload(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.write_payload(&mut buf);
+        buf
+    }
+
+    fn write_payload(&self, buf: &mut Vec<u8>) {
         match self {
-            Request::OpenSession { name } => put_string(&mut buf, name),
+            Request::OpenSession { name } => put_string(buf, name),
             Request::PutIterations { session, iterations } => {
                 buf.extend_from_slice(&session.to_le_bytes());
                 buf.extend_from_slice(&(iterations.len() as u32).to_le_bytes());
                 for (iteration, vars) in iterations {
                     buf.extend_from_slice(&iteration.to_le_bytes());
-                    put_vars(&mut buf, vars);
+                    put_vars(buf, vars);
                 }
             }
             Request::Restart { session, at_or_before } => {
@@ -716,7 +792,6 @@ impl Request {
                 buf.extend_from_slice(&session.to_le_bytes());
             }
         }
-        buf
     }
 
     /// Decode a request from a frame.
@@ -769,9 +844,27 @@ impl Response {
         }
     }
 
+    /// The complete frame (header, payload and CRC) under `req_id`,
+    /// built in one buffer: the payload is written straight into it.
+    pub fn to_frame(&self, req_id: u64) -> Vec<u8> {
+        let len = match self {
+            Response::RestartData { vars, .. } => 28 + vars_len(vars),
+            // Small messages grow the buffer as they are written.
+            _ => 0,
+        };
+        let mut buf = begin_frame(self.opcode(), req_id, len);
+        self.write_payload(&mut buf);
+        seal_frame(buf)
+    }
+
     /// Serialise the payload (header and CRC are the framing layer's).
     pub fn payload(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.write_payload(&mut buf);
+        buf
+    }
+
+    fn write_payload(&self, buf: &mut Vec<u8>) {
         match self {
             Response::SessionOpened { session } => {
                 buf.extend_from_slice(&session.to_le_bytes());
@@ -789,7 +882,7 @@ impl Response {
                 buf.extend_from_slice(&base.to_le_bytes());
                 buf.extend_from_slice(&deltas_applied.to_le_bytes());
                 buf.extend_from_slice(&lost.to_le_bytes());
-                put_vars(&mut buf, vars);
+                put_vars(buf, vars);
             }
             Response::ScrubDone { checked, quarantined, anchored_at, lost } => {
                 buf.extend_from_slice(&checked.to_le_bytes());
@@ -813,7 +906,7 @@ impl Response {
                 buf.extend_from_slice(&(s.sessions.len() as u32).to_le_bytes());
                 for sess in &s.sessions {
                     buf.extend_from_slice(&sess.id.to_le_bytes());
-                    put_string(&mut buf, &sess.name);
+                    put_string(buf, &sess.name);
                     buf.extend_from_slice(&sess.files.to_le_bytes());
                     buf.push(u8::from(sess.latest_restartable.is_some()));
                     buf.extend_from_slice(&sess.latest_restartable.unwrap_or(0).to_le_bytes());
@@ -821,27 +914,26 @@ impl Response {
                 // The named instruments (see `StatsReply` docs).
                 buf.extend_from_slice(&(s.counters.len() as u32).to_le_bytes());
                 for (name, v) in &s.counters {
-                    put_string(&mut buf, name);
+                    put_string(buf, name);
                     buf.extend_from_slice(&v.to_le_bytes());
                 }
                 buf.extend_from_slice(&(s.gauges.len() as u32).to_le_bytes());
                 for (name, v) in &s.gauges {
-                    put_string(&mut buf, name);
+                    put_string(buf, name);
                     buf.extend_from_slice(&v.to_le_bytes());
                 }
                 buf.extend_from_slice(&(s.latencies.len() as u32).to_le_bytes());
                 for lat in &s.latencies {
-                    put_string(&mut buf, &lat.name);
-                    put_summary(&mut buf, &lat.summary);
+                    put_string(buf, &lat.name);
+                    put_summary(buf, &lat.summary);
                 }
             }
             Response::SessionClosed | Response::ShuttingDown | Response::Busy => {}
             Response::Error { code, message } => {
                 buf.extend_from_slice(&code.to_u16().to_le_bytes());
-                put_string(&mut buf, message);
+                put_string(buf, message);
             }
         }
-        buf
     }
 
     /// Decode a response from a frame.
@@ -994,6 +1086,7 @@ mod tests {
     fn roundtrip_request(req: Request) {
         let mut buf = Vec::new();
         write_frame(&mut buf, req.opcode(), 7, &req.payload()).unwrap();
+        assert_eq!(req.to_frame(7), buf, "framing in place changes no wire byte");
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame.req_id(), 7);
         assert_eq!(Request::from_frame(&frame).unwrap(), req);
@@ -1002,9 +1095,24 @@ mod tests {
     fn roundtrip_response(resp: Response) {
         let mut buf = Vec::new();
         write_frame(&mut buf, resp.opcode(), 99, &resp.payload()).unwrap();
+        assert_eq!(resp.to_frame(99), buf, "framing in place changes no wire byte");
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame.req_id(), 99);
         assert_eq!(Response::from_frame(&frame).unwrap(), resp);
+    }
+
+    /// The messages that carry variables are framed in one buffer of
+    /// exactly their wire size.
+    #[test]
+    fn variable_frames_are_sized_up_front() {
+        let iterations = vec![(0, sample_vars()), (1, sample_vars())];
+        let put = Request::PutIterations { session: 3, iterations }.to_frame(1);
+        assert_eq!(put.capacity(), put.len());
+        let vars = sample_vars();
+        let restart =
+            Response::RestartData { achieved: 9, base: 8, deltas_applied: 1, lost: 0, vars };
+        let restart = restart.to_frame(1);
+        assert_eq!(restart.capacity(), restart.len());
     }
 
     #[test]
