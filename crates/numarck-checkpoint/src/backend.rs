@@ -185,12 +185,13 @@ pub enum ReadFault {
     },
 }
 
-/// Deterministic fault plan: which write/read operation (1-based, in
-/// order of issue) misbehaves, and how.
+/// Deterministic fault plan: which write/read/directory-sync operation
+/// (1-based, in the order they are made) misbehaves, and how.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     write_faults: BTreeMap<u64, WriteFault>,
     read_faults: BTreeMap<u64, ReadFault>,
+    sync_faults: BTreeMap<u64, io::ErrorKind>,
     kill_after_ops: Option<u64>,
 }
 
@@ -212,6 +213,15 @@ impl FaultSchedule {
         self
     }
 
+    /// Make the `nth` directory sync (1-based) fail with `kind` without
+    /// syncing. A store write syncs its directory after the rename, so
+    /// this fails a write whose file has already landed under its final
+    /// name.
+    pub fn fail_sync_dir(mut self, nth: u64, kind: io::ErrorKind) -> Self {
+        self.sync_faults.insert(nth, kind);
+        self
+    }
+
     /// Fail-stop mode: let the first `ops` backend operations (of any
     /// kind) complete, then abort the whole process at the entry of the
     /// next one — equivalent to SIGKILL at that instruction boundary.
@@ -224,10 +234,12 @@ impl FaultSchedule {
 
 /// A [`StorageBackend`] wrapper that misbehaves on schedule.
 ///
-/// Only `write`/`append` and `read` suffer scheduled faults — they carry
-/// the payload bytes, which is where ENOSPC, torn writes and bit rot
-/// live. Metadata operations, header prefix reads included, pass
-/// straight through, but *every* operation counts toward
+/// `write`/`append` and `read` suffer scheduled faults — they carry the
+/// payload bytes, which is where ENOSPC, torn writes and bit rot live —
+/// and so does `sync_dir`, the one metadata operation that can fail
+/// after a rename has landed. The other metadata operations, header
+/// prefix reads included, pass straight through, but *every* operation
+/// counts toward
 /// [`FaultSchedule::die_after_ops`], so a kill sweep covers
 /// rename/sync/list boundaries too.
 #[derive(Debug)]
@@ -236,6 +248,7 @@ pub struct FaultyBackend {
     schedule: FaultSchedule,
     writes: AtomicU64,
     reads: AtomicU64,
+    syncs: AtomicU64,
     ops: AtomicU64,
 }
 
@@ -260,6 +273,7 @@ impl FaultyBackend {
             schedule,
             writes: AtomicU64::new(0),
             reads: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
             ops: AtomicU64::new(0),
         }
     }
@@ -337,7 +351,11 @@ impl StorageBackend for FaultyBackend {
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         self.count_op();
-        self.inner.sync_dir(dir)
+        let nth = self.syncs.fetch_add(1, Ordering::Relaxed) + 1;
+        match self.schedule.sync_faults.get(&nth) {
+            None => self.inner.sync_dir(dir),
+            Some(kind) => Err(injected(*kind, "directory sync error")),
+        }
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
@@ -429,6 +447,22 @@ mod tests {
         b.write(&p, b"two").unwrap();
         assert_eq!(b.read(&p).unwrap(), b"two");
         assert_eq!(b.writes_attempted(), 3);
+    }
+
+    #[test]
+    fn failed_directory_sync_leaves_the_rename_in_place() {
+        let tmp = TempDir::new("backend-sync");
+        let b = FaultyBackend::new(
+            FaultSchedule::new().fail_sync_dir(2, io::ErrorKind::PermissionDenied),
+        );
+        let (tmp_path, path) = (tmp.0.join("x.tmp"), tmp.0.join("x"));
+        b.sync_dir(&tmp.0).unwrap();
+        b.write(&tmp_path, b"one").unwrap();
+        b.rename(&tmp_path, &path).unwrap();
+        let err = b.sync_dir(&tmp.0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+        assert_eq!(b.read(&path).unwrap(), b"one");
+        b.sync_dir(&tmp.0).unwrap();
     }
 
     #[test]

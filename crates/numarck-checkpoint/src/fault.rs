@@ -85,15 +85,26 @@ pub struct IterationDiagnosis {
 }
 
 /// Like [`verify_store`], but keeps the error text per broken iteration.
+///
+/// Loads one [`ChainIndex`](crate::ChainIndex) and resolves every stored
+/// iteration with it, so the cost is one header read per file plus the
+/// replays, not one index load per iteration. If the index cannot be
+/// loaded, every iteration carries that error.
 pub fn diagnose_store(store: &CheckpointStore) -> std::io::Result<Vec<IterationDiagnosis>> {
+    let entries = store.list()?;
     let engine = RestartEngine::new(store.clone());
-    Ok(store
-        .list()?
+    let index = engine.index();
+    Ok(entries
         .into_iter()
         .map(|e| IterationDiagnosis {
             iteration: e.iteration,
             is_full: e.is_full,
-            error: engine.restart_at(e.iteration).err().map(|err| err.to_string()),
+            error: match &index {
+                Ok(index) => {
+                    engine.restart_with(index, e.iteration).err().map(|err| err.to_string())
+                }
+                Err(err) => Some(err.to_string()),
+            },
         })
         .collect())
 }

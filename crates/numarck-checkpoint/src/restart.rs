@@ -292,7 +292,7 @@ impl RestartEngine {
         Ok(PinnedChain { path, files })
     }
 
-    fn index(&self) -> Result<ChainIndex, NumarckError> {
+    pub(crate) fn index(&self) -> Result<ChainIndex, NumarckError> {
         ChainIndex::load(&self.store)
             .map_err(|e| NumarckError::Io(format!("store listing failed: {e}")))
     }

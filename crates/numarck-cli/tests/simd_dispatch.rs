@@ -73,11 +73,8 @@ fn forced_scalar_subprocess_produces_identical_artifacts() {
 
     // (label, env) per pinned level; "default" exercises whatever the
     // host dispatches (AVX2 where available).
-    let variants: [(&str, &[(&str, &str)]); 3] = [
-        ("default", &[]),
-        ("scalar", &[("NUMARCK_SIMD", "scalar")]),
-        ("unrolled", &[("NUMARCK_SIMD", "unrolled")]),
-    ];
+    let variants: [(&str, &[(&str, &str)]); 2] =
+        [("default", &[]), ("scalar", &[("NUMARCK_SIMD", "scalar")])];
 
     let mut compressed: Vec<(String, Vec<u8>)> = Vec::new();
     let mut restored: Vec<(String, Vec<u8>)> = Vec::new();

@@ -2,9 +2,9 @@
 //!
 //! With centres kept sorted, the Voronoi cells of 1-D K-means are
 //! intervals whose boundaries are the midpoints between adjacent centres.
-//! [`SortedCenters`] uses that for O(log k) nearest-centre queries.
+//! [`SortedCenters`] keeps those midpoints.
 //!
-//! [`KMeans1D::fit`] uses it the other way round. It sorts the sample once
+//! [`KMeans1D::fit`] searches them from the sample's side. It sorts the sample once
 //! (`sort_unstable_by(f64::total_cmp)`) and builds compensated prefix sums
 //! over the sorted order; every cluster is then a
 //! contiguous range of the sorted sample. One Lloyd iteration finds the
@@ -21,9 +21,9 @@
 use crate::init::{initial_centers, Init1D};
 use crate::KMeansOptions;
 
-/// Sorted centres plus precomputed midpoints; provides O(log k)
-/// nearest-centre queries. The encoder's `BinTable` keeps its
-/// representatives in one, so it lives here and is shared.
+/// Sorted centres plus precomputed midpoints, the cell boundaries the
+/// fit searches. The encoder's `BinTable` keeps its representatives in
+/// one, so it lives here and is shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SortedCenters {
     centers: Vec<f64>,
@@ -59,24 +59,6 @@ impl SortedCenters {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.centers.is_empty()
-    }
-
-    /// Index of the centre nearest to `x` (ties resolve to the lower
-    /// index).
-    ///
-    /// # Panics
-    /// Panics if there are no centres.
-    #[inline]
-    pub fn nearest(&self, x: f64) -> usize {
-        assert!(!self.centers.is_empty(), "nearest() on empty centre set");
-        // Number of midpoints strictly below x == index of x's interval.
-        self.midpoints.partition_point(|&m| m < x)
-    }
-
-    /// Nearest centre value for `x`.
-    #[inline]
-    pub fn nearest_value(&self, x: f64) -> f64 {
-        self.centers[self.nearest(x)]
     }
 }
 
@@ -197,9 +179,9 @@ impl KMeans1D {
 }
 
 /// Each cluster's exclusive end in the sorted sample. Cluster `j` holds
-/// the points above midpoint `j − 1` and at or below midpoint `j` (the
-/// same tie-to-lower-index rule as [`SortedCenters::nearest`]), so its
-/// end is one binary search; the last cluster ends at `n`.
+/// the points above midpoint `j − 1` and at or below midpoint `j` (a
+/// point midway between two centres goes to the lower one), so its end
+/// is one binary search; the last cluster ends at `n`.
 fn cluster_ends(centers: &SortedCenters, sorted: &[f64]) -> Vec<usize> {
     let mut ends: Vec<usize> =
         centers.midpoints.iter().map(|&m| sorted.partition_point(|&x| x <= m)).collect();
@@ -309,45 +291,14 @@ mod tests {
     use super::*;
     use numarck_par::pool::with_threads;
 
-    #[test]
-    fn sorted_centers_nearest_basic() {
-        let sc = SortedCenters::new(vec![0.0, 10.0, 20.0]);
-        assert_eq!(sc.nearest(-5.0), 0);
-        assert_eq!(sc.nearest(4.9), 0);
-        assert_eq!(sc.nearest(5.1), 1);
-        assert_eq!(sc.nearest(14.9), 1);
-        assert_eq!(sc.nearest(15.1), 2);
-        assert_eq!(sc.nearest(100.0), 2);
+    /// Index of the centre nearest to `x` by a linear count of the
+    /// midpoints below it: ties go to the lower index, as in the fit.
+    fn nearest(centers: &SortedCenters, x: f64) -> usize {
+        centers.midpoints.iter().filter(|&&m| m < x).count()
     }
 
-    #[test]
-    fn nearest_tie_goes_to_lower_index() {
-        let sc = SortedCenters::new(vec![0.0, 10.0]);
-        assert_eq!(sc.nearest(5.0), 0);
-    }
-
-    #[test]
-    fn nearest_matches_linear_scan() {
-        let sc = SortedCenters::new(vec![-3.0, -1.0, 0.5, 2.0, 8.0, 8.5]);
-        for i in -100..200 {
-            let x = i as f64 * 0.1;
-            let fast = sc.nearest(x);
-            let slow = sc
-                .centers()
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    (x - **a).abs().partial_cmp(&(x - **b).abs()).unwrap()
-                })
-                .map(|(i, _)| i)
-                .unwrap();
-            let fd = (x - sc.centers()[fast]).abs();
-            let sd = (x - sc.centers()[slow]).abs();
-            assert!(
-                (fd - sd).abs() < 1e-12,
-                "x={x}: fast idx {fast} (d={fd}) vs slow idx {slow} (d={sd})"
-            );
-        }
+    fn nearest_value(centers: &SortedCenters, x: f64) -> f64 {
+        centers.centers()[nearest(centers, x)]
     }
 
     fn bits(xs: &[f64]) -> Vec<u64> {
@@ -457,7 +408,7 @@ mod tests {
         assert_eq!(res.counts.iter().sum::<u64>(), data.len() as u64);
         let mut recount = vec![0u64; res.centers.len()];
         for &x in &data {
-            recount[res.centers.nearest(x)] += 1;
+            recount[nearest(&res.centers, x)] += 1;
         }
         assert_eq!(recount, res.counts);
     }
@@ -474,7 +425,7 @@ mod tests {
             0,
         ));
         let init_inertia: f64 = data.iter().map(|&x| {
-            let c = init.nearest_value(x);
+            let c = nearest_value(&init, x);
             (x - c) * (x - c)
         }).sum();
         let res = KMeans1D::new(4).with_init(Init1D::UniformSpread).fit(&data);
@@ -499,7 +450,7 @@ mod tests {
         let escape_frac = |res: &KMeans1DResult| {
             data.iter()
                 .filter(|&&x| x < 1.0) // dense-mode points only
-                .filter(|&&x| (x - res.centers.nearest_value(x)).abs() > tol)
+                .filter(|&&x| (x - nearest_value(&res.centers, x)).abs() > tol)
                 .count() as f64
                 / 9900.0
         };
@@ -564,7 +515,7 @@ mod tests {
     /// convergence flag.
     fn naive_fit(km: &KMeans1D, data: &[f64]) -> (Vec<f64>, Vec<u64>, usize, bool) {
         let assign = |centers: &SortedCenters| -> Vec<usize> {
-            data.iter().map(|&x| centers.midpoints.iter().filter(|&&m| m < x).count()).collect()
+            data.iter().map(|&x| nearest(centers, x)).collect()
         };
         let tally = |k: usize, assignments: &[usize]| {
             let (mut sums, mut counts) = (vec![0.0f64; k], vec![0u64; k]);
@@ -671,7 +622,7 @@ mod tests {
             ) {
                 let res = KMeans1D::new(k).fit(&xs);
                 for &x in &xs {
-                    let da = (x - res.centers.nearest_value(x)).abs();
+                    let da = (x - nearest_value(&res.centers, x)).abs();
                     for &c in res.centers.centers() {
                         prop_assert!(da <= (x - c).abs() + 1e-9);
                     }

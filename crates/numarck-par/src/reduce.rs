@@ -176,11 +176,6 @@ impl Moments {
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Compensated sum of all values.
-    pub fn total(&self) -> f64 {
-        self.sum.value()
-    }
 }
 
 /// Parallel moment accumulation over a slice.

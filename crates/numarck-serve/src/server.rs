@@ -1212,6 +1212,56 @@ mod tests {
         Ok(())
     }
 
+    fn put(shared: &Shared, id: u64, it: u64) -> Response {
+        dispatch(Request::PutIterations { session: id, iterations: vec![(it, vars(it))] }, shared).0
+    }
+
+    fn restart(shared: &Shared, id: u64, at_or_before: u64) -> Response {
+        dispatch(Request::Restart { session: id, at_or_before }, shared).0
+    }
+
+    /// A put whose commit fails after its file was renamed into place (a
+    /// permanent directory-sync error) leaves that file in the store. The
+    /// session reloads its index, so the live index still equals a fresh
+    /// load, and the next put, a restart and a server restart succeed.
+    #[test]
+    fn a_commit_failing_after_its_rename_reloads_the_index() {
+        let tmp = TempDir::new("sync-fault");
+        let root = tmp.0.join("root");
+        // Only store writes sync the directory: the third sync is the
+        // third put's commit.
+        let schedule = FaultSchedule::new().fail_sync_dir(3, io::ErrorKind::PermissionDenied);
+        let shared = shared_on(&root, Arc::new(FaultyBackend::new(schedule)));
+        let id = open(&shared, "sim");
+        for it in 0..2 {
+            assert!(matches!(put(&shared, id, it), Response::PutDone { .. }), "put {it}");
+        }
+        match put(&shared, id, 2) {
+            Response::Error { code: ErrorCode::Io, .. } => {}
+            other => panic!("put 2 should fail its directory sync: {other:?}"),
+        }
+        live_index_is_current(&shared, id, "the failed commit").unwrap();
+        assert_eq!(handle(&shared, id).lock().unwrap().index.latest(), Some(2), "the renamed file");
+
+        assert!(matches!(put(&shared, id, 3), Response::PutDone { .. }), "put 3");
+        live_index_is_current(&shared, id, "the next put").unwrap();
+        for target in [2, 3] {
+            match restart(&shared, id, target) {
+                Response::RestartData { achieved, lost: 0, .. } => assert_eq!(achieved, target),
+                other => panic!("restart of {target}: {other:?}"),
+            }
+        }
+
+        drop(shared);
+        let shared = shared_on(&root, Arc::new(FsBackend));
+        let id = open(&shared, "sim");
+        live_index_is_current(&shared, id, "a server restart").unwrap();
+        match restart(&shared, id, 3) {
+            Response::RestartData { achieved: 3, lost: 0, .. } => {}
+            other => panic!("restart of 3 after a server restart: {other:?}"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -2,17 +2,19 @@
 //! the checksum behind every stored container, journal record and wire
 //! frame.
 //!
-//! A checksum has one exact answer, so all levels are bit-identical by
+//! A checksum has one exact answer, so both levels are bit-identical by
 //! definition; they differ only in throughput:
 //!
-//! * **scalar** — one 256-entry table lookup per byte (the oracle).
-//! * **unrolled** — slice-by-16: sixteen tables, sixteen independent
+//! * **scalar** — slice-by-16: sixteen tables, sixteen independent
 //!   lookups per 16-byte step.
 //! * **avx2** — a carry-less-multiply (`PCLMULQDQ`) fold of four 128-bit
 //!   lanes, 64 bytes per step, reduced to 32 bits by a Barrett step.
-//!   Inputs shorter than one fold and the last < 16 bytes go through
+//!   Inputs shorter than two folds and the last < 16 bytes go through
 //!   slice-by-16. [`crate::avx2_available`] requires `pclmulqdq`
 //!   alongside AVX2 for exactly this kernel.
+//!
+//! The classic one-lookup-per-byte loop finishes slice-by-16's last
+//! < 16 bytes, and the tests compare both levels against it.
 //!
 //! Every level has the streaming form `crc32_update(crc, bytes)`, with
 //! `crc32(a‖b) == crc32_update(crc32(a), b)` and `crc32(x) ==
@@ -70,19 +72,18 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
 pub fn crc32_update_with(level: Level, crc: u32, bytes: &[u8]) -> u32 {
     match level {
         Level::Scalar => crc32_update_scalar(crc, bytes),
-        Level::Unrolled => crc32_update_unrolled(crc, bytes),
         // SAFETY: `Level::Avx2` is only handed out when
         // `avx2_available()` saw AVX2, POPCNT and PCLMULQDQ.
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => unsafe { crc32_update_avx2(crc, bytes) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => crc32_update_unrolled(crc, bytes),
+        Level::Avx2 => crc32_update_scalar(crc, bytes),
     }
 }
 
-/// Scalar reference implementation (the oracle): one table lookup per
-/// byte.
-pub fn crc32_update_scalar(crc: u32, bytes: &[u8]) -> u32 {
+/// One table lookup per byte: slice-by-16's tail, and the reference the
+/// tests hold both levels to.
+fn crc32_update_bytewise(crc: u32, bytes: &[u8]) -> u32 {
     let mut c = !crc;
     for &b in bytes {
         c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -92,7 +93,7 @@ pub fn crc32_update_scalar(crc: u32, bytes: &[u8]) -> u32 {
 
 /// Portable slice-by-16: each step folds 16 input bytes with 16
 /// independent table lookups.
-pub fn crc32_update_unrolled(crc: u32, bytes: &[u8]) -> u32 {
+fn crc32_update_scalar(crc: u32, bytes: &[u8]) -> u32 {
     let mut c = !crc;
     let mut chunks = bytes.chunks_exact(16);
     for s in &mut chunks {
@@ -114,7 +115,7 @@ pub fn crc32_update_unrolled(crc: u32, bytes: &[u8]) -> u32 {
             ^ TABLES[1][s[14] as usize]
             ^ TABLES[0][s[15] as usize];
     }
-    crc32_update_scalar(!c, chunks.remainder())
+    crc32_update_bytewise(!c, chunks.remainder())
 }
 
 // Folding constants for the reflected polynomial: each is `x^n mod P(x)`,
@@ -144,12 +145,12 @@ const MU: i64 = 0x1_F701_1641;
 /// Requires the `avx2` and `pclmulqdq` CPU features.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,pclmulqdq")]
-pub unsafe fn crc32_update_avx2(crc: u32, bytes: &[u8]) -> u32 {
+unsafe fn crc32_update_avx2(crc: u32, bytes: &[u8]) -> u32 {
     use std::arch::x86_64::*;
 
     // Below two folds' worth the setup does not pay for itself.
     if bytes.len() < 128 {
-        return crc32_update_unrolled(crc, bytes);
+        return crc32_update_scalar(crc, bytes);
     }
 
     /// `(a.lo ⊗ k.lo) ⊕ (a.hi ⊗ k.hi) ⊕ b`: `a` moved forward onto `b`.
@@ -209,7 +210,7 @@ pub unsafe fn crc32_update_avx2(crc: u32, bytes: &[u8]) -> u32 {
     let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
     let folded = !(_mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32);
 
-    crc32_update_unrolled(folded, blocks.remainder())
+    crc32_update_scalar(folded, blocks.remainder())
 }
 
 #[cfg(test)]
@@ -237,6 +238,9 @@ mod tests {
             assert_eq!(crc32_update_with(level, 0, &a), 0x9A38_DA03, "{}", level.name());
         }
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // The byte-wise reference the other tests compare against.
+        assert_eq!(crc32_update_bytewise(0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_update_bytewise(0, &[b'a'; 1000]), 0x9A38_DA03);
     }
 
     #[test]
@@ -245,7 +249,7 @@ mod tests {
         for start in [0usize, 1, 3, 8, 15] {
             for n in 0..=400 {
                 let s = &data[start..start + n];
-                let oracle = crc32_update_scalar(0, s);
+                let oracle = crc32_update_bytewise(0, s);
                 for level in Level::all_supported() {
                     assert_eq!(
                         crc32_update_with(level, 0, s),
@@ -304,7 +308,7 @@ mod tests {
                 crc in any::<u32>(),
             ) {
                 let s = &data[start.min(data.len())..];
-                let oracle = crc32_update_scalar(crc, s);
+                let oracle = crc32_update_bytewise(crc, s);
                 for level in Level::all_supported() {
                     prop_assert_eq!(crc32_update_with(level, crc, s), oracle);
                 }

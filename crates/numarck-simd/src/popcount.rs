@@ -1,8 +1,8 @@
 //! Kernel 3: bitmap popcount, the primitive behind decode's block-rank
 //! index (`chunked_popcount_ranks`) and bitmap validation.
 //!
-//! Integer bit counts have one exact answer, so all levels are trivially
-//! bit-identical; the levels differ only in throughput. The `avx2` level
+//! Integer bit counts have one exact answer, so both levels are trivially
+//! bit-identical; they differ only in throughput. The `avx2` level
 //! is compiled with `popcnt` enabled so `count_ones` lowers to the
 //! hardware instruction instead of the portable SWAR sequence — the
 //! feature check in [`crate::avx2_available`] requires POPCNT alongside
@@ -20,41 +20,26 @@ pub fn popcount_sum(words: &[u64]) -> u64 {
 pub fn popcount_sum_with(level: Level, words: &[u64]) -> u64 {
     match level {
         Level::Scalar => popcount_sum_scalar(words),
-        Level::Unrolled => popcount_sum_unrolled(words),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => unsafe { popcount_sum_avx2(words) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => popcount_sum_unrolled(words),
+        Level::Avx2 => popcount_sum_scalar(words),
     }
 }
 
 /// Scalar reference implementation (the oracle).
-pub fn popcount_sum_scalar(words: &[u64]) -> u64 {
+fn popcount_sum_scalar(words: &[u64]) -> u64 {
     words.iter().map(|w| w.count_ones() as u64).sum()
 }
 
-/// Portable chunks-of-8 variant: four independent accumulators break the
-/// add dependency chain.
-pub fn popcount_sum_unrolled(words: &[u64]) -> u64 {
-    let mut w8 = words.chunks_exact(8);
-    let (mut a, mut b, mut c, mut d) = (0u64, 0u64, 0u64, 0u64);
-    for w in &mut w8 {
-        a += (w[0].count_ones() + w[1].count_ones()) as u64;
-        b += (w[2].count_ones() + w[3].count_ones()) as u64;
-        c += (w[4].count_ones() + w[5].count_ones()) as u64;
-        d += (w[6].count_ones() + w[7].count_ones()) as u64;
-    }
-    a + b + c + d + popcount_sum_scalar(w8.remainder())
-}
-
-/// POPCNT-enabled variant: same shape as the unrolled level, but
-/// `count_ones` compiles to one `popcnt` per word.
+/// POPCNT-enabled variant: four independent accumulators break the add
+/// dependency chain, and `count_ones` compiles to one `popcnt` per word.
 ///
 /// # Safety
 /// Requires the `avx2` and `popcnt` CPU features.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
-pub unsafe fn popcount_sum_avx2(words: &[u64]) -> u64 {
+unsafe fn popcount_sum_avx2(words: &[u64]) -> u64 {
     let mut w8 = words.chunks_exact(8);
     let (mut a, mut b, mut c, mut d) = (0u64, 0u64, 0u64, 0u64);
     for w in &mut w8 {

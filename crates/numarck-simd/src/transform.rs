@@ -8,7 +8,7 @@
 //! fusing that check here removes the two dedicated validation sweeps the
 //! transform used to make over `prev` and `curr`.
 //!
-//! IEEE subtraction and division are exactly rounded, so all three levels
+//! IEEE subtraction and division are exactly rounded, so both levels
 //! produce bit-identical ratios by construction; the oracle tests pin it.
 
 use crate::Level;
@@ -46,11 +46,10 @@ pub fn change_ratios_with(
     assert_eq!(prev.len(), out.len(), "output must align with input");
     match level {
         Level::Scalar => change_ratios_scalar(prev, curr, out),
-        Level::Unrolled => change_ratios_unrolled(prev, curr, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => unsafe { change_ratios_avx2(prev, curr, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => change_ratios_unrolled(prev, curr, out),
+        Level::Avx2 => change_ratios_scalar(prev, curr, out),
     }
 }
 
@@ -66,36 +65,9 @@ fn find_non_finite(prev: &[f64], curr: &[f64]) -> Option<NonFinite> {
 }
 
 /// Scalar reference implementation (the oracle).
-pub fn change_ratios_scalar(prev: &[f64], curr: &[f64], out: &mut [f64]) -> Option<NonFinite> {
+fn change_ratios_scalar(prev: &[f64], curr: &[f64], out: &mut [f64]) -> Option<NonFinite> {
     let mut any_bad = false;
     for ((&p, &c), o) in prev.iter().zip(curr).zip(out.iter_mut()) {
-        any_bad |= !p.is_finite() || !c.is_finite();
-        *o = (c - p) / p;
-    }
-    if any_bad {
-        find_non_finite(prev, curr)
-    } else {
-        None
-    }
-}
-
-/// Portable chunks-of-8 unrolled variant.
-pub fn change_ratios_unrolled(prev: &[f64], curr: &[f64], out: &mut [f64]) -> Option<NonFinite> {
-    let mut any_bad = false;
-    let mut p8 = prev.chunks_exact(8);
-    let mut c8 = curr.chunks_exact(8);
-    let mut o8 = out.chunks_exact_mut(8);
-    for ((p, c), o) in (&mut p8).zip(&mut c8).zip(&mut o8) {
-        // Eight independent divides per iteration; finiteness folded in
-        // bulk (|x| < inf, false for NaN) without branching per lane.
-        let mut ok = true;
-        for k in 0..8 {
-            ok &= p[k].abs() < f64::INFINITY && c[k].abs() < f64::INFINITY;
-            o[k] = (c[k] - p[k]) / p[k];
-        }
-        any_bad |= !ok;
-    }
-    for ((&p, &c), o) in p8.remainder().iter().zip(c8.remainder()).zip(o8.into_remainder()) {
         any_bad |= !p.is_finite() || !c.is_finite();
         *o = (c - p) / p;
     }
@@ -112,7 +84,7 @@ pub fn change_ratios_unrolled(prev: &[f64], curr: &[f64], out: &mut [f64]) -> Op
 /// Requires the `avx2` CPU feature.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub unsafe fn change_ratios_avx2(
+unsafe fn change_ratios_avx2(
     prev: &[f64],
     curr: &[f64],
     out: &mut [f64],

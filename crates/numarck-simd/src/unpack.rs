@@ -5,7 +5,7 @@
 //! packed LSB-first into little-endian `u64` words, value `i` occupying
 //! bits `[i·B, (i+1)·B)`. The scalar level replicates `read_at` from the
 //! core crate field-for-field (word shift, straddle OR from the next
-//! word, mask); the other levels produce identical codes by construction
+//! word, mask); the AVX2 level produces identical codes by construction
 //! and by test.
 //!
 //! [`apply_codes`] is the decode inner loop on top of the unpacked codes:
@@ -45,16 +45,15 @@ pub fn unpack_with(level: Level, words: &[u64], bits: u8, start: usize, out: &mu
     );
     match level {
         Level::Scalar => unpack_scalar(words, bits, start, out),
-        Level::Unrolled => unpack_unrolled(words, bits, start, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => unsafe { unpack_avx2(words, bits, start, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => unpack_unrolled(words, bits, start, out),
+        Level::Avx2 => unpack_scalar(words, bits, start, out),
     }
 }
 
 /// Scalar reference: the core crate's `read_at` per code (the oracle).
-pub fn unpack_scalar(words: &[u64], bits: u8, start: usize, out: &mut [u32]) {
+fn unpack_scalar(words: &[u64], bits: u8, start: usize, out: &mut [u32]) {
     let mask = code_mask(bits);
     for (j, slot) in out.iter_mut().enumerate() {
         let pos = (start + j) * bits as usize;
@@ -65,37 +64,6 @@ pub fn unpack_scalar(words: &[u64], bits: u8, start: usize, out: &mut [u32]) {
             v |= words[wi + 1] << (64 - off);
         }
         *slot = (v as u32) & mask;
-    }
-}
-
-/// Portable variant: a running bit cursor replaces the per-code
-/// divide/modulo, eight codes per iteration.
-pub fn unpack_unrolled(words: &[u64], bits: u8, start: usize, out: &mut [u32]) {
-    let mask = code_mask(bits);
-    let b = bits as usize;
-    let mut pos = start * b;
-    let mut o8 = out.chunks_exact_mut(8);
-    for o in &mut o8 {
-        for slot in o.iter_mut() {
-            let wi = pos >> 6;
-            let off = pos & 63;
-            let mut v = words[wi] >> off;
-            if b > 64 - off {
-                v |= words[wi + 1] << (64 - off);
-            }
-            *slot = (v as u32) & mask;
-            pos += b;
-        }
-    }
-    for slot in o8.into_remainder() {
-        let wi = pos >> 6;
-        let off = pos & 63;
-        let mut v = words[wi] >> off;
-        if b > 64 - off {
-            v |= words[wi + 1] << (64 - off);
-        }
-        *slot = (v as u32) & mask;
-        pos += b;
     }
 }
 
@@ -111,7 +79,7 @@ pub fn unpack_unrolled(words: &[u64], bits: u8, start: usize, out: &mut [u32]) {
 /// Requires the `avx2` CPU feature.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub unsafe fn unpack_avx2(words: &[u64], bits: u8, start: usize, out: &mut [u32]) {
+unsafe fn unpack_avx2(words: &[u64], bits: u8, start: usize, out: &mut [u32]) {
     use std::arch::x86_64::*;
     let b = bits as usize;
     // Last absolute code index whose word pair is gather-safe.
@@ -177,34 +145,16 @@ pub fn apply_codes_with(level: Level, codes: &[u32], rep1: &[f64], prev: &[f64],
     assert_eq!(codes.len(), out.len(), "out must align with codes");
     match level {
         Level::Scalar => apply_codes_scalar(codes, rep1, prev, out),
-        Level::Unrolled => apply_codes_unrolled(codes, rep1, prev, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => unsafe { apply_codes_avx2(codes, rep1, prev, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => apply_codes_unrolled(codes, rep1, prev, out),
+        Level::Avx2 => apply_codes_scalar(codes, rep1, prev, out),
     }
 }
 
 /// Scalar reference implementation (the oracle).
-pub fn apply_codes_scalar(codes: &[u32], rep1: &[f64], prev: &[f64], out: &mut [f64]) {
+fn apply_codes_scalar(codes: &[u32], rep1: &[f64], prev: &[f64], out: &mut [f64]) {
     for ((&c, &p), o) in codes.iter().zip(prev).zip(out.iter_mut()) {
-        *o = if c == 0 { p } else { p * rep1[c as usize] };
-    }
-}
-
-/// Portable chunks-of-8 variant.
-pub fn apply_codes_unrolled(codes: &[u32], rep1: &[f64], prev: &[f64], out: &mut [f64]) {
-    let mut c8 = codes.chunks_exact(8);
-    let mut p8 = prev.chunks_exact(8);
-    let mut o8 = out.chunks_exact_mut(8);
-    for ((c, p), o) in (&mut c8).zip(&mut p8).zip(&mut o8) {
-        for k in 0..8 {
-            o[k] = if c[k] == 0 { p[k] } else { p[k] * rep1[c[k] as usize] };
-        }
-    }
-    for ((&c, &p), o) in
-        c8.remainder().iter().zip(p8.remainder()).zip(o8.into_remainder())
-    {
         *o = if c == 0 { p } else { p * rep1[c as usize] };
     }
 }
@@ -217,7 +167,7 @@ pub fn apply_codes_unrolled(codes: &[u32], rep1: &[f64], prev: &[f64], out: &mut
 /// Requires the `avx2` CPU feature. Every code must index into `rep1`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub unsafe fn apply_codes_avx2(codes: &[u32], rep1: &[f64], prev: &[f64], out: &mut [f64]) {
+unsafe fn apply_codes_avx2(codes: &[u32], rep1: &[f64], prev: &[f64], out: &mut [f64]) {
     use std::arch::x86_64::*;
     let n = codes.len();
     let lanes = n - n % 4;

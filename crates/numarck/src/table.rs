@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn midpoint_ties_resolve_to_the_lower_index() {
         // 2.0 is exactly halfway between 1.0 and 3.0: the lower
-        // representative wins, matching SortedCenters::nearest.
+        // representative wins, as it does in the K-means fit.
         let t = BinTable::new(vec![1.0, 3.0]);
         let (idx, rep, err) = t.quantize(2.0).unwrap();
         assert_eq!(idx, 0);
@@ -146,10 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn quantize_matches_linear_scan_and_sorted_centers() {
+    fn quantize_matches_linear_scan() {
         let reps = vec![-3.0, -1.0, 0.5, 2.0, 8.0, 8.5];
         let t = BinTable::new(reps.clone());
-        let sc = SortedCenters::new(reps.clone());
         for i in -100..200 {
             let x = i as f64 * 0.1;
             let (idx, rep, err) = t.quantize(x).unwrap();
@@ -163,7 +162,6 @@ mod tests {
             assert_eq!(idx, best, "x = {x}");
             assert_eq!(rep, reps[best]);
             assert!((err - (reps[best] - x).abs()).abs() < 1e-15);
-            assert_eq!(idx, sc.nearest(x), "x = {x} disagrees with midpoint search");
         }
     }
 }
