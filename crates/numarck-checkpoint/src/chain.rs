@@ -36,6 +36,7 @@ use std::io;
 use numarck::error::NumarckError;
 
 use crate::format::{peek_header, HeaderFacts, HEADER_PREFIX_LEN};
+use crate::mmapio::AlignedBytes;
 use crate::store::CheckpointStore;
 
 /// What the index knows about one stored file.
@@ -181,6 +182,30 @@ impl ChainIndex {
         } else {
             entry.delta
         }
+    }
+
+    /// Map the file at (`iteration`, `is_full`) from `store` and check
+    /// it against its entry here: a missing entry, or bytes whose length
+    /// or header differ from it, is [`NumarckError::Corrupt`]. Parsing
+    /// is left to [`CheckpointView::parse`](crate::format::CheckpointView::parse),
+    /// so a caller under a lock can map here and parse after releasing it.
+    pub fn map_file(
+        &self,
+        store: &CheckpointStore,
+        iteration: u64,
+        is_full: bool,
+    ) -> Result<AlignedBytes, NumarckError> {
+        let name = store.path_of(iteration, is_full);
+        let bytes = store
+            .map_raw(iteration, is_full)
+            .map_err(|e| NumarckError::Io(format!("cannot read {}: {e}", name.display())))?;
+        if self.file(iteration, is_full) != Some(StoredFile::of(&bytes)) {
+            return Err(NumarckError::Corrupt(format!(
+                "{} does not match its chain index entry",
+                name.display()
+            )));
+        }
+        Ok(bytes)
     }
 
     /// The newest stored iteration.

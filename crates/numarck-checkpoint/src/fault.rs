@@ -8,6 +8,7 @@
 use std::fs;
 use std::path::Path;
 
+use crate::chain::ChainIndex;
 use crate::restart::RestartEngine;
 use crate::store::CheckpointStore;
 
@@ -86,27 +87,32 @@ pub struct IterationDiagnosis {
 
 /// Like [`verify_store`], but keeps the error text per broken iteration.
 ///
-/// Loads one [`ChainIndex`](crate::ChainIndex) and resolves every stored
-/// iteration with it, so the cost is one header read per file plus the
-/// replays, not one index load per iteration. If the index cannot be
-/// loaded, every iteration carries that error.
+/// Loads one [`ChainIndex`] and resolves every stored iteration with
+/// it, so the cost is one listing and one header read per file plus the
+/// replays, not one index load per iteration.
 pub fn diagnose_store(store: &CheckpointStore) -> std::io::Result<Vec<IterationDiagnosis>> {
-    let entries = store.list()?;
-    let engine = RestartEngine::new(store.clone());
-    let index = engine.index();
-    Ok(entries
-        .into_iter()
-        .map(|e| IterationDiagnosis {
-            iteration: e.iteration,
-            is_full: e.is_full,
-            error: match &index {
-                Ok(index) => {
-                    engine.restart_with(index, e.iteration).err().map(|err| err.to_string())
-                }
-                Err(err) => Some(err.to_string()),
-            },
-        })
-        .collect())
+    let index = ChainIndex::load(store)?;
+    Ok(diagnose_index(&RestartEngine::new(store.clone()), &index))
+}
+
+/// [`diagnose_store`] over an index already loaded: one diagnosis per
+/// file `index` holds, in store-listing order (fulls before deltas at
+/// the same iteration).
+pub(crate) fn diagnose_index(
+    engine: &RestartEngine,
+    index: &ChainIndex,
+) -> Vec<IterationDiagnosis> {
+    let mut out = Vec::with_capacity(index.file_count());
+    for iteration in index.iterations() {
+        let error = engine.restart_with(index, iteration).err().map(|e| e.to_string());
+        let entry = index.entry(iteration).expect("iterated key");
+        for (is_full, file) in [(true, entry.full), (false, entry.delta)] {
+            if file.is_some() {
+                out.push(IterationDiagnosis { iteration, is_full, error: error.clone() });
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

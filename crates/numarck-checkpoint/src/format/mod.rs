@@ -1,27 +1,33 @@
-//! On-disk checkpoint container, behind a versioned codec seam.
+//! On-disk checkpoint container, and the one reader of stored files.
 //!
-//! Every file starts `NCKP` + a little-endian `u16` version. Reads sniff
-//! that version and dispatch through [`AnyCodec`] to the matching
-//! module: `v1` is the original layout, frozen so any chain ever
-//! written stays readable forever; `v2` is the current layout (shared
-//! centroid dictionary, seekable section directory, 64-byte-aligned
-//! sections for mmap zero-copy decode). All writers emit
-//! [`WRITE_VERSION`]; nothing ever rewrites a
-//! v1 file in place — compaction naturally re-serialises merged windows,
-//! so old chains upgrade to v2 as they compact.
+//! Every file starts `NCKP` + a little-endian `u16` version. `v1` is the
+//! original layout, frozen so any chain ever written stays readable
+//! forever; `v2` is the current layout (shared centroid dictionary,
+//! seekable section directory, 64-byte-aligned sections for mmap
+//! zero-copy decode). All writers emit [`WRITE_VERSION`]; nothing ever
+//! rewrites a v1 file in place — compaction naturally re-serialises
+//! merged windows, so old chains upgrade to v2 as they compact.
 //!
-//! Layout details live in the version modules' docs. Adding a v3 means:
-//! a new module, a new [`AnyCodec`] arm, bump [`WRITE_VERSION`] — and
-//! not touching v1/v2 again.
+//! [`CheckpointView`] is the seam: the only place that sniffs a
+//! version and the only reader of stored bytes. Restart, merge, scrub,
+//! GC, recovery and [`CheckpointFile::from_bytes`] all open files
+//! through it. Layout details live in the version modules' docs. Adding
+//! a v3 means a new module, a new [`CheckpointView`] arm, and a bump of
+//! [`WRITE_VERSION`] — and not touching v1/v2 again.
 
 mod v1;
 mod v2;
 
-pub use v2::{MappedCheckpoint, MappedDelta};
+use std::borrow::Cow;
 
+pub use v2::MappedCheckpoint;
+
+use numarck::decode::BlockRef;
 use numarck::encode::CompressedIteration;
 use numarck::error::NumarckError;
+use numarck::table::BinTable;
 
+use crate::mmapio::AlignedBytes;
 use crate::VariableSet;
 
 /// Magic bytes of a checkpoint file.
@@ -56,78 +62,10 @@ pub struct CheckpointFile {
     pub delta_span: u32,
 }
 
-/// The versioned codec seam: one arm per container version.
-///
-/// Modelled on the `AnySerialiser` pattern — the enum is the *only*
-/// place that knows which versions exist. Readers go through
-/// [`AnyCodec::sniff`] + [`AnyCodec::decode`]; writers through
-/// [`AnyCodec::current`] (or the [`CheckpointFile`] convenience
-/// methods, which do exactly that).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum AnyCodec {
-    /// The frozen original layout.
-    V1,
-    /// The current layout.
-    V2,
-}
-
-impl AnyCodec {
-    /// The codec every writer uses.
-    pub fn current() -> Self {
-        Self::V2
-    }
-
-    /// Codec for an explicit version number.
-    pub fn for_version(version: u16) -> Result<Self, NumarckError> {
-        match version {
-            VERSION_V1 => Ok(Self::V1),
-            VERSION_V2 => Ok(Self::V2),
-            found => {
-                Err(NumarckError::VersionMismatch { found, expected: WRITE_VERSION })
-            }
-        }
-    }
-
-    /// Sniff the header version of `data` and pick the codec. Rejects
-    /// wrong magic and unknown versions; everything else is left to
-    /// [`Self::decode`].
-    pub fn sniff(data: &[u8]) -> Result<Self, NumarckError> {
-        Self::for_version(sniff_version(data)?)
-    }
-
-    /// The version number this codec reads and writes.
-    pub fn version(self) -> u16 {
-        match self {
-            Self::V1 => VERSION_V1,
-            Self::V2 => VERSION_V2,
-        }
-    }
-
-    /// Serialise `file` in this codec's layout. Stamps the version just
-    /// written into the `nck_format_version` gauge, so `/metrics` and
-    /// the BENCH snapshots always carry the container version the
-    /// numbers were measured against.
-    pub fn encode(self, file: &CheckpointFile) -> Vec<u8> {
-        stamp_format_version(self.version());
-        match self {
-            Self::V1 => v1::to_bytes(file),
-            Self::V2 => v2::to_bytes(file),
-        }
-    }
-
-    /// Parse and validate `data`, which must carry this codec's
-    /// version.
-    pub fn decode(self, data: &[u8]) -> Result<CheckpointFile, NumarckError> {
-        match self {
-            Self::V1 => v1::from_bytes(data),
-            Self::V2 => v2::from_bytes(data),
-        }
-    }
-}
-
 /// Record the container version a writer just emitted in the global
-/// `nck_format_version` gauge.
+/// `nck_format_version` gauge, so `/metrics` and the BENCH snapshots
+/// always carry the container version the numbers were measured
+/// against.
 fn stamp_format_version(version: u16) {
     numarck_obs::Registry::global().gauge("nck_format_version").set(i64::from(version));
 }
@@ -166,7 +104,7 @@ pub struct HeaderFacts {
 /// then rejects the file with the precise reason.
 pub fn peek_header(prefix: &[u8]) -> Option<HeaderFacts> {
     let version = sniff_version(prefix).ok()?;
-    if prefix.len() < HEADER_PREFIX_LEN || AnyCodec::for_version(version).is_err() {
+    if prefix.len() < HEADER_PREFIX_LEN || !matches!(version, VERSION_V1 | VERSION_V2) {
         return None;
     }
     match prefix[6] {
@@ -203,17 +141,18 @@ pub struct ContainerInfo {
 
 /// Fully validate `data` (either version) and report its layout.
 pub fn describe(data: &[u8]) -> Result<ContainerInfo, NumarckError> {
-    match AnyCodec::sniff(data)? {
-        AnyCodec::V1 => Ok(ContainerInfo {
+    match sniff_version(data)? {
+        VERSION_V1 => Ok(ContainerInfo {
             version: VERSION_V1,
             dict_entries: 0,
             dict_bytes: 0,
             sections: v1::describe(data)?,
         }),
-        AnyCodec::V2 => {
+        VERSION_V2 => {
             let (dict_entries, dict_bytes, sections) = v2::describe(data)?;
             Ok(ContainerInfo { version: VERSION_V2, dict_entries, dict_bytes, sections })
         }
+        found => Err(NumarckError::VersionMismatch { found, expected: WRITE_VERSION }),
     }
 }
 
@@ -233,6 +172,11 @@ impl CheckpointFile {
         Self { iteration, kind: CheckpointKind::Delta(blocks), delta_span: span }
     }
 
+    /// True for full checkpoints.
+    pub fn is_full(&self) -> bool {
+        matches!(self.kind, CheckpointKind::Full(_))
+    }
+
     /// Effective span: how many iterations back this file's base state
     /// lives. 0 for fulls (they are their own base); ≥ 1 for deltas,
     /// normalising the legacy reserved value 0 to 1.
@@ -245,19 +189,235 @@ impl CheckpointFile {
 
     /// Serialise in the current write version.
     pub fn to_bytes(&self) -> Vec<u8> {
-        AnyCodec::current().encode(self)
+        stamp_format_version(VERSION_V2);
+        v2::to_bytes(self)
     }
 
     /// Serialise in the frozen v1 layout. Exists for the fixture
     /// generator and for tests proving the seam; production writers
     /// always emit the current version.
     pub fn to_bytes_v1(&self) -> Vec<u8> {
-        AnyCodec::V1.encode(self)
+        stamp_format_version(VERSION_V1);
+        v1::to_bytes(self)
     }
 
-    /// Parse and validate bytes of either container version.
+    /// Parse and validate bytes of either container version, every
+    /// section included: a [`CheckpointView`] copied out.
     pub fn from_bytes(data: &[u8]) -> Result<Self, NumarckError> {
-        AnyCodec::sniff(data)?.decode(data)
+        CheckpointView::parse_any(AlignedBytes::copy_from(data))?.into_file()
+    }
+}
+
+/// A stored checkpoint file, opened through the one reader.
+///
+/// v2 bytes stay a [`MappedCheckpoint`] and decode in place; v1 bytes
+/// parse through the frozen v1 module into an owned [`CheckpointFile`].
+/// Both shapes lend the same things: full sections as `f64` slices
+/// ([`Self::full_sections`]) and delta sections as [`Hop`]s for
+/// [`numarck::decode::replay`], so what is rebuilt is bit-identical
+/// either way.
+///
+/// [`Self::parse`] checks the header facts: magic and version, the
+/// layout and whole-file CRC, the claimed iteration, and the payload
+/// kind. Section geometry is checked as sections are lent, so a restart
+/// parses each delta section exactly once; [`Self::verify`] walks every
+/// section up front, for the callers that judge a file rather than
+/// decode it (scrub, GC, recovery).
+#[derive(Debug)]
+pub struct CheckpointView {
+    repr: Repr,
+}
+
+#[derive(Debug)]
+enum Repr {
+    V1(CheckpointFile),
+    V2(MappedCheckpoint),
+}
+
+impl CheckpointView {
+    /// Open `bytes` as the checkpoint of `iteration`, holding a full
+    /// payload when `is_full` and a delta otherwise — the facts its
+    /// file name states. Either fact contradicted is
+    /// [`NumarckError::Corrupt`], as is any header, layout or CRC
+    /// failure; an unknown version is [`NumarckError::VersionMismatch`].
+    pub fn parse(bytes: AlignedBytes, iteration: u64, is_full: bool) -> Result<Self, NumarckError> {
+        let view = Self::parse_any(bytes)?;
+        let claimed = view.iteration();
+        if claimed != iteration {
+            return Err(NumarckError::Corrupt(format!(
+                "checkpoint claims iteration {claimed}, expected {iteration}"
+            )));
+        }
+        if view.is_full() != is_full {
+            let kind = |full: bool| if full { "full" } else { "delta" };
+            return Err(NumarckError::Corrupt(format!(
+                "checkpoint {iteration} holds a {} payload, expected a {}",
+                kind(view.is_full()),
+                kind(is_full)
+            )));
+        }
+        Ok(view)
+    }
+
+    /// Dispatch on the version and check the header facts, claiming
+    /// nothing about the name.
+    fn parse_any(bytes: AlignedBytes) -> Result<Self, NumarckError> {
+        let repr = match sniff_version(&bytes)? {
+            VERSION_V1 => Repr::V1(v1::from_bytes(&bytes)?),
+            VERSION_V2 => Repr::V2(MappedCheckpoint::parse(bytes)?),
+            found => return Err(NumarckError::VersionMismatch { found, expected: WRITE_VERSION }),
+        };
+        Ok(Self { repr })
+    }
+
+    /// Iteration the file captures.
+    pub fn iteration(&self) -> u64 {
+        match &self.repr {
+            Repr::V1(f) => f.iteration,
+            Repr::V2(m) => m.iteration(),
+        }
+    }
+
+    /// True for full checkpoints.
+    pub fn is_full(&self) -> bool {
+        match &self.repr {
+            Repr::V1(f) => f.is_full(),
+            Repr::V2(m) => m.is_full(),
+        }
+    }
+
+    /// Every variable of a full checkpoint in name order, lent in place.
+    pub fn full_sections(&self) -> Result<Vec<(&str, &[f64])>, NumarckError> {
+        match &self.repr {
+            Repr::V1(CheckpointFile { kind: CheckpointKind::Full(vars), .. }) => {
+                Ok(vars.iter().map(|(name, values)| (name.as_str(), values.as_slice())).collect())
+            }
+            Repr::V2(m) if m.is_full() => m.full_sections(),
+            _ => Err(NumarckError::Corrupt(format!(
+                "checkpoint {} holds no full payload",
+                self.iteration()
+            ))),
+        }
+    }
+
+    /// This delta's hops, one per variable, for exactly the variables
+    /// `names` in that order: a delta whose variable set differs does
+    /// not continue the chain it is applied to.
+    pub fn hops<'n>(
+        &self,
+        names: impl ExactSizeIterator<Item = &'n str>,
+    ) -> Result<Vec<Hop<'_>>, NumarckError> {
+        let hops = match &self.repr {
+            Repr::V1(CheckpointFile { kind: CheckpointKind::Delta(blocks), .. }) => {
+                blocks.iter().map(|(name, block)| (name.as_str(), Hop::from(block))).collect()
+            }
+            Repr::V2(m) if !m.is_full() => m.delta_variables()?,
+            _ => {
+                return Err(NumarckError::Corrupt(format!(
+                    "checkpoint {} holds no delta payload",
+                    self.iteration()
+                )))
+            }
+        };
+        if hops.len() != names.len() || !hops.iter().zip(names).all(|((a, _), b)| *a == b) {
+            return Err(NumarckError::Corrupt(format!(
+                "delta {} variable set does not match the chain",
+                self.iteration()
+            )));
+        }
+        Ok(hops.into_iter().map(|(_, hop)| hop).collect())
+    }
+
+    /// Check every section: for v2, each section's own CRC and geometry
+    /// (v1 files were decoded whole by [`Self::parse`]). Restart never
+    /// calls this; it checks exactly the sections it decodes.
+    pub fn verify(&self) -> Result<(), NumarckError> {
+        match &self.repr {
+            Repr::V1(_) => Ok(()),
+            Repr::V2(m) => m.verify(),
+        }
+    }
+
+    /// Verify every section and copy the payload out.
+    pub fn into_file(self) -> Result<CheckpointFile, NumarckError> {
+        self.verify()?;
+        let m = match self.repr {
+            Repr::V1(file) => return Ok(file),
+            Repr::V2(m) => m,
+        };
+        let kind = if m.is_full() {
+            let sections = m.full_sections()?.into_iter();
+            CheckpointKind::Full(sections.map(|(name, v)| (name.into(), v.to_vec())).collect())
+        } else {
+            let hops = m.delta_variables()?.into_iter();
+            CheckpointKind::Delta(hops.map(|(name, hop)| (name.into(), hop.to_block())).collect())
+        };
+        // The layout check already pinned a full's stored span to 0.
+        Ok(CheckpointFile { iteration: m.iteration(), kind, delta_span: m.delta_span() })
+    }
+}
+
+/// One variable of one delta file, ready to replay: its centroid table
+/// (borrowed when it is the file's whole dictionary or an owned block's
+/// table) and its bitmap, index and exact-value sections, in place.
+#[derive(Debug)]
+pub struct Hop<'a> {
+    table: Cow<'a, [f64]>,
+    bits: u8,
+    tolerance: f64,
+    num_points: usize,
+    num_compressible: usize,
+    bitmap: &'a [u64],
+    index_words: &'a [u64],
+    exact_values: &'a [f64],
+}
+
+impl<'a> From<&'a CompressedIteration> for Hop<'a> {
+    fn from(block: &'a CompressedIteration) -> Self {
+        Self {
+            table: Cow::Borrowed(block.table.representatives()),
+            bits: block.bits,
+            tolerance: block.tolerance,
+            num_points: block.num_points,
+            num_compressible: block.num_compressible,
+            bitmap: &block.bitmap,
+            index_words: &block.index_words,
+            exact_values: &block.exact_values,
+        }
+    }
+}
+
+impl Hop<'_> {
+    /// The decoder's view of this variable.
+    pub fn block_ref(&self) -> BlockRef<'_> {
+        BlockRef {
+            bits: self.bits,
+            num_points: self.num_points,
+            num_compressible: self.num_compressible,
+            table: &self.table,
+            bitmap: self.bitmap,
+            index_words: self.index_words,
+            exact_values: self.exact_values,
+        }
+    }
+
+    /// The block's error tolerance `E` (metadata; decode ignores it).
+    pub fn tolerance(&self) -> f64 {
+        self.tolerance
+    }
+
+    /// An owned copy of this variable's block.
+    fn to_block(&self) -> CompressedIteration {
+        CompressedIteration {
+            bits: self.bits,
+            tolerance: self.tolerance,
+            num_points: self.num_points,
+            table: BinTable::new(self.table.to_vec()),
+            bitmap: self.bitmap.to_vec(),
+            index_words: self.index_words.to_vec(),
+            num_compressible: self.num_compressible,
+            exact_values: self.exact_values.to_vec(),
+        }
     }
 }
 
@@ -347,7 +507,6 @@ mod tests {
     fn writers_emit_v2() {
         let bytes = sample_delta().to_bytes();
         assert_eq!(sniff_version(&bytes).unwrap(), VERSION_V2);
-        assert_eq!(AnyCodec::sniff(&bytes).unwrap(), AnyCodec::V2);
     }
 
     #[test]
@@ -358,7 +517,6 @@ mod tests {
         ] {
             let bytes = f.to_bytes_v1();
             assert_eq!(sniff_version(&bytes).unwrap(), VERSION_V1);
-            assert_eq!(AnyCodec::sniff(&bytes).unwrap(), AnyCodec::V1);
             let back = CheckpointFile::from_bytes(&bytes).unwrap();
             assert_eq!(back, f);
         }
@@ -380,8 +538,11 @@ mod tests {
             Err(NumarckError::VersionMismatch { found: 9, .. }) => {}
             other => panic!("expected version mismatch, got {other:?}"),
         }
-        assert!(AnyCodec::for_version(0).is_err());
-        assert!(AnyCodec::for_version(3).is_err());
+        for version in [0u16, 3] {
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            let opened = CheckpointView::parse(AlignedBytes::from_vec(bytes.clone()), 42, false);
+            assert!(matches!(opened, Err(NumarckError::VersionMismatch { .. })), "v{version}");
+        }
     }
 
     #[test]
@@ -481,8 +642,6 @@ mod tests {
 
     #[test]
     fn mapped_decode_matches_owned_decode() {
-        use crate::mmapio::AlignedBytes;
-
         let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
         let prev_vars = sample_vars();
         let mut blocks = std::collections::BTreeMap::new();
@@ -517,21 +676,15 @@ mod tests {
 
     #[test]
     fn mapped_full_reads_back() {
-        use crate::mmapio::AlignedBytes;
-
         let f = CheckpointFile::new(7, CheckpointKind::Full(sample_vars()));
         let mapped = MappedCheckpoint::parse(AlignedBytes::from_vec(f.to_bytes())).unwrap();
         assert!(mapped.is_full());
         assert_eq!(mapped.span(), 0);
         assert_eq!(mapped.full_variables().unwrap(), sample_vars());
-        assert_eq!(mapped.full_variable("dens").unwrap(), sample_vars()["dens"]);
-        assert!(mapped.full_variable("nope").is_err());
     }
 
     #[test]
     fn mapped_parse_rejects_v1_with_version_mismatch() {
-        use crate::mmapio::AlignedBytes;
-
         let bytes = sample_delta().to_bytes_v1();
         match MappedCheckpoint::parse(AlignedBytes::from_vec(bytes)) {
             Err(NumarckError::VersionMismatch { found: 1, .. }) => {}
@@ -564,5 +717,39 @@ mod tests {
         assert_eq!(peek_header(&bytes), None, "unknown kind");
         bytes[4] = 3;
         assert_eq!(peek_header(&bytes), None, "unknown version");
+    }
+
+    #[test]
+    fn view_lends_in_both_versions_what_the_owned_copy_holds() {
+        let full = CheckpointFile::new(7, CheckpointKind::Full(sample_vars()));
+        let mut merged = sample_delta();
+        merged.delta_span = 3;
+        for file in [full, merged] {
+            for bytes in [file.to_bytes(), file.to_bytes_v1()] {
+                let it = file.iteration;
+                let view = CheckpointView::parse(AlignedBytes::from_vec(bytes), it, file.is_full())
+                    .unwrap();
+                assert_eq!((view.iteration(), view.is_full()), (it, file.is_full()));
+                view.verify().unwrap();
+                match &file.kind {
+                    CheckpointKind::Full(vars) => {
+                        let want: Vec<(&str, &[f64])> =
+                            vars.iter().map(|(n, v)| (n.as_str(), v.as_slice())).collect();
+                        assert_eq!(view.full_sections().unwrap(), want);
+                        assert!(view.hops(vars.keys().map(String::as_str)).is_err());
+                    }
+                    CheckpointKind::Delta(blocks) => {
+                        let hops = view.hops(blocks.keys().map(String::as_str)).unwrap();
+                        for (hop, block) in hops.iter().zip(blocks.values()) {
+                            assert_eq!(hop.tolerance(), block.tolerance);
+                            assert_eq!(hop.block_ref().table, block.table.representatives());
+                        }
+                        assert!(view.hops(["dens"].into_iter()).is_err(), "short variable set");
+                        assert!(view.full_sections().is_err());
+                    }
+                }
+                assert_eq!(view.into_file().unwrap(), file);
+            }
+        }
     }
 }

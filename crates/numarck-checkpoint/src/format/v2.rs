@@ -57,17 +57,17 @@
 //! (whole-dictionary flag) or 4 bytes per entry. All three payload
 //! subsections start on 64-byte boundaries relative to the file, so a
 //! mapped file decodes in place — see
-//! [`MappedCheckpoint::delta_variables`].
+//! [`MappedCheckpoint::delta_variables`]. There is one v2 reader, the
+//! mapped one: [`super::CheckpointView`] holds it, and an owned
+//! [`CheckpointFile`] is a copy taken out of its sections.
 
 use std::borrow::Cow;
 
-use numarck::decode::BlockRef;
 use numarck::encode::CompressedIteration;
 use numarck::error::NumarckError;
 use numarck::serialize as nser;
-use numarck::table::BinTable;
 
-use super::{CheckpointFile, CheckpointKind, SectionInfo, MAGIC, VERSION_V2};
+use super::{CheckpointFile, CheckpointKind, Hop, SectionInfo, MAGIC, VERSION_V2};
 use crate::mmapio::AlignedBytes;
 use crate::VariableSet;
 
@@ -268,28 +268,28 @@ fn encode_delta_section(buf: &mut Vec<u8>, block: &CompressedIteration, dict: &[
 }
 
 // ---------------------------------------------------------------------------
-// Layout parsing (shared by the owned reader and the mapped reader)
+// Layout parsing
 // ---------------------------------------------------------------------------
 
 /// One directory row.
 #[derive(Debug, Clone)]
-pub(super) struct DirEntry {
-    pub name: String,
-    pub off: usize,
-    pub len: usize,
-    pub crc: u32,
+struct DirEntry {
+    name: String,
+    off: usize,
+    len: usize,
+    crc: u32,
 }
 
 /// Validated v2 frame: header fields plus the parsed directory. Section
 /// *contents* are not yet validated — per-section CRCs gate each access.
 #[derive(Debug, Clone)]
-pub(super) struct Layout {
-    pub kind_byte: u8,
-    pub iteration: u64,
-    pub delta_span: u32,
-    pub dict_off: usize,
-    pub dict_entries: usize,
-    pub entries: Vec<DirEntry>,
+struct Layout {
+    kind_byte: u8,
+    iteration: u64,
+    delta_span: u32,
+    dict_off: usize,
+    dict_entries: usize,
+    entries: Vec<DirEntry>,
 }
 
 fn le_u16(d: &[u8], at: usize) -> u16 {
@@ -322,7 +322,7 @@ fn checked_count(v: u64, what: &str) -> Result<usize, NumarckError> {
 /// placement rules (ascending 64-byte-aligned offsets, no overlap, no
 /// gap other than alignment padding, directory exactly where the last
 /// section's padding ends).
-pub(super) fn parse_layout(data: &[u8]) -> Result<Layout, NumarckError> {
+fn parse_layout(data: &[u8]) -> Result<Layout, NumarckError> {
     if data.len() < HEADER_LEN + 4 {
         return Err(corrupt("v2 checkpoint file too short"));
     }
@@ -480,28 +480,18 @@ pub(super) fn parse_layout(data: &[u8]) -> Result<Layout, NumarckError> {
     Ok(Layout { kind_byte, iteration, delta_span, dict_off, dict_entries, entries })
 }
 
-/// The dictionary values (empty slice when the file has none).
-///
-/// Byte-copy free only when `data` is suitably aligned; the owned
-/// reader uses [`read_dict`] instead.
+/// The dictionary bytes (empty when the file has none).
 fn dict_bytes<'a>(data: &'a [u8], layout: &Layout) -> &'a [u8] {
     &data[layout.dict_off..layout.dict_off + layout.dict_entries * 8]
-}
-
-fn read_dict(data: &[u8], layout: &Layout) -> Vec<f64> {
-    dict_bytes(data, layout)
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
 // Section parsing
 // ---------------------------------------------------------------------------
 
-/// Borrowed view of one delta section, fully bounds- and CRC-checked.
-/// All payload slices are raw bytes: the owned reader copies them out,
-/// the mapped reader reinterprets them in place.
+/// Borrowed view of one delta section, fully bounds-checked. All
+/// payload slices are raw bytes, reinterpreted in place by the mapped
+/// reader.
 struct SectionView<'a> {
     flags: u8,
     bits: u8,
@@ -530,12 +520,12 @@ fn check_section_crc(data: &[u8], e: &DirEntry) -> Result<(), NumarckError> {
     Ok(())
 }
 
-// Neither section parser re-verifies the section CRC: both readers
-// verify the whole-file CRC at open, which already covers every section
-// byte, and hashing the payload a second time on the decode path costs
-// real restart throughput. The stored per-section CRCs exist for
-// *seekable* partial readers and are verified by [`describe`] (the
-// inspector/scrub surface).
+// Neither section parser re-verifies the section CRC: the reader
+// verifies the whole-file CRC at open, which already covers every
+// section byte, and hashing the payload a second time on the decode
+// path costs real restart throughput. The stored per-section CRCs exist
+// for *seekable* partial readers and are verified by [`describe`] (the
+// inspector) and [`MappedCheckpoint::verify`] (scrub, GC, recovery).
 fn parse_full_section<'a>(data: &'a [u8], e: &DirEntry) -> Result<&'a [u8], NumarckError> {
     if e.off + e.len > data.len() {
         return Err(corrupt(format!("section '{}' out of bounds", e.name)));
@@ -670,69 +660,10 @@ fn gather_table<'a>(
     Ok(reps)
 }
 
-fn bytes_to_u64s(b: &[u8]) -> Vec<u64> {
-    b.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
-}
-
-fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
-    b.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
-}
-
-fn section_to_block(
-    view: &SectionView<'_>,
-    dict: &[f64],
-) -> Result<CompressedIteration, NumarckError> {
-    let reps = gather_table(view, dict)?.into_owned();
-    let table_len = view.table_len;
-    let block = CompressedIteration {
-        bits: view.bits,
-        tolerance: view.tolerance,
-        num_points: view.num_points,
-        table: BinTable::new(reps),
-        bitmap: bytes_to_u64s(view.bitmap),
-        index_words: bytes_to_u64s(view.index),
-        num_compressible: view.num_compressible,
-        exact_values: bytes_to_f64s(view.exacts),
-    };
-    if block.table.len() != table_len {
-        return Err(corrupt("duplicate table entries"));
-    }
-    Ok(block)
-}
-
-/// Parse and validate v2 bytes into an owned [`CheckpointFile`].
-pub(super) fn from_bytes(data: &[u8]) -> Result<CheckpointFile, NumarckError> {
-    let layout = parse_layout(data)?;
-    let dict = read_dict(data, &layout);
-    let kind = match layout.kind_byte {
-        0 => {
-            let mut vars = VariableSet::new();
-            for e in &layout.entries {
-                let payload = parse_full_section(data, e)?;
-                vars.insert(e.name.clone(), bytes_to_f64s(payload));
-            }
-            CheckpointKind::Full(vars)
-        }
-        _ => {
-            let mut blocks = std::collections::BTreeMap::new();
-            for e in &layout.entries {
-                let view = parse_delta_section(data, e, layout.dict_entries)?;
-                blocks.insert(e.name.clone(), section_to_block(&view, &dict)?);
-            }
-            CheckpointKind::Delta(blocks)
-        }
-    };
-    let delta_span = match kind {
-        CheckpointKind::Full(_) => 0,
-        CheckpointKind::Delta(_) => layout.delta_span,
-    };
-    Ok(CheckpointFile { iteration: layout.iteration, kind, delta_span })
-}
-
 /// Section/dictionary sizes for the inspector ([`super::describe`]).
-/// This is the surface that exercises the per-section CRCs individually
-/// (decode relies on the whole-file pass instead), so scrub-style tools
-/// can tell *which* section is damaged.
+/// Like [`MappedCheckpoint::verify`], it checks the per-section CRCs
+/// individually (decode relies on the whole-file pass instead), so the
+/// inspector can tell *which* section is damaged.
 pub(super) fn describe(data: &[u8]) -> Result<(usize, usize, Vec<SectionInfo>), NumarckError> {
     let layout = parse_layout(data)?;
     for e in &layout.entries {
@@ -754,12 +685,14 @@ pub(super) fn describe(data: &[u8]) -> Result<(usize, usize, Vec<SectionInfo>), 
 ///
 /// Holds [`AlignedBytes`] — ideally a live `mmap` of the file — and the
 /// validated section layout. [`Self::delta_variables`] hands out one
-/// [`MappedDelta`] per variable, whose [`BlockRef`] has bitmap/index/exact
-/// slices pointing straight into the mapping (the 64-byte section
-/// alignment plus the 8-byte-aligned base make the reinterpretation
-/// exact); the caller replays those through [`numarck::decode::replay`].
-/// The only bytes ever copied are the decoded output and, for a table
-/// that is not the whole dictionary, the (tiny) gathered centroid table.
+/// [`Hop`] per variable, whose [`BlockRef`](numarck::decode::BlockRef)
+/// has bitmap/index/exact slices pointing straight into the mapping
+/// (the 64-byte section alignment plus the 8-byte-aligned base make the
+/// reinterpretation exact), and a full's values are lent the same way;
+/// the caller replays those through
+/// [`numarck::decode::replay`]. The only bytes ever copied are the
+/// decoded output and, for a table that is not the whole dictionary,
+/// the (tiny) gathered centroid table.
 ///
 /// Integrity: open verifies the whole-file CRC (one streaming pass over
 /// the mapped pages — every bit of the file is covered before any of it
@@ -768,7 +701,8 @@ pub(super) fn describe(data: &[u8]) -> Result<(usize, usize, Vec<SectionInfo>), 
 /// file pass already covered them. The per-section CRCs are what make
 /// the directory *seekable* — a future partial reader can skip the file
 /// pass and verify exactly the sections it touches — and are checked
-/// individually by the inspector ([`super::describe`]).
+/// individually by [`super::CheckpointView::verify`] and the inspector
+/// ([`super::describe`]).
 #[derive(Debug)]
 pub struct MappedCheckpoint {
     bytes: AlignedBytes,
@@ -795,8 +729,7 @@ fn as_f64s(b: &[u8]) -> Result<&[f64], NumarckError> {
 
 impl MappedCheckpoint {
     /// Validate the frame of a v2 file and keep the bytes mapped.
-    /// Fails with [`NumarckError::VersionMismatch`] on v1 bytes — the
-    /// caller falls back to the owned reader.
+    /// Fails with [`NumarckError::VersionMismatch`] on v1 bytes.
     pub fn parse(bytes: AlignedBytes) -> Result<Self, NumarckError> {
         let layout = parse_layout(&bytes)?;
         Ok(Self { bytes, layout })
@@ -834,14 +767,6 @@ impl MappedCheckpoint {
         }
     }
 
-    fn entry(&self, name: &str) -> Result<&DirEntry, NumarckError> {
-        self.layout
-            .entries
-            .iter()
-            .find(|e| e.name == name)
-            .ok_or_else(|| corrupt(format!("no variable '{name}' in checkpoint")))
-    }
-
     fn dict(&self) -> Result<&[f64], NumarckError> {
         as_f64s(dict_bytes(&self.bytes, &self.layout))
     }
@@ -849,7 +774,7 @@ impl MappedCheckpoint {
     /// Every delta variable in name order, each viewed in place in the
     /// mapping. Each section's geometry and bitmap population are
     /// checked here; the code range is checked by the decoder.
-    pub fn delta_variables(&self) -> Result<Vec<(&str, MappedDelta<'_>)>, NumarckError> {
+    pub fn delta_variables(&self) -> Result<Vec<(&str, Hop<'_>)>, NumarckError> {
         if self.is_full() {
             return Err(corrupt("delta_variables on a full checkpoint"));
         }
@@ -859,65 +784,48 @@ impl MappedCheckpoint {
             .iter()
             .map(|e| {
                 let view = parse_delta_section(&self.bytes, e, self.layout.dict_entries)?;
-                let delta = MappedDelta {
+                let hop = Hop {
                     table: gather_table(&view, dict)?,
                     bits: view.bits,
+                    tolerance: view.tolerance,
                     num_points: view.num_points,
                     num_compressible: view.num_compressible,
                     bitmap: as_u64s(view.bitmap)?,
                     index_words: as_u64s(view.index)?,
                     exact_values: as_f64s(view.exacts)?,
                 };
-                Ok((e.name.as_str(), delta))
+                Ok((e.name.as_str(), hop))
             })
             .collect()
     }
 
-    /// Read one full-checkpoint variable (the copy into the returned
-    /// vector is the only copy made).
-    pub fn full_variable(&self, name: &str) -> Result<Vec<f64>, NumarckError> {
+    /// Every variable of a full checkpoint in name order, lent in place.
+    pub(super) fn full_sections(&self) -> Result<Vec<(&str, &[f64])>, NumarckError> {
         if !self.is_full() {
-            return Err(corrupt("full_variable on a delta checkpoint"));
+            return Err(corrupt("full_sections on a delta checkpoint"));
         }
-        let e = self.entry(name)?;
-        Ok(as_f64s(parse_full_section(&self.bytes, e)?)?.to_vec())
+        self.layout
+            .entries
+            .iter()
+            .map(|e| Ok((e.name.as_str(), as_f64s(parse_full_section(&self.bytes, e)?)?)))
+            .collect()
     }
 
-    /// All variables of a full checkpoint.
+    /// All variables of a full checkpoint, copied out.
     pub fn full_variables(&self) -> Result<VariableSet, NumarckError> {
-        let mut vars = VariableSet::new();
-        for e in &self.layout.entries {
-            vars.insert(e.name.clone(), as_f64s(parse_full_section(&self.bytes, e)?)?.to_vec());
-        }
-        Ok(vars)
+        let sections = self.full_sections()?.into_iter();
+        Ok(sections.map(|(name, values)| (name.to_string(), values.to_vec())).collect())
     }
-}
 
-/// One delta variable of a [`MappedCheckpoint`]: its centroid table
-/// gathered out of the file's dictionary (borrowed when it is the whole
-/// dictionary) and its bitmap, index and exact-value sections in place.
-#[derive(Debug)]
-pub struct MappedDelta<'a> {
-    table: Cow<'a, [f64]>,
-    bits: u8,
-    num_points: usize,
-    num_compressible: usize,
-    bitmap: &'a [u64],
-    index_words: &'a [u64],
-    exact_values: &'a [f64],
-}
-
-impl MappedDelta<'_> {
-    /// The decoder's view of this variable.
-    pub fn block_ref(&self) -> BlockRef<'_> {
-        BlockRef {
-            bits: self.bits,
-            num_points: self.num_points,
-            num_compressible: self.num_compressible,
-            table: &self.table,
-            bitmap: self.bitmap,
-            index_words: self.index_words,
-            exact_values: self.exact_values,
+    /// Check every section's own CRC and geometry.
+    pub(super) fn verify(&self) -> Result<(), NumarckError> {
+        for e in &self.layout.entries {
+            check_section_crc(&self.bytes, e)?;
+        }
+        if self.is_full() {
+            self.full_sections().map(drop)
+        } else {
+            self.delta_variables().map(drop)
         }
     }
 }

@@ -5,7 +5,8 @@
 //! * [`format`](mod@format) — an on-disk container for one checkpoint: either a
 //!   *full* checkpoint (raw `f64` arrays per variable, the paper's `D_0`)
 //!   or a *delta* checkpoint (one NUMARCK-compressed block per
-//!   variable). CRC-protected, length-validated.
+//!   variable). CRC-protected, length-validated, and read through one
+//!   checked view ([`format::CheckpointView`]) whatever its version.
 //! * [`backend`] — the syscall boundary: every filesystem operation the
 //!   store performs goes through a [`backend::StorageBackend`], so tests
 //!   inject faults (ENOSPC on the Nth write, torn writes, read bit rot)
@@ -53,8 +54,8 @@ pub mod store;
 pub use backend::{FaultSchedule, FaultyBackend, FsBackend, ReadFault, StorageBackend, WriteFault};
 pub use chain::{ChainIndex, StoredFile};
 pub use format::{
-    describe, sniff_version, AnyCodec, CheckpointFile, CheckpointKind, ContainerInfo,
-    MappedCheckpoint, MappedDelta, SectionInfo, VERSION_V1, VERSION_V2, WRITE_VERSION,
+    describe, sniff_version, CheckpointFile, CheckpointKind, CheckpointView, ContainerInfo, Hop,
+    MappedCheckpoint, SectionInfo, VERSION_V1, VERSION_V2, WRITE_VERSION,
 };
 pub use mmapio::AlignedBytes;
 pub use manager::{

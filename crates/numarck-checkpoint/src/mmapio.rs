@@ -99,6 +99,11 @@ unsafe impl Sync for AlignedBytes {}
 impl AlignedBytes {
     /// Copy `bytes` into an aligned owned buffer.
     pub fn from_vec(bytes: Vec<u8>) -> Self {
+        Self::copy_from(&bytes)
+    }
+
+    /// Copy `bytes` into an aligned owned buffer.
+    pub fn copy_from(bytes: &[u8]) -> Self {
         let len = bytes.len();
         let mut buf = vec![0u64; len.div_ceil(8)];
         // Safety: the u64 buffer spans at least `len` bytes.

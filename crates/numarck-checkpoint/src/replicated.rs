@@ -129,42 +129,28 @@ impl ReplicatedBackend {
         Ok(())
     }
 
-    /// Run a read on every replica and return the plurality result; a
-    /// tie goes to the group containing the lowest replica index, so the
-    /// result is deterministic. Failed replicas are counted and only
-    /// surface when no replica answered.
-    fn plurality<T: PartialEq>(
+    /// Run a read on every replica and return the [`plurality`] result.
+    /// Failed replicas are counted and only surface when no replica
+    /// answered.
+    fn read_plurality<T: PartialEq>(
         &self,
         what: &str,
         op: impl Fn(usize) -> io::Result<T>,
     ) -> io::Result<T> {
-        let mut groups: Vec<(T, usize)> = Vec::new();
         let mut first_err: Option<io::Error> = None;
+        let mut answers = Vec::with_capacity(self.replicas.len());
         for i in 0..self.replicas.len() {
             match op(i) {
-                Ok(data) => {
-                    if let Some(g) = groups.iter_mut().find(|(d, _)| *d == data) {
-                        g.1 += 1;
-                    } else {
-                        groups.push((data, 1));
-                    }
-                }
+                Ok(data) => answers.push(data),
                 Err(e) => {
                     self.errors[i].fetch_add(1, Ordering::Relaxed);
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                 }
             }
         }
-        // Earlier-inserted groups win ties: strictly-greater keeps the
-        // lowest-index group in front.
-        match groups.into_iter().reduce(|best, g| if g.1 > best.1 { g } else { best }) {
-            Some((data, _)) => Ok(data),
-            None => {
-                Err(first_err.unwrap_or_else(|| io::Error::other(format!("{what}: no replicas"))))
-            }
-        }
+        plurality(answers).ok_or_else(|| {
+            first_err.unwrap_or_else(|| io::Error::other(format!("{what}: no replicas")))
+        })
     }
 
     /// Fan a mutating operation out to every replica; succeed iff at
@@ -193,6 +179,22 @@ impl ReplicatedBackend {
                 .unwrap_or_else(|| io::Error::other(format!("{what}: no replica succeeded"))))
         }
     }
+}
+
+/// The most common value among `candidates`; a tie goes to the group
+/// seen first, so with candidates in replica order the lowest replica
+/// index wins and the vote is deterministic. `None` when there are no
+/// candidates. Quorum reads and scrub's read-repair both vote with it.
+pub(crate) fn plurality<T: PartialEq>(candidates: impl IntoIterator<Item = T>) -> Option<T> {
+    let mut groups: Vec<(T, usize)> = Vec::new();
+    for c in candidates {
+        match groups.iter_mut().find(|(d, _)| *d == c) {
+            Some(g) => g.1 += 1,
+            None => groups.push((c, 1)),
+        }
+    }
+    // Strictly greater keeps the earliest group in front on a tie.
+    groups.into_iter().reduce(|best, g| if g.1 > best.1 { g } else { best }).map(|(d, _)| d)
 }
 
 impl StorageBackend for ReplicatedBackend {
@@ -233,11 +235,11 @@ impl StorageBackend for ReplicatedBackend {
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.plurality("read", |i| self.read_replica(i, path))
+        self.read_plurality("read", |i| self.read_replica(i, path))
     }
 
     fn read_prefix(&self, path: &Path, len: usize) -> io::Result<(Vec<u8>, u64)> {
-        self.plurality("read_prefix", |i| {
+        self.read_plurality("read_prefix", |i| {
             self.replicas[i].backend.read_prefix(&self.rebase(i, path)?, len)
         })
     }

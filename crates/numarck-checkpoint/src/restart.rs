@@ -9,24 +9,20 @@
 //!
 //! A restart runs in two steps. It *pins* the path — resolves it with a
 //! [`ChainIndex`] and maps every file on it, the only step that touches
-//! the store — and then works from the pinned bytes alone: it parses
-//! and verifies every file first, and then replays each variable once,
-//! handing its base values and all of its hops to [`decode::replay`],
-//! which applies the whole chain in one pass over the field. A caller
-//! that shares the store with writers pins under their lock, from the
-//! index those writers keep current, and decodes after releasing it
-//! ([`RestartEngine::restart_at_or_before_locked`]).
-
-use std::path::{Path, PathBuf};
+//! the store — and then works from the pinned bytes alone: it opens
+//! every file as a [`CheckpointView`] first, and then replays each
+//! variable once, handing its base values (lent in place from the base
+//! full) and all of its hops to [`decode::replay`], which applies the
+//! whole chain in one pass over the field and allocates only its
+//! output. A caller that shares the store with writers pins under their
+//! lock, from the index those writers keep current, and decodes after
+//! releasing it ([`RestartEngine::restart_at_or_before_locked`]).
 
 use numarck::decode::{self, BlockRef};
-use numarck::encode::CompressedIteration;
 use numarck::error::NumarckError;
 
-use crate::chain::{ChainIndex, ChainPath, StoredFile};
-use crate::format::{
-    sniff_version, CheckpointFile, CheckpointKind, MappedCheckpoint, MappedDelta, VERSION_V2,
-};
+use crate::chain::{ChainIndex, ChainPath};
+use crate::format::{CheckpointView, Hop};
 use crate::mmapio::AlignedBytes;
 use crate::store::CheckpointStore;
 use crate::VariableSet;
@@ -35,97 +31,14 @@ use crate::VariableSet;
 /// failure that coincided with a change to the store.
 const STALE_INDEX_RETRIES: usize = 4;
 
-/// One file on a restart chain, in whichever shape its container
-/// version decodes best: v2 files stay as a [`MappedCheckpoint`] and
-/// decode zero-copy straight out of the mapping; v1 (and any bytes a
-/// non-mapping backend hands back) are parsed into an owned
-/// [`CheckpointFile`]. Both shapes yield [`BlockRef`]s for the same
-/// [`decode::replay`], so the reconstructed state is bit-identical
-/// either way.
-#[derive(Debug)]
-enum ChainFile {
-    Parsed(CheckpointFile),
-    Mapped(MappedCheckpoint),
-}
-
-/// One variable of one delta file, ready to replay.
-enum Hop<'a> {
-    Parsed(&'a CompressedIteration),
-    Mapped(MappedDelta<'a>),
-}
-
-impl Hop<'_> {
-    fn block_ref(&self) -> BlockRef<'_> {
-        match self {
-            Self::Parsed(block) => block.block_ref(),
-            Self::Mapped(delta) => delta.block_ref(),
-        }
-    }
-}
-
-impl ChainFile {
-    /// Parse pinned bytes through the versioned seam: v2 files stay
-    /// mapped for zero-copy decode, v1 files parse through the frozen
-    /// codec.
-    fn parse(name: &Path, iteration: u64, bytes: AlignedBytes) -> Result<Self, NumarckError> {
-        let file = match sniff_version(&bytes)? {
-            VERSION_V2 => Self::Mapped(MappedCheckpoint::parse(bytes)?),
-            _ => Self::Parsed(CheckpointFile::from_bytes(&bytes)?),
-        };
-        let claimed = match &file {
-            Self::Parsed(f) => f.iteration,
-            Self::Mapped(m) => m.iteration(),
-        };
-        if claimed != iteration {
-            return Err(NumarckError::Corrupt(format!(
-                "file {} claims iteration {claimed}, expected {iteration}",
-                name.display()
-            )));
-        }
-        Ok(file)
-    }
-
-    fn into_full_variables(self, iteration: u64) -> Result<VariableSet, NumarckError> {
-        match self {
-            Self::Parsed(CheckpointFile { kind: CheckpointKind::Full(vars), .. }) => Ok(vars),
-            Self::Mapped(m) if m.is_full() => m.full_variables(),
-            _ => Err(NumarckError::Corrupt(format!("base {iteration} holds no full payload"))),
-        }
-    }
-
-    /// This delta file's hops, one per variable of `vars`, in key order.
-    fn hops(&self, iteration: u64, vars: &VariableSet) -> Result<Vec<Hop<'_>>, NumarckError> {
-        let full_payload =
-            || NumarckError::Corrupt(format!("delta {iteration} holds a full payload"));
-        let hops: Vec<(&str, Hop<'_>)> = match self {
-            Self::Parsed(CheckpointFile { kind: CheckpointKind::Delta(blocks), .. }) => {
-                blocks.iter().map(|(name, block)| (name.as_str(), Hop::Parsed(block))).collect()
-            }
-            Self::Parsed(_) => return Err(full_payload()),
-            Self::Mapped(m) if m.is_full() => return Err(full_payload()),
-            Self::Mapped(m) => m
-                .delta_variables()?
-                .into_iter()
-                .map(|(name, delta)| (name, Hop::Mapped(delta)))
-                .collect(),
-        };
-        if hops.len() != vars.len() || !hops.iter().zip(vars.keys()).all(|((a, _), b)| a == b) {
-            return Err(NumarckError::Corrupt(format!(
-                "delta {iteration} variable set does not match the chain"
-            )));
-        }
-        Ok(hops.into_iter().map(|(_, hop)| hop).collect())
-    }
-}
-
 /// A resolved restart path with every file on it held: mapped on
 /// filesystem stores (a mapping survives a later unlink), copied on
 /// other backends. Replaying it reads nothing more from the store.
 #[derive(Debug)]
 struct PinnedChain {
     path: ChainPath,
-    /// `(file name, bytes)` per file, in [`ChainPath::files`] order.
-    files: Vec<(PathBuf, AlignedBytes)>,
+    /// The bytes of each file, in [`ChainPath::files`] order.
+    files: Vec<AlignedBytes>,
 }
 
 impl PinnedChain {
@@ -134,25 +47,30 @@ impl PinnedChain {
         self.path.target
     }
 
-    /// Parse and verify every pinned file, then replay each variable
-    /// from the base full through all of its deltas in one pass.
+    /// Open every pinned file as a [`CheckpointView`] — the base as a
+    /// full, whatever its name, and each delta as a delta — then replay
+    /// each variable from the base, lent in place, through all of its
+    /// deltas in one pass.
     fn replay(self) -> Result<RestartResult, NumarckError> {
         let Self { path, files } = self;
-        let mut steps = path.files().zip(files);
-        let ((base, _), (name, bytes)) = steps.next().expect("a path starts at its base");
-        let mut vars = ChainFile::parse(&name, base, bytes)?.into_full_variables(base)?;
-        let deltas: Vec<(u64, ChainFile)> = steps
-            .map(|((it, _), (name, bytes))| Ok((it, ChainFile::parse(&name, it, bytes)?)))
-            .collect::<Result<_, NumarckError>>()?;
+        let views: Vec<CheckpointView> = path
+            .files()
+            .zip(files)
+            .enumerate()
+            .map(|(k, ((it, _), bytes))| CheckpointView::parse(bytes, it, k == 0))
+            .collect::<Result<_, _>>()?;
+        let (base, deltas) = views.split_first().expect("a path starts at its base");
+        let base = base.full_sections()?;
         let hops: Vec<Vec<Hop<'_>>> = deltas
             .iter()
-            .map(|(it, file)| file.hops(*it, &vars))
+            .map(|file| file.hops(base.iter().map(|(name, _)| *name)))
             .collect::<Result<_, _>>()?;
-        if !hops.is_empty() {
-            for (v, values) in vars.values_mut().enumerate() {
-                let chain: Vec<BlockRef<'_>> = hops.iter().map(|file| file[v].block_ref()).collect();
-                *values = decode::replay(values, &chain)?;
-            }
+        let mut vars = VariableSet::new();
+        for (v, (name, values)) in base.iter().enumerate() {
+            let chain: Vec<BlockRef<'_>> = hops.iter().map(|file| file[v].block_ref()).collect();
+            let values =
+                if chain.is_empty() { values.to_vec() } else { decode::replay(values, &chain)? };
+            vars.insert(name.to_string(), values);
         }
         Ok(RestartResult {
             vars,
@@ -267,28 +185,14 @@ impl RestartEngine {
         self.pin(index, target)?.replay()
     }
 
-    /// Resolve `target` with `index` and map every file on its path. A
-    /// mapped file whose length or header disagrees with its index entry
-    /// is [`NumarckError::Corrupt`].
+    /// Resolve `target` with `index` and map every file on its path,
+    /// each checked against its index entry ([`ChainIndex::map_file`]).
     fn pin(&self, index: &ChainIndex, target: u64) -> Result<PinnedChain, NumarckError> {
         let path = index.resolve(target)?;
         let files = path
             .files()
-            .map(|(it, is_full)| {
-                let name = self.store.path_of(it, is_full);
-                let bytes = self
-                    .store
-                    .map_raw(it, is_full)
-                    .map_err(|e| NumarckError::Io(format!("cannot read {}: {e}", name.display())))?;
-                if index.file(it, is_full) != Some(StoredFile::of(&bytes)) {
-                    return Err(NumarckError::Corrupt(format!(
-                        "{} does not match its chain index entry",
-                        name.display()
-                    )));
-                }
-                Ok((name, bytes))
-            })
-            .collect::<Result<_, NumarckError>>()?;
+            .map(|(it, is_full)| index.map_file(&self.store, it, is_full))
+            .collect::<Result<_, _>>()?;
         Ok(PinnedChain { path, files })
     }
 

@@ -17,8 +17,11 @@ use std::path::PathBuf;
 
 use numarck::error::NumarckError;
 
-use crate::fault::diagnose_store;
-use crate::format::{CheckpointFile, CheckpointKind};
+use crate::chain::ChainIndex;
+use crate::fault::diagnose_index;
+use crate::format::{CheckpointFile, CheckpointKind, CheckpointView};
+use crate::mmapio::AlignedBytes;
+use crate::replicated::plurality;
 use crate::restart::{LostIteration, RestartEngine};
 use crate::store::{CheckpointStore, StoreEntry};
 
@@ -71,9 +74,11 @@ impl ScrubReport {
 /// Validate every stored checkpoint file; quarantine the ones that fail.
 ///
 /// A file fails when its bytes don't parse (bad magic, bad CRC, torn
-/// tail), when its header claims a different iteration than its name, or
-/// when its payload kind contradicts its extension. Damaged files are
-/// *moved* to `quarantine/`, not deleted.
+/// tail, a section that fails its own CRC or geometry), when its header
+/// claims a different iteration than its name, or when its payload kind
+/// contradicts its extension — exactly what
+/// [`CheckpointStore::open_file`] plus [`CheckpointView::verify`]
+/// reject. Damaged files are *moved* to `quarantine/`, not deleted.
 ///
 /// On a replicated backend a cross-replica pass runs first: every
 /// replica's copy of every file is validated independently, and copies
@@ -127,12 +132,10 @@ fn scrub_replicas(
         let path = store.path_of(entry.iteration, entry.is_full);
         let copies: Vec<Option<Vec<u8>>> =
             (0..rb.replica_count()).map(|i| rb.read_replica(i, &path).ok()).collect();
-        let valid = |bytes: &[u8]| match CheckpointFile::from_bytes(bytes) {
-            Ok(f) => {
-                f.iteration == entry.iteration
-                    && matches!(f.kind, CheckpointKind::Full(_)) == entry.is_full
-            }
-            Err(_) => false,
+        let valid = |bytes: &[u8]| {
+            CheckpointView::parse(AlignedBytes::copy_from(bytes), entry.iteration, entry.is_full)
+                .and_then(|view| view.verify())
+                .is_ok()
         };
         let reference =
             plurality(copies.iter().filter_map(|c| c.as_deref()).filter(|b| valid(b)));
@@ -186,45 +189,13 @@ fn scrub_replicas(
     Ok(report)
 }
 
-/// Most common byte-content among `candidates`; earlier items win ties
-/// (mirroring quorum reads, where the lowest replica index wins).
-fn plurality<'a>(candidates: impl Iterator<Item = &'a [u8]>) -> Option<&'a [u8]> {
-    let mut groups: Vec<(&[u8], usize)> = Vec::new();
-    for c in candidates {
-        if let Some(g) = groups.iter_mut().find(|(d, _)| *d == c) {
-            g.1 += 1;
-        } else {
-            groups.push((c, 1));
-        }
-    }
-    groups.into_iter().reduce(|best, g| if g.1 > best.1 { g } else { best }).map(|(d, _)| d)
-}
-
 /// `None` when the entry validates; otherwise why it doesn't.
 fn validate(store: &CheckpointStore, entry: StoreEntry) -> Option<String> {
-    let bytes = match store.read_raw(entry.iteration, entry.is_full) {
-        Ok(bytes) => bytes,
-        Err(e) => return Some(format!("unreadable: {e}")),
-    };
-    let file = match CheckpointFile::from_bytes(&bytes) {
-        Ok(file) => file,
-        Err(e) => return Some(e.to_string()),
-    };
-    if file.iteration != entry.iteration {
-        return Some(format!(
-            "header claims iteration {}, file name says {}",
-            file.iteration, entry.iteration
-        ));
-    }
-    let is_full_payload = matches!(file.kind, CheckpointKind::Full(_));
-    if is_full_payload != entry.is_full {
-        return Some(format!(
-            "payload kind ({}) contradicts extension ({})",
-            if is_full_payload { "full" } else { "delta" },
-            if entry.is_full { "full" } else { "delta" },
-        ));
-    }
-    None
+    store
+        .open_file(entry.iteration, entry.is_full)
+        .and_then(|view| view.verify())
+        .err()
+        .map(|e| e.to_string())
 }
 
 /// Result of a [`repair`] pass.
@@ -252,10 +223,15 @@ pub struct RepairReport {
 /// restartable iteration if that iteration only had a delta, so the
 /// store ends with every listed iteration restartable and a full
 /// checkpoint at its head.
+///
+/// Loads one [`ChainIndex`] after the scrub: the diagnosis resolves
+/// every iteration with it, and the anchor is rebuilt along it.
 pub fn repair(store: &CheckpointStore) -> Result<RepairReport, NumarckError> {
     let scrub_report = scrub(store)?;
-    let diagnosis = diagnose_store(store)
-        .map_err(|e| NumarckError::Io(format!("diagnosis failed: {e}")))?;
+    let mut index =
+        ChainIndex::load(store).map_err(|e| NumarckError::Io(format!("diagnosis failed: {e}")))?;
+    let engine = RestartEngine::new(store.clone());
+    let diagnosis = diagnose_index(&engine, &index);
     let mut lost = Vec::new();
     let mut anchored_at = None;
     for d in &diagnosis {
@@ -265,6 +241,7 @@ pub fn repair(store: &CheckpointStore) -> Result<RepairReport, NumarckError> {
                 store
                     .quarantine(d.iteration, d.is_full)
                     .map_err(|e| NumarckError::Io(format!("quarantine failed: {e}")))?;
+                index.remove(d.iteration, d.is_full);
                 lost.push(LostIteration { iteration: d.iteration, reason: reason.clone() });
             }
         }
@@ -277,7 +254,7 @@ pub fn repair(store: &CheckpointStore) -> Result<RepairReport, NumarckError> {
             .iter()
             .any(|d| d.iteration == anchor && d.is_full && d.error.is_none());
         if !already_full {
-            let result = RestartEngine::new(store.clone()).restart_at(anchor)?;
+            let result = engine.restart_with(&index, anchor)?;
             let file = CheckpointFile::new(anchor, CheckpointKind::Full(result.vars));
             store
                 .write(&file)

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use numarck::error::NumarckError;
 
 use crate::backend::{FsBackend, StorageBackend};
-use crate::format::{CheckpointFile, CheckpointKind};
+use crate::format::{CheckpointFile, CheckpointView};
 
 /// Name of the subdirectory corrupt files are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -78,8 +78,7 @@ impl CheckpointStore {
 
     /// Write a checkpoint atomically (temp file + rename + dir fsync).
     pub fn write(&self, file: &CheckpointFile) -> std::io::Result<PathBuf> {
-        let is_full = matches!(file.kind, CheckpointKind::Full(_));
-        self.write_raw(file.iteration, is_full, &file.to_bytes())
+        self.write_raw(file.iteration, file.is_full(), &file.to_bytes())
     }
 
     /// Write pre-serialized checkpoint bytes atomically (temp file +
@@ -103,7 +102,7 @@ impl CheckpointStore {
     }
 
     /// Read the raw bytes of the checkpoint for `iteration`, without
-    /// validation (the scrubber's entry point).
+    /// validation.
     pub fn read_raw(&self, iteration: u64, is_full: bool) -> std::io::Result<Vec<u8>> {
         self.backend.read(&self.path_of(iteration, is_full))
     }
@@ -112,27 +111,26 @@ impl CheckpointStore {
     /// mapped when the backend supports it (plain filesystem stores do;
     /// replicated and fault-injected backends fall back to an aligned
     /// copy so their read semantics keep applying). No validation —
-    /// callers hand the bytes to the versioned codec seam.
+    /// callers hand the bytes to [`CheckpointView::parse`].
     pub fn map_raw(&self, iteration: u64, is_full: bool) -> std::io::Result<crate::AlignedBytes> {
         self.backend.map(&self.path_of(iteration, is_full))
     }
 
-    /// Read and validate the checkpoint for `iteration`.
+    /// Map the checkpoint for `iteration` and open it as a
+    /// [`CheckpointView`], which checks it against its name: the
+    /// iteration, and a full or delta payload as `is_full` says.
+    pub fn open_file(&self, iteration: u64, is_full: bool) -> Result<CheckpointView, NumarckError> {
+        let bytes = self.map_raw(iteration, is_full).map_err(|e| {
+            let path = self.path_of(iteration, is_full);
+            NumarckError::Io(format!("cannot read {}: {e}", path.display()))
+        })?;
+        CheckpointView::parse(bytes, iteration, is_full)
+    }
+
+    /// Read and validate the checkpoint for `iteration`, every section
+    /// included, into an owned copy.
     pub fn read(&self, iteration: u64, is_full: bool) -> Result<CheckpointFile, NumarckError> {
-        let path = self.path_of(iteration, is_full);
-        let bytes = self
-            .backend
-            .read(&path)
-            .map_err(|e| NumarckError::Io(format!("cannot read {}: {e}", path.display())))?;
-        let file = CheckpointFile::from_bytes(&bytes)?;
-        if file.iteration != iteration {
-            return Err(NumarckError::Corrupt(format!(
-                "file {} claims iteration {}, expected {iteration}",
-                path.display(),
-                file.iteration
-            )));
-        }
-        Ok(file)
+        self.open_file(iteration, is_full)?.into_file()
     }
 
     /// List all checkpoints, sorted by iteration (fulls before deltas at
@@ -219,6 +217,7 @@ mod tests {
     use super::testutil::TempDir;
     use super::*;
     use crate::backend::{FaultSchedule, FaultyBackend, WriteFault};
+    use crate::format::CheckpointKind;
     use crate::VariableSet;
 
     fn full(iter: u64) -> CheckpointFile {
@@ -268,6 +267,46 @@ mod tests {
         let f = full(7);
         std::fs::write(store.path_of(9, true), f.to_bytes()).unwrap();
         assert!(store.read(9, true).is_err());
+    }
+
+    #[test]
+    fn open_file_checks_the_name_in_both_versions() {
+        let tmp = TempDir::new("store-names");
+        let store = CheckpointStore::open(&tmp.0).unwrap();
+        let cfg = numarck::Config::new(8, 0.001, numarck::Strategy::Clustering).unwrap();
+        let prev = vec![1.0; 16];
+        let curr: Vec<f64> = (0..16).map(|i| 1.0 + i as f64 * 0.01).collect();
+        let (block, _) = numarck::encode::encode(&prev, &curr, &cfg).unwrap();
+        let delta = |it| {
+            CheckpointFile::new(
+                it,
+                CheckpointKind::Delta([("x".to_string(), block.clone())].into()),
+            )
+        };
+        for v1 in [false, true] {
+            let bytes = |f: &CheckpointFile| if v1 { f.to_bytes_v1() } else { f.to_bytes() };
+            store.write_raw(9, true, &bytes(&full(3))).unwrap();
+            store.write_raw(10, false, &bytes(&full(10))).unwrap();
+            store.write_raw(11, true, &bytes(&delta(11))).unwrap();
+            for (it, is_full, says) in [
+                (9, true, "claims iteration 3, expected 9"),
+                (10, false, "holds a full payload, expected a delta"),
+                (11, true, "holds a delta payload, expected a full"),
+            ] {
+                match store.open_file(it, is_full) {
+                    Err(NumarckError::Corrupt(msg)) => {
+                        assert!(msg.contains(says), "v1={v1}: {msg}")
+                    }
+                    other => panic!("v1={v1}: {it} opened as {other:?}"),
+                }
+                assert!(store.read(it, is_full).is_err(), "v1={v1}: read {it}");
+            }
+            // The same payloads under their own names open.
+            store.write_raw(3, true, &bytes(&full(3))).unwrap();
+            store.write_raw(11, false, &bytes(&delta(11))).unwrap();
+            assert_eq!(store.read(3, true).unwrap(), full(3));
+            assert_eq!(store.read(11, false).unwrap(), delta(11));
+        }
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! 1. If any retained iteration's chain fails to resolve, **nothing**
 //!    is deleted. A hole (quarantined or missing file) means the store
 //!    needs scrub/repair, not a GC making it worse.
-//! 2. Every live file is CRC-verified (a scrub-grade read) before the
+//! 2. Every live file is verified (a scrub-grade read: the whole-file
+//!    CRC, every section's CRC and geometry, and its name) before the
 //!    first delete. Deleting a dead file is only safe because a live
 //!    replacement covers it — so the replacement must be proven intact
 //!    first. Replacements were written fsync-durable (temp file +
-//!    rename + dir fsync) by the store.
+//!    rename + dir fsync) by the store. A pass that deletes nothing
+//!    proves nothing and reads no file.
 //! 3. A dead file younger than `min_age_secs` survives; unknown age
 //!    (metadata error) counts as young. This is a retention setting, not
 //!    a reader guard: in-flight restarts are protected by pinning their
@@ -110,22 +112,14 @@ pub(crate) fn collect_in(
         return Ok(report);
     }
 
-    // Invariant 2: prove every live file intact before deleting its
-    // superseded cover.
-    for &(it, is_full) in &live {
-        store.read(it, is_full).map_err(|e| {
-            NumarckError::Corrupt(format!(
-                "gc aborted: live file (iteration {it}, full={is_full}) failed verification: {e}"
-            ))
-        })?;
-    }
     report.live = live.len() as u64;
 
-    // Delete dead files old enough to be settled.
+    // Dead files old enough to be settled.
     let now = SystemTime::now();
     let min_age = Duration::from_secs(min_age_secs);
-    for it in index.iterations().collect::<Vec<_>>() {
-        let entry = *index.entry(it).expect("iterated key");
+    let mut doomed = Vec::new();
+    for it in index.iterations() {
+        let entry = index.entry(it).expect("iterated key");
         for (is_full, file) in [(true, entry.full), (false, entry.delta)] {
             let Some(file) = file else { continue };
             if live.contains(&(it, is_full)) {
@@ -135,21 +129,38 @@ pub(crate) fn collect_in(
                 report.kept_young += 1;
                 continue;
             }
-            match store.remove(it, is_full) {
-                Ok(()) => {
-                    report.removed += 1;
-                    report.bytes_removed += file.bytes;
-                }
-                // Already gone (e.g. a concurrent pass): that is the goal.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    return Err(NumarckError::Io(format!(
-                        "gc delete of iteration {it} (full={is_full}) failed: {e}"
-                    )))
-                }
-            }
-            index.remove(it, is_full);
+            doomed.push((it, is_full, file.bytes));
         }
+    }
+    if doomed.is_empty() {
+        return Ok(report);
+    }
+
+    // Invariant 2: prove every live file intact before deleting its
+    // superseded cover.
+    for &(it, is_full) in &live {
+        store.open_file(it, is_full).and_then(|view| view.verify()).map_err(|e| {
+            NumarckError::Corrupt(format!(
+                "gc aborted: live file (iteration {it}, full={is_full}) failed verification: {e}"
+            ))
+        })?;
+    }
+
+    for (it, is_full, bytes) in doomed {
+        match store.remove(it, is_full) {
+            Ok(()) => {
+                report.removed += 1;
+                report.bytes_removed += bytes;
+            }
+            // Already gone (e.g. a concurrent pass): that is the goal.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => {
+                return Err(NumarckError::Io(format!(
+                    "gc delete of iteration {it} (full={is_full}) failed: {e}"
+                )))
+            }
+        }
+        index.remove(it, is_full);
     }
     Ok(report)
 }

@@ -21,10 +21,10 @@
 //!   equivalence unconditional.
 //!
 //! The caller then verifies the whole artefact end to end: the merged
-//! file is serialised, re-parsed, and replayed against the base state,
-//! and the result is bit-compared with the original chain's replay
-//! before anything touches the store (see
-//! [`crate::policy::Compactor`]).
+//! file is serialised, re-opened through the reader restart uses
+//! ([`CheckpointView`]), and replayed against the base state, and the
+//! result is bit-compared with the original chain's replay before
+//! anything touches the store (see [`crate::policy::Compactor`]).
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -33,11 +33,11 @@ use numarck::decode;
 use numarck::encode::{pack_codes_serial, CompressedIteration, ESCAPE};
 use numarck::error::NumarckError;
 use numarck::table::BinTable;
-use numarck_checkpoint::chain::{ChainIndex, StoredFile};
-use numarck_checkpoint::format::{CheckpointFile, CheckpointKind};
+use numarck_checkpoint::chain::ChainIndex;
+use numarck_checkpoint::format::{CheckpointFile, CheckpointView, Hop};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
-use numarck_checkpoint::VariableSet;
+use numarck_checkpoint::{AlignedBytes, VariableSet};
 
 /// How a merged block's points were stored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -242,23 +242,23 @@ pub fn merge_window(
     }
     let base = RestartEngine::new(store.clone()).restart_with(index, first)?.vars;
     let window = (first + 1..=end)
-        .map(|it| read_window_delta(store, index, it, &base))
+        .map(|it| CheckpointView::parse(index.map_file(store, it, false)?, it, false))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut fin = VariableSet::new();
-    for (name, base_vals) in &base {
-        let hops: Vec<_> = window.iter().map(|blocks| blocks[name].block_ref()).collect();
-        fin.insert(name.clone(), decode::replay(base_vals, &hops)?);
-    }
+    let window: Vec<Vec<Hop<'_>>> = window
+        .iter()
+        .map(|delta| delta.hops(base.keys().map(String::as_str)))
+        .collect::<Result<_, _>>()?;
+    let fin = replay_each(&base, &window)?;
 
     // Metadata: compose the replaced segment's error bounds and carry
     // the widest index width forward.
     let mut composed_tol = 1.0f64;
     let mut bits = 0u8;
-    for blocks in &window {
+    for hops in &window {
         let mut seg_tol = 0.0f64;
-        for block in blocks.values() {
-            seg_tol = seg_tol.max(block.tolerance);
-            bits = bits.max(block.bits);
+        for hop in hops {
+            seg_tol = seg_tol.max(hop.tolerance());
+            bits = bits.max(hop.block_ref().bits);
         }
         composed_tol *= 1.0 + seg_tol;
     }
@@ -277,20 +277,12 @@ pub fn merge_window(
     let bytes = file.to_bytes();
     let content_crc = numarck::serialize::crc32(&bytes);
 
-    // The proof: parse the exact bytes a write would land and replay
-    // them. Anything short of bit equality is a construction bug and
-    // must never be written.
-    let parsed = CheckpointFile::from_bytes(&bytes)?;
-    let parsed_blocks = match parsed.kind {
-        CheckpointKind::Delta(blocks) => blocks,
-        CheckpointKind::Full(_) => {
-            return Err(NumarckError::Corrupt("merged delta re-parsed as a full".into()))
-        }
-    };
-    let mut replayed = VariableSet::new();
-    for (name, block) in &parsed_blocks {
-        replayed.insert(name.clone(), decode::reconstruct(&base[name], block)?);
-    }
+    // The proof: open the exact bytes a write would land through the
+    // reader restart uses, and replay them. Anything short of bit
+    // equality is a construction bug and must never be written.
+    let merged = CheckpointView::parse(AlignedBytes::copy_from(&bytes), end, false)?;
+    let merged = merged.hops(base.keys().map(String::as_str))?;
+    let replayed = replay_each(&base, std::slice::from_ref(&merged))?;
     if !vars_bits_equal(&replayed, &fin) {
         return Err(NumarckError::Corrupt(format!(
             "merged delta at {end} (span {span}) failed end-to-end bit-exactness verification"
@@ -299,38 +291,15 @@ pub fn merge_window(
     Ok(MergedDelta { file, bytes, content_crc, stats, expected: fin })
 }
 
-/// Read the plain delta at `iteration` of a merge window: the stored
-/// bytes must match their chain index entry, and the file must be a
-/// delta at that iteration over exactly `base`'s variables.
-fn read_window_delta(
-    store: &CheckpointStore,
-    index: &ChainIndex,
-    iteration: u64,
-    base: &VariableSet,
-) -> Result<BTreeMap<String, CompressedIteration>, NumarckError> {
-    let name = store.path_of(iteration, false);
-    let bytes = store
-        .read_raw(iteration, false)
-        .map_err(|e| NumarckError::Io(format!("cannot read {}: {e}", name.display())))?;
-    if index.file(iteration, false) != Some(StoredFile::of(&bytes)) {
-        return Err(NumarckError::Corrupt(format!(
-            "{} does not match its chain index entry",
-            name.display()
-        )));
+/// Replay every variable of `base` through its hop in each of `files`,
+/// in order: each file holds one hop per variable, in `base`'s order.
+fn replay_each(base: &VariableSet, files: &[Vec<Hop<'_>>]) -> Result<VariableSet, NumarckError> {
+    let mut out = VariableSet::new();
+    for (v, (name, values)) in base.iter().enumerate() {
+        let hops: Vec<_> = files.iter().map(|file| file[v].block_ref()).collect();
+        out.insert(name.clone(), decode::replay(values, &hops)?);
     }
-    let file = CheckpointFile::from_bytes(&bytes)?;
-    match file.kind {
-        CheckpointKind::Delta(blocks)
-            if file.iteration == iteration
-                && blocks.len() == base.len()
-                && blocks.keys().zip(base.keys()).all(|(a, b)| a == b) =>
-        {
-            Ok(blocks)
-        }
-        _ => Err(NumarckError::Corrupt(format!(
-            "delta {iteration} does not continue the chain's variables"
-        ))),
-    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -313,6 +313,58 @@ fn gc_min_age_keeps_young_dead_files() {
 }
 
 #[test]
+fn gc_with_a_damaged_live_cover_deletes_nothing() {
+    let tmp = TempDir::new("gc-damaged-cover");
+    let truth = truth_sequence(12, 100);
+    // Fulls at 0, 4, 8: under keep_last_fulls=1 the live chain is
+    // [full 8, deltas 9..=11] and every older file is dead.
+    let store = build_store(&tmp.0, &truth, 4);
+    let path = store.path_of(10, false);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+    let files_before = store.list().unwrap().len();
+    match gc::collect(&store, 1, 0, 0) {
+        Err(numarck::NumarckError::Corrupt(msg)) => assert!(msg.contains("iteration 10"), "{msg}"),
+        other => panic!("a damaged live file must abort the pass: {other:?}"),
+    }
+    assert_eq!(store.list().unwrap().len(), files_before, "nothing may be deleted");
+}
+
+#[test]
+fn gc_pass_with_nothing_to_delete_reads_no_file() {
+    let tmp = TempDir::new("gc-no-reads");
+    let backend = Arc::new(FaultyBackend::new(FaultSchedule::new()));
+    let store = CheckpointStore::open_with(&tmp.0, backend.clone()).unwrap();
+    let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
+    let mut mgr = CheckpointManager::new(store.clone(), cfg, ManagerPolicy::fixed(4));
+    for (it, vars) in truth_sequence(12, 100).iter().enumerate() {
+        mgr.checkpoint(it as u64, vars).unwrap();
+    }
+    let files_before = store.list().unwrap().len();
+
+    // Every dead file is young, so the pass deletes nothing and must not
+    // read a single file to prove it.
+    let reads = backend.reads_attempted();
+    let report = gc::collect(&store, 1, 0, 3600).unwrap();
+    assert_eq!(report.removed, 0);
+    assert!(report.kept_young > 0, "{report:?}");
+    assert_eq!(backend.reads_attempted(), reads, "a pass that deletes nothing read a file");
+
+    // Every iteration retained, so nothing is dead: no reads either.
+    let report = gc::collect(&store, 1, 1, 0).unwrap();
+    assert_eq!((report.removed, report.kept_young), (0, 0), "{report:?}");
+    assert_eq!(backend.reads_attempted(), reads, "a pass with no dead file read a file");
+
+    // A pass that deletes verifies every live file first.
+    let report = gc::collect(&store, 1, 0, 0).unwrap();
+    assert!(report.removed > 0, "{report:?}");
+    assert_eq!(backend.reads_attempted(), reads + report.live);
+    assert_eq!(store.list().unwrap().len() as u64, files_before as u64 - report.removed);
+}
+
+#[test]
 fn gc_keeps_the_reanchor_point_alive() {
     let tmp = TempDir::new("gc-reanchor");
     let iters = 10u64;

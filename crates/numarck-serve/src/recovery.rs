@@ -17,7 +17,10 @@
 //!    from an earlier write at the same path), or damaged — the write
 //!    never finished and was never acknowledged. Roll it back: leave a
 //!    stale-but-valid file alone, quarantine a damaged one and run
-//!    [`numarck_checkpoint::scrub::repair`] to re-anchor the chain.
+//!    [`numarck_checkpoint::scrub::repair`] to re-anchor the chain. A
+//!    file is valid when it opens as a [`CheckpointView`] under its own
+//!    name and verifies — so one whose header names another iteration,
+//!    or whose payload kind contradicts its extension, is damaged.
 //!
 //! Either way the journal ends empty and every acknowledged iteration
 //! restarts. The session's first post-recovery checkpoint is a forced
@@ -27,7 +30,7 @@
 use std::sync::Arc;
 
 use numarck::error::NumarckError;
-use numarck_checkpoint::{scrub, CheckpointFile, CheckpointStore};
+use numarck_checkpoint::{scrub, CheckpointStore, CheckpointView};
 
 use crate::journal::IntentJournal;
 
@@ -84,19 +87,21 @@ pub fn recover_session(
     report.replayed = outstanding.len();
     let mut need_repair = false;
     for intent in &outstanding {
-        match store.read_raw(intent.iteration, intent.is_full) {
+        match store.map_raw(intent.iteration, intent.is_full) {
             Ok(bytes) if numarck::serialize::crc32(&bytes) == intent.content_crc => {
                 // Rename landed, commit record didn't. The write is done.
                 report.completed += 1;
             }
             Ok(bytes) => {
                 report.rolled_back += 1;
-                match CheckpointFile::from_bytes(&bytes) {
-                    Ok(f) if f.iteration == intent.iteration => {
+                match CheckpointView::parse(bytes, intent.iteration, intent.is_full)
+                    .and_then(|view| view.verify())
+                {
+                    Ok(()) => {
                         // A valid earlier write at the same path; the
                         // intended overwrite never happened. Keep it.
                     }
-                    _ => {
+                    Err(_) => {
                         // Neither the intended bytes nor a valid older
                         // file: half-applied. Quarantine and re-anchor.
                         store
@@ -149,7 +154,9 @@ mod tests {
     use super::*;
     use numarck::{Config, Strategy};
     use numarck_checkpoint::manager::{CheckpointManager, ManagerPolicy};
-    use numarck_checkpoint::{FsBackend, RestartEngine, VariableSet};
+    use numarck_checkpoint::{
+        CheckpointFile, CheckpointKind, FsBackend, RestartEngine, VariableSet,
+    };
     use std::path::PathBuf;
 
     struct TempDir(PathBuf);
@@ -303,6 +310,31 @@ mod tests {
         assert_eq!(report.rolled_back, 1);
         assert!(!report.repaired);
         assert_eq!(store.read_raw(5, false).unwrap(), old);
+    }
+
+    #[test]
+    fn file_contradicting_its_name_under_an_intent_is_quarantined() {
+        // Valid bytes at the intended path whose header contradicts the
+        // name — another iteration, or a full payload under `.delta` —
+        // are damage, not a stale earlier write.
+        for case in ["iteration", "kind"] {
+            let tmp = TempDir::new(case);
+            let (store, mut journal) = build(&tmp, 5);
+            journal.begin(5, false, 0x1234_5678).unwrap();
+            let bytes = match case {
+                "iteration" => store.read_raw(3, false).unwrap(),
+                _ => CheckpointFile::new(5, CheckpointKind::Full(vars(5))).to_bytes(),
+            };
+            std::fs::write(store.path_of(5, false), bytes).unwrap();
+            drop(journal);
+
+            let (_, report) = recover_session(&store).unwrap();
+            assert_eq!(report.rolled_back, 1, "{case}");
+            assert!(report.repaired, "{case}");
+            assert!(store.read_raw(5, false).is_err(), "{case}: file left in service");
+            assert!(store.quarantine_dir().join("ckpt_0000000005.delta").is_file(), "{case}");
+            assert!(RestartEngine::new(store).restart_at(4).is_ok(), "{case}");
+        }
     }
 
     #[test]
