@@ -35,7 +35,7 @@ use std::io;
 
 use numarck::error::NumarckError;
 
-use crate::format::{peek_header, HeaderFacts, HEADER_PREFIX_LEN};
+use crate::format::{kind_mismatch, peek_header, HeaderFacts, HEADER_PREFIX_LEN};
 use crate::mmapio::AlignedBytes;
 use crate::store::CheckpointStore;
 
@@ -53,11 +53,6 @@ impl StoredFile {
     /// The facts of a file holding exactly `bytes`.
     pub fn of(bytes: &[u8]) -> Self {
         Self { bytes: bytes.len() as u64, header: peek_header(bytes) }
-    }
-
-    /// True when the header declares a full payload.
-    pub fn holds_full(&self) -> bool {
-        self.header.is_some_and(|h| h.is_full)
     }
 
     /// How far back a walk steps from this file as a delta: the header's
@@ -82,11 +77,8 @@ pub struct IndexEntry {
 pub struct ChainPath {
     /// The iteration the path restarts.
     pub target: u64,
-    /// Iteration of the base checkpoint.
+    /// Iteration of the base full checkpoint.
     pub base: u64,
-    /// Whether the base is stored under a `.full` name; `false` means a
-    /// full payload stored under a `.delta` name, which restart adopts.
-    pub base_is_full: bool,
     /// Length of the base file in bytes.
     pub base_bytes: u64,
     /// Delta iterations on the path, newest first.
@@ -97,8 +89,7 @@ impl ChainPath {
     /// Every file on the path as `(iteration, is_full)`, in replay
     /// order: the base, then the deltas oldest first.
     pub fn files(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
-        std::iter::once((self.base, self.base_is_full))
-            .chain(self.deltas.iter().rev().map(|&d| (d, false)))
+        std::iter::once((self.base, true)).chain(self.deltas.iter().rev().map(|&d| (d, false)))
     }
 }
 
@@ -228,48 +219,37 @@ impl ChainIndex {
     }
 
     /// Resolve the restart path of `target`, walking backwards: a
-    /// `.full` file at the cursor ends the walk (its header must not
-    /// declare a delta); a `.delta` file holding a full payload ends it
-    /// too, as the base; any other delta is collected and the cursor
-    /// steps back by its span.
+    /// `.full` file at the cursor ends the walk; a `.delta` file is
+    /// collected and the cursor steps back by its span.
     ///
     /// Fails with [`NumarckError::Corrupt`] when the walk reaches an
     /// iteration with no stored file, a span points before iteration 0,
-    /// or a `.full` file's header declares a delta.
+    /// or a file's header declares the other payload kind than its name
+    /// — with the reason [`CheckpointView::parse`] gives, so scrub and
+    /// restart report such a file alike.
+    ///
+    /// [`CheckpointView::parse`]: crate::format::CheckpointView::parse
     pub fn resolve(&self, target: u64) -> Result<ChainPath, NumarckError> {
         let mut deltas = Vec::new();
         let mut cur = target;
         loop {
             let entry = self.entries.get(&cur).copied().unwrap_or_default();
-            if let Some(full) = entry.full {
-                if full.header.is_some_and(|h| !h.is_full) {
+            let (file, is_full) = match (entry.full, entry.delta) {
+                (Some(full), _) => (full, true),
+                (None, Some(delta)) => (delta, false),
+                (None, None) => {
                     return Err(NumarckError::Corrupt(format!(
-                        "checkpoint {cur} has .full name but delta payload"
-                    )));
+                        "chain to {target} broken at iteration {cur}: no checkpoint file stored"
+                    )))
                 }
-                return Ok(ChainPath {
-                    target,
-                    base: cur,
-                    base_is_full: true,
-                    base_bytes: full.bytes,
-                    deltas,
-                });
-            }
-            let Some(delta) = entry.delta else {
-                return Err(NumarckError::Corrupt(format!(
-                    "chain to {target} broken at iteration {cur}: no checkpoint file stored"
-                )));
             };
-            if delta.holds_full() {
-                return Ok(ChainPath {
-                    target,
-                    base: cur,
-                    base_is_full: false,
-                    base_bytes: delta.bytes,
-                    deltas,
-                });
+            if let Some(header) = file.header.filter(|h| h.is_full != is_full) {
+                return Err(kind_mismatch(cur, header.is_full, is_full));
             }
-            let span = delta.span();
+            if is_full {
+                return Ok(ChainPath { target, base: cur, base_bytes: file.bytes, deltas });
+            }
+            let span = file.span();
             if span > cur {
                 return Err(NumarckError::Corrupt(format!(
                     "delta {cur} spans {span} iterations, past the start of the chain"

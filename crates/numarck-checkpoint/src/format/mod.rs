@@ -249,12 +249,7 @@ impl CheckpointView {
             )));
         }
         if view.is_full() != is_full {
-            let kind = |full: bool| if full { "full" } else { "delta" };
-            return Err(NumarckError::Corrupt(format!(
-                "checkpoint {iteration} holds a {} payload, expected a {}",
-                kind(view.is_full()),
-                kind(is_full)
-            )));
+            return Err(kind_mismatch(iteration, view.is_full(), is_full));
         }
         Ok(view)
     }
@@ -419,6 +414,17 @@ impl Hop<'_> {
             exact_values: self.exact_values.to_vec(),
         }
     }
+}
+
+/// The error for checkpoint `iteration` holding a full payload
+/// (`holds_full`) where its name promises the other kind.
+pub(crate) fn kind_mismatch(iteration: u64, holds_full: bool, named_full: bool) -> NumarckError {
+    let kind = |full: bool| if full { "full" } else { "delta" };
+    NumarckError::Corrupt(format!(
+        "checkpoint {iteration} holds a {} payload, expected a {}",
+        kind(holds_full),
+        kind(named_full)
+    ))
 }
 
 #[cfg(test)]

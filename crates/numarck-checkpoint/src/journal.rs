@@ -1,15 +1,13 @@
-//! Write-ahead intent journal for session ingest.
+//! The write-ahead intent journal of a store directory.
 //!
-//! Every ingest appends an *intent* record — sequence number, iteration,
-//! checkpoint kind, and the CRC of the exact bytes about to be written —
-//! and fsyncs it **before** the checkpoint store mutates. Once the
-//! store's rename has landed, a matching *commit* record is appended
-//! (best-effort: a missing commit only means recovery re-verifies the
-//! file against the journaled CRC). After a crash at any instruction
-//! boundary, [`IntentJournal::open`] replays the journal and reports the
-//! intents that never committed, so recovery (see [`crate::recovery`])
-//! can decide per intent whether the write completed, never started, or
-//! was half-applied.
+//! Every checkpoint write that ingest or compaction makes runs inside
+//! [`IntentJournal::write_ahead`]: an *intent* record — sequence number,
+//! iteration, checkpoint kind, and the CRC of the exact bytes about to be
+//! written — is fsynced **before** the store mutates, and a *commit*
+//! record follows best-effort. After a crash, [`IntentJournal::open`]
+//! replays the journal and reports the intents that never committed, so
+//! recovery ([`crate::recovery`]) can decide per intent whether the write
+//! completed, never started, or was half-applied.
 //!
 //! Record framing, little-endian, one record per append:
 //!
@@ -20,24 +18,28 @@
 //! ```
 //!
 //! Intent payload: tag `1`, seq (u64), iteration (u64), is_full (u8),
-//! content crc (u32). Commit payload: tag `2`, seq (u64). A torn tail —
-//! the record being appended when the process died — fails the length or
-//! CRC check and is ignored; everything before it is trusted. The
-//! journal lives in the session's store directory under a name the store
-//! listing ignores, and is truncated whenever every recorded intent is
-//! known to be resolved (recovery, or the in-memory outstanding count
-//! reaching zero past a size threshold), so it cannot grow without
-//! bound.
+//! content crc (u32). Commit payload: tag `2`, seq (u64). Replay stops
+//! at the first record that fails the length or CRC check, so a crash
+//! mid-append loses only the record being written, and a failed append
+//! is cut back to the last whole record, atomically, before the next one
+//! is written. The journal lives in the store directory under a name the
+//! store listing ignores, and is truncated whenever every recorded intent
+//! is known to be resolved (recovery, or the in-memory outstanding count
+//! reaching zero past a size threshold), so it cannot grow without bound.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use numarck::error::NumarckError;
 use numarck::serialize as nser;
-use numarck_checkpoint::backend::StorageBackend;
 
-/// File name of the journal inside a session's store directory. No
-/// `ckpt_` prefix, so `CheckpointStore::list` never mistakes it for a
+use crate::backend::StorageBackend;
+use crate::manager::{RetryPolicy, SystemClock};
+use crate::store::write_atomic;
+
+/// File name of the journal inside a store directory. No `ckpt_`
+/// prefix, so `CheckpointStore::list` never mistakes it for a
 /// checkpoint.
 pub const JOURNAL_FILE: &str = "intent.journal";
 
@@ -48,7 +50,7 @@ const COMPACT_BYTES: u64 = 64 * 1024;
 const TAG_INTENT: u8 = 1;
 const TAG_COMMIT: u8 = 2;
 
-/// One journaled intent: a checkpoint the server promised to write.
+/// One journaled intent: a checkpoint a writer promised to write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntentRecord {
     /// Monotonic per-journal sequence number.
@@ -61,14 +63,18 @@ pub struct IntentRecord {
     pub content_crc: u32,
 }
 
-/// A session's write-ahead intent journal.
+/// A store directory's write-ahead intent journal.
 #[derive(Debug)]
 pub struct IntentJournal {
     backend: Arc<dyn StorageBackend>,
     path: PathBuf,
     next_seq: u64,
     outstanding: usize,
-    approx_len: u64,
+    /// Length of the journal's whole records.
+    len: u64,
+    /// The file holds bytes past `len` (a failed append, or a torn tail
+    /// found on open), to cut away before the next append.
+    torn: bool,
 }
 
 impl IntentJournal {
@@ -83,11 +89,7 @@ impl IntentJournal {
         backend: Arc<dyn StorageBackend>,
     ) -> io::Result<(Self, Vec<IntentRecord>)> {
         let path = store_dir.join(JOURNAL_FILE);
-        let bytes = match backend.read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
+        let bytes = read_or_empty(backend.as_ref(), &path)?;
         let mut outstanding: Vec<IntentRecord> = Vec::new();
         let mut next_seq = 1u64;
         let mut cursor = &bytes[..];
@@ -119,14 +121,10 @@ impl IntentJournal {
             path,
             next_seq,
             outstanding: outstanding.len(),
-            approx_len: bytes.len() as u64,
+            len: (bytes.len() - cursor.len()) as u64,
+            torn: !cursor.is_empty(),
         };
         Ok((journal, outstanding))
-    }
-
-    /// Where the journal lives.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Intents appended but not yet committed (in-memory view).
@@ -137,7 +135,7 @@ impl IntentJournal {
     /// True when the journal holds no bytes at all — nothing to replay,
     /// nothing worth truncating.
     pub fn is_empty(&self) -> bool {
-        self.approx_len == 0
+        self.len == 0 && !self.torn
     }
 
     /// Record the intent to write a checkpoint: append + fsync, then
@@ -166,10 +164,37 @@ impl IntentJournal {
         payload.extend_from_slice(&seq.to_le_bytes());
         self.append_record(&payload)?;
         self.outstanding = self.outstanding.saturating_sub(1);
-        if self.outstanding == 0 && self.approx_len > COMPACT_BYTES {
+        if self.outstanding == 0 && self.len > COMPACT_BYTES {
             self.reset()?;
         }
         Ok(())
+    }
+
+    /// The write-ahead bracket ingest and compaction write through:
+    /// append and fsync the intent of `content_crc` at (`iteration`,
+    /// `is_full`), retrying a transient failure under `retry` on
+    /// [`SystemClock`] (`on_retry` runs before each retry); then run
+    /// `write`, which leaves the file durable under its name; then
+    /// append the commit record best-effort — the file has landed and its
+    /// CRC is journaled, so recovery marks a commit-less intent completed.
+    /// A failed intent append returns before `write` runs; a failed
+    /// `write` returns with its intent outstanding for recovery.
+    pub fn write_ahead<T>(
+        &mut self,
+        iteration: u64,
+        is_full: bool,
+        content_crc: u32,
+        retry: RetryPolicy,
+        mut on_retry: impl FnMut(),
+        write: impl FnOnce() -> Result<T, NumarckError>,
+    ) -> Result<T, NumarckError> {
+        let begin = || self.begin(iteration, is_full, content_crc);
+        let seq = retry
+            .run(&SystemClock, begin, |_, _, _| on_retry())
+            .map_err(|e| NumarckError::Io(format!("intent journal append failed: {e}")))?;
+        let written = write()?;
+        let _ = self.commit(seq);
+        Ok(written)
     }
 
     /// Truncate the journal to empty. Only safe when every recorded
@@ -178,31 +203,47 @@ impl IntentJournal {
     pub fn reset(&mut self) -> io::Result<()> {
         self.backend.write(&self.path, &[])?;
         self.outstanding = 0;
-        self.approx_len = 0;
+        self.len = 0;
+        self.torn = false;
         Ok(())
     }
 
     fn append_record(&mut self, payload: &[u8]) -> io::Result<()> {
+        if self.torn {
+            self.cut_back()?;
+        }
         let mut record = Vec::with_capacity(8 + payload.len());
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         record.extend_from_slice(&nser::crc32(payload).to_le_bytes());
         record.extend_from_slice(payload);
-        self.backend.append(&self.path, &record)?;
-        self.approx_len += record.len() as u64;
+        if let Err(e) = self.backend.append(&self.path, &record) {
+            // Cut away what the failed append left; if that fails too,
+            // the next append tries again first.
+            self.torn = true;
+            let _ = self.cut_back();
+            return Err(e);
+        }
+        self.len += record.len() as u64;
+        Ok(())
+    }
+
+    /// Rewrite the journal as its whole records only, atomically as the
+    /// store writes a checkpoint: truncating in place could lose good
+    /// intents to a crash in between.
+    fn cut_back(&mut self) -> io::Result<()> {
+        let mut bytes = read_or_empty(self.backend.as_ref(), &self.path)?;
+        bytes.truncate(self.len as usize);
+        write_atomic(self.backend.as_ref(), &self.path, &bytes)?;
+        self.torn = false;
         Ok(())
     }
 }
 
-/// Background compaction writes go through the same write-ahead intent
-/// path as live ingest: an intent recorded by the compactor is
-/// indistinguishable from an ingest intent to crash recovery, which is
-/// exactly the point.
-impl numarck_compact::IntentLog for IntentJournal {
-    fn begin(&mut self, iteration: u64, is_full: bool, content_crc: u32) -> io::Result<u64> {
-        IntentJournal::begin(self, iteration, is_full, content_crc)
-    }
-    fn commit(&mut self, seq: u64) -> io::Result<()> {
-        IntentJournal::commit(self, seq)
+/// The journal's bytes; a missing file is an empty journal.
+fn read_or_empty(backend: &dyn StorageBackend, path: &Path) -> io::Result<Vec<u8>> {
+    match backend.read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
     }
 }
 
@@ -229,30 +270,8 @@ fn parse_payload(payload: &[u8]) -> Option<Entry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numarck_checkpoint::FsBackend;
-
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let path = std::env::temp_dir().join(format!(
-                "numarck-journal-{tag}-{}-{}",
-                std::process::id(),
-                std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .expect("clock after epoch")
-                    .as_nanos()
-            ));
-            std::fs::create_dir_all(&path).expect("create temp dir");
-            Self(path)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
+    use crate::backend::{FaultSchedule, FaultyBackend, FsBackend, WriteFault};
+    use crate::store::testutil::TempDir;
 
     fn open(dir: &Path) -> (IntentJournal, Vec<IntentRecord>) {
         IntentJournal::open(dir, Arc::new(FsBackend)).unwrap()
@@ -260,7 +279,7 @@ mod tests {
 
     #[test]
     fn empty_journal_has_no_outstanding_intents() {
-        let tmp = TempDir::new("empty");
+        let tmp = TempDir::new("journal-empty");
         let (journal, outstanding) = open(&tmp.0);
         assert!(outstanding.is_empty());
         assert_eq!(journal.outstanding(), 0);
@@ -268,7 +287,7 @@ mod tests {
 
     #[test]
     fn committed_intents_are_not_replayed() {
-        let tmp = TempDir::new("committed");
+        let tmp = TempDir::new("journal-committed");
         {
             let (mut journal, _) = open(&tmp.0);
             let s1 = journal.begin(0, true, 0xAAAA).unwrap();
@@ -283,7 +302,7 @@ mod tests {
 
     #[test]
     fn uncommitted_intent_survives_reopen() {
-        let tmp = TempDir::new("uncommitted");
+        let tmp = TempDir::new("journal-uncommitted");
         {
             let (mut journal, _) = open(&tmp.0);
             let s1 = journal.begin(0, true, 0x1111).unwrap();
@@ -302,7 +321,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_ignored_but_earlier_records_survive() {
-        let tmp = TempDir::new("torn");
+        let tmp = TempDir::new("journal-torn");
         {
             let (mut journal, _) = open(&tmp.0);
             journal.begin(5, true, 0x5555).unwrap();
@@ -322,7 +341,7 @@ mod tests {
 
     #[test]
     fn corrupt_record_crc_stops_replay_at_the_damage() {
-        let tmp = TempDir::new("crc");
+        let tmp = TempDir::new("journal-crc");
         {
             let (mut journal, _) = open(&tmp.0);
             let s = journal.begin(0, true, 0x1).unwrap();
@@ -343,7 +362,7 @@ mod tests {
 
     #[test]
     fn reset_empties_the_journal() {
-        let tmp = TempDir::new("reset");
+        let tmp = TempDir::new("journal-reset");
         {
             let (mut journal, _) = open(&tmp.0);
             journal.begin(0, true, 0x1).unwrap();
@@ -355,7 +374,7 @@ mod tests {
 
     #[test]
     fn journal_compacts_once_everything_is_committed() {
-        let tmp = TempDir::new("compact");
+        let tmp = TempDir::new("journal-compact");
         let (mut journal, _) = open(&tmp.0);
         // Push well past the threshold; every intent is committed, so
         // the size must come back down instead of growing forever.
@@ -365,5 +384,28 @@ mod tests {
         }
         let len = std::fs::metadata(tmp.0.join(JOURNAL_FILE)).unwrap().len();
         assert!(len < COMPACT_BYTES, "journal did not compact: {len} bytes");
+    }
+
+    #[test]
+    fn a_failed_append_is_cut_back_before_the_next_record() {
+        // The journal's third write, the intent of iteration 1, lands
+        // torn. Replay stops at torn bytes, so the retried intent must
+        // not be appended after them.
+        let tmp = TempDir::new("journal-torn-retry");
+        let schedule = FaultSchedule::new().fail_write(3, WriteFault::Torn { keep: 11 });
+        let (mut journal, _) =
+            IntentJournal::open(&tmp.0, Arc::new(FaultyBackend::new(schedule))).unwrap();
+        let s = journal.begin(0, true, 0x1).unwrap();
+        journal.commit(s).unwrap();
+        journal.begin(1, false, 0x2).expect_err("the injected torn append");
+        let retried = journal.begin(1, false, 0x2).unwrap();
+        drop(journal);
+
+        let (_, outstanding) = open(&tmp.0);
+        assert_eq!(
+            outstanding,
+            vec![IntentRecord { seq: retried, iteration: 1, is_full: false, content_crc: 0x2 }]
+        );
+        assert!(!tmp.0.join("intent.tmp").exists(), "the rewrite's temp file was renamed");
     }
 }

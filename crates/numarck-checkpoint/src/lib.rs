@@ -32,6 +32,9 @@
 //! * [`scrub`](mod@scrub) — offline integrity pass: CRC-verify every stored file,
 //!   quarantine the damaged ones, and repair the chain by re-anchoring a
 //!   fresh full checkpoint at the newest restartable iteration.
+//! * [`journal`] + [`recovery`] — the crash contract: ingest and
+//!   compaction write through [`IntentJournal::write_ahead`], and
+//!   [`recover_session`] resolves what a crash left half-applied.
 //! * [`replicated`] — N-way replica composition behind one logical
 //!   backend: quorum-acknowledged writes, majority-content reads, and
 //!   per-replica error accounting; scrub read-repairs divergent copies.
@@ -43,9 +46,11 @@ pub mod backend;
 pub mod chain;
 pub mod fault;
 pub mod format;
+pub mod journal;
 pub mod manager;
 pub mod mmapio;
 pub mod obs;
+pub mod recovery;
 pub mod replicated;
 pub mod restart;
 pub mod scrub;
@@ -57,11 +62,13 @@ pub use format::{
     describe, sniff_version, CheckpointFile, CheckpointKind, CheckpointView, ContainerInfo, Hop,
     MappedCheckpoint, SectionInfo, VERSION_V1, VERSION_V2, WRITE_VERSION,
 };
+pub use journal::{IntentJournal, IntentRecord};
 pub use mmapio::AlignedBytes;
 pub use manager::{
     AdaptivePolicy, CheckpointManager, CheckpointOutcome, CheckpointReport, Clock, ManagerPolicy,
     PreparedCheckpoint, RetryPolicy, RetryTotals, SystemClock,
 };
+pub use recovery::{recover_session, RecoveryReport};
 pub use replicated::{ReplicaSpec, ReplicatedBackend};
 pub use restart::{DegradedRestart, LostIteration, RestartEngine};
 pub use scrub::{repair, scrub, RepairReport, ReplicaScrubReport, ScrubFinding, ScrubReport};

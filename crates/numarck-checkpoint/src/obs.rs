@@ -29,21 +29,7 @@
 //! event ring, so the most recent degradations are inspectable even
 //! after counters have blurred together.
 
-use std::sync::{Arc, OnceLock};
-
-use numarck_obs::{Counter, Histogram, Registry};
-
-macro_rules! cached {
-    ($fn_name:ident, $kind:ident, $ty:ty, $metric:literal) => {
-        /// Cached handle to the global-registry instrument `
-        #[doc = $metric]
-        /// `.
-        pub fn $fn_name() -> &'static Arc<$ty> {
-            static CELL: OnceLock<Arc<$ty>> = OnceLock::new();
-            CELL.get_or_init(|| Registry::global().$kind($metric))
-        }
-    };
-}
+use numarck_obs::{cached, Counter, Histogram};
 
 cached!(write_attempts_total, counter, Counter, "ckpt_write_attempts_total");
 cached!(write_retries_total, counter, Counter, "ckpt_write_retries_total");
@@ -64,6 +50,10 @@ cached!(index_loads_total, counter, Counter, "ckpt_index_loads_total");
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use numarck_obs::Registry;
+
     use super::*;
 
     #[test]

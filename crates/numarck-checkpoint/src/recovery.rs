@@ -1,11 +1,12 @@
-//! Startup recovery: make a session directory consistent with its
-//! intent journal before serving traffic.
+//! Crash recovery: make a store directory consistent with its intent
+//! journal before anything writes to it again (a serve session before
+//! it takes traffic, `numarck compact` before its pass).
 //!
 //! The invariant the journal buys us: **an acknowledged iteration is
-//! always restartable after a crash at any instruction boundary.** The
-//! server only acknowledges an ingest after the store rename landed, so
-//! a crash can leave behind exactly three kinds of debris, all of which
-//! this pass cleans up:
+//! always restartable after a crash at any instruction boundary.** A
+//! writer only acknowledges a checkpoint after the store rename landed,
+//! so a crash can leave behind exactly three kinds of debris, all of
+//! which this pass cleans up:
 //!
 //! 1. A stray `*.tmp` file — the crash hit between the temp-file write
 //!    and the rename. The rename never happened, the iteration was
@@ -17,10 +18,10 @@
 //!    from an earlier write at the same path), or damaged — the write
 //!    never finished and was never acknowledged. Roll it back: leave a
 //!    stale-but-valid file alone, quarantine a damaged one and run
-//!    [`numarck_checkpoint::scrub::repair`] to re-anchor the chain. A
-//!    file is valid when it opens as a [`CheckpointView`] under its own
-//!    name and verifies — so one whose header names another iteration,
-//!    or whose payload kind contradicts its extension, is damaged.
+//!    [`scrub::repair`] to re-anchor the chain. A file is valid when it
+//!    opens as a [`CheckpointView`] under its own name and verifies — so
+//!    one whose header names another iteration, or whose payload kind
+//!    contradicts its extension, is damaged.
 //!
 //! Either way the journal ends empty and every acknowledged iteration
 //! restarts. The session's first post-recovery checkpoint is a forced
@@ -30,11 +31,11 @@
 use std::sync::Arc;
 
 use numarck::error::NumarckError;
-use numarck_checkpoint::{scrub, CheckpointStore, CheckpointView};
 
 use crate::journal::IntentJournal;
+use crate::{scrub, CheckpointStore, CheckpointView};
 
-/// What a recovery pass found and did for one session directory.
+/// What a recovery pass found and did for one store directory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Outstanding (uncommitted) intents replayed from the journal.
@@ -59,9 +60,9 @@ impl RecoveryReport {
     }
 }
 
-/// Recover one session directory: sweep temp files, replay the intent
+/// Recover one store directory: sweep temp files, replay the intent
 /// journal, resolve every outstanding intent, and hand back the (now
-/// empty) journal for the session to keep using.
+/// empty) journal for the caller to keep writing through.
 pub fn recover_session(
     store: &CheckpointStore,
 ) -> Result<(IntentJournal, RecoveryReport), NumarckError> {
@@ -152,35 +153,10 @@ pub fn recover_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::{CheckpointManager, ManagerPolicy};
+    use crate::store::testutil::TempDir;
+    use crate::{CheckpointFile, CheckpointKind, FsBackend, RestartEngine, VariableSet};
     use numarck::{Config, Strategy};
-    use numarck_checkpoint::manager::{CheckpointManager, ManagerPolicy};
-    use numarck_checkpoint::{
-        CheckpointFile, CheckpointKind, FsBackend, RestartEngine, VariableSet,
-    };
-    use std::path::PathBuf;
-
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let path = std::env::temp_dir().join(format!(
-                "numarck-recovery-{tag}-{}-{}",
-                std::process::id(),
-                std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .expect("clock after epoch")
-                    .as_nanos()
-            ));
-            std::fs::create_dir_all(&path).expect("create temp dir");
-            Self(path)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
 
     fn vars(iteration: u64) -> VariableSet {
         let mut v = VariableSet::new();
@@ -217,7 +193,7 @@ mod tests {
 
     #[test]
     fn clean_shutdown_recovers_to_a_noop() {
-        let tmp = TempDir::new("clean");
+        let tmp = TempDir::new("recovery-clean");
         let (store, journal) = build(&tmp, 5);
         drop(journal);
         let (_, report) = recover_session(&store).unwrap();
@@ -227,7 +203,7 @@ mod tests {
 
     #[test]
     fn stray_tmp_file_is_swept() {
-        let tmp = TempDir::new("tmp");
+        let tmp = TempDir::new("recovery-tmp");
         let (store, _) = build(&tmp, 3);
         std::fs::write(tmp.0.join("ckpt_0000000004.tmp"), b"half a write").unwrap();
         let (_, report) = recover_session(&store).unwrap();
@@ -237,7 +213,7 @@ mod tests {
 
     #[test]
     fn intent_with_landed_write_counts_as_completed() {
-        let tmp = TempDir::new("landed");
+        let tmp = TempDir::new("recovery-landed");
         let (store, mut journal) = build(&tmp, 3);
         // Crash between rename and commit append: write iteration 4 by
         // hand, journal the intent, skip the commit record.
@@ -262,7 +238,7 @@ mod tests {
 
     #[test]
     fn intent_with_no_write_rolls_back() {
-        let tmp = TempDir::new("missing");
+        let tmp = TempDir::new("recovery-missing");
         let (store, mut journal) = build(&tmp, 3);
         // Crash right after the intent append: nothing on disk.
         journal.begin(4, false, 0xDEAD_BEEF).unwrap();
@@ -278,7 +254,7 @@ mod tests {
 
     #[test]
     fn half_applied_write_is_quarantined_and_chain_repaired() {
-        let tmp = TempDir::new("torn");
+        let tmp = TempDir::new("recovery-torn");
         let (store, mut journal) = build(&tmp, 3);
         journal.begin(4, false, 0xDEAD_BEEF).unwrap();
         // A torn rename: the destination exists but holds garbage that
@@ -297,7 +273,7 @@ mod tests {
 
     #[test]
     fn stale_valid_file_under_an_intent_is_left_alone() {
-        let tmp = TempDir::new("stale");
+        let tmp = TempDir::new("recovery-stale");
         // Iterations 0..=5 exist and committed; journal an uncommitted
         // *re-write* of iteration 5 (a delta) that never happened. The
         // old valid file must survive.
@@ -318,7 +294,7 @@ mod tests {
         // name — another iteration, or a full payload under `.delta` —
         // are damage, not a stale earlier write.
         for case in ["iteration", "kind"] {
-            let tmp = TempDir::new(case);
+            let tmp = TempDir::new(&format!("recovery-{case}"));
             let (store, mut journal) = build(&tmp, 5);
             journal.begin(5, false, 0x1234_5678).unwrap();
             let bytes = match case {
@@ -339,7 +315,7 @@ mod tests {
 
     #[test]
     fn recovered_journal_is_empty_and_usable() {
-        let tmp = TempDir::new("reuse");
+        let tmp = TempDir::new("recovery-reuse");
         let (store, mut journal) = build(&tmp, 2);
         journal.begin(3, false, 0x1).unwrap();
         drop(journal);

@@ -47,17 +47,15 @@ impl PinnedChain {
         self.path.target
     }
 
-    /// Open every pinned file as a [`CheckpointView`] — the base as a
-    /// full, whatever its name, and each delta as a delta — then replay
-    /// each variable from the base, lent in place, through all of its
-    /// deltas in one pass.
+    /// Open every pinned file as a [`CheckpointView`] under its name,
+    /// then replay each variable from the base full, lent in place,
+    /// through all of its deltas in one pass.
     fn replay(self) -> Result<RestartResult, NumarckError> {
         let Self { path, files } = self;
         let views: Vec<CheckpointView> = path
             .files()
             .zip(files)
-            .enumerate()
-            .map(|(k, ((it, _), bytes))| CheckpointView::parse(bytes, it, k == 0))
+            .map(|((it, is_full), bytes)| CheckpointView::parse(bytes, it, is_full))
             .collect::<Result<_, _>>()?;
         let (base, deltas) = views.split_first().expect("a path starts at its base");
         let base = base.full_sections()?;
@@ -484,6 +482,29 @@ mod tests {
         assert!(d.lost.iter().all(|l| !l.reason.is_empty()));
         // Targets past the next full are unaffected.
         assert!(engine.restart_at_or_before(9).unwrap().is_exact());
+    }
+
+    #[test]
+    fn a_full_payload_under_a_delta_name_degrades_restart_as_scrub_reports_it() {
+        use crate::format::{CheckpointFile, CheckpointKind};
+        let tmp = TempDir::new("restart-full-as-delta");
+        let truth = truth_sequence(8, 100);
+        // Fulls at 0 and 6; delta 3 is replaced by a full payload.
+        let store = build_store(&tmp, &truth, 6);
+        let full = CheckpointFile::new(3, CheckpointKind::Full(truth[3].clone()));
+        store.write_raw(3, false, &full.to_bytes()).unwrap();
+
+        let d = RestartEngine::new(store.clone()).restart_at_or_before(5).unwrap();
+        assert_eq!(d.achieved(), 2, "no chain may run through delta 3");
+        let lost: Vec<u64> = d.lost.iter().map(|l| l.iteration).collect();
+        assert_eq!(lost, vec![5, 4, 3]);
+
+        let report = crate::scrub::scrub(&store).unwrap();
+        assert_eq!(report.quarantined.len(), 1, "{report:?}");
+        let finding = &report.quarantined[0];
+        assert_eq!((finding.entry.iteration, finding.entry.is_full), (3, false));
+        assert!(finding.reason.contains("holds a full payload, expected a delta"), "{finding:?}");
+        assert!(d.lost.iter().all(|l| l.reason == finding.reason), "{:?}", d.lost);
     }
 
     #[test]

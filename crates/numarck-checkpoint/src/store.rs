@@ -92,12 +92,7 @@ impl CheckpointStore {
         bytes: &[u8],
     ) -> std::io::Result<PathBuf> {
         let path = self.path_of(iteration, is_full);
-        let tmp = path.with_extension("tmp");
-        self.backend.write(&tmp, bytes)?;
-        self.backend.rename(&tmp, &path)?;
-        // A rename is only durable once the directory entry is; without
-        // this a crash just after the rename can lose the checkpoint.
-        self.backend.sync_dir(&self.dir)?;
+        write_atomic(self.backend.as_ref(), &path, bytes)?;
         Ok(path)
     }
 
@@ -180,6 +175,21 @@ impl CheckpointStore {
         }
         Ok(())
     }
+}
+
+/// Replace the file at `path` with `bytes` atomically: a temp file beside
+/// it (recovery sweeps `*.tmp`), a rename over it, and a sync of its
+/// directory — a rename is only durable once the directory entry is;
+/// without it a crash just after the rename can lose the file.
+pub(crate) fn write_atomic(
+    backend: &dyn StorageBackend,
+    path: &Path,
+    bytes: &[u8],
+) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    backend.write(&tmp, bytes)?;
+    backend.rename(&tmp, path)?;
+    backend.sync_dir(path.parent().expect("store files live in a directory"))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! bytes on disk, the variables inside, and the modeled restart cost.
 
 use numarck::NumarckError;
-use numarck_checkpoint::{ChainIndex, CheckpointStore};
+use numarck_checkpoint::{recover_session, ChainIndex, CheckpointStore};
 use numarck_compact::{CompactionConfig, Compactor, CostModel};
 
 use crate::commands::{open_store, parse_args, replica_count};
@@ -69,7 +69,7 @@ pub fn compact(raw: &[String]) -> CliResult {
     // Replay outstanding write-ahead intents before touching the chain:
     // maintenance on a half-applied store would bake the damage in.
     let (mut journal, recovery) =
-        numarck_serve::recover_session(&store).map_err(|e| format!("journal recovery: {e}"))?;
+        recover_session(&store).map_err(|e| format!("journal recovery: {e}"))?;
     let mut out = String::new();
     if recovery.replayed > 0 {
         out.push_str(&format!(

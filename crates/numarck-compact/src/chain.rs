@@ -19,8 +19,7 @@ pub fn plain_runs(index: &ChainIndex) -> Vec<(u64, u64)> {
     let mut cur: Option<(u64, u64)> = None;
     for it in index.iterations() {
         let e = index.entry(it).expect("iterated key");
-        let plain =
-            e.full.is_none() && e.delta.is_some_and(|d| !d.holds_full() && d.span() <= 1);
+        let plain = e.full.is_none() && e.delta.is_some_and(|d| d.span() <= 1);
         match (plain, cur) {
             (true, Some((a, b))) if it == b + 1 => cur = Some((a, it)),
             (true, _) => {

@@ -23,8 +23,9 @@
 //!   the span graph computes liveness, and deletion happens only after
 //!   every live replacement is CRC-verified on disk.
 //!
-//! Every write goes through [`policy::IntentLog`] — implemented by
-//! numarck-serve's write-ahead intent journal — plus the store's
+//! Every write goes through numarck-checkpoint's
+//! [`IntentJournal::write_ahead`](numarck_checkpoint::IntentJournal::write_ahead),
+//! the write-ahead bracket serve's ingest uses too, plus the store's
 //! atomic-rename discipline, so a crash at any instruction boundary
 //! leaves the chain either untouched or verifiably advanced. See
 //! DESIGN.md "Compaction & placement policy" for the error-composition
@@ -39,4 +40,4 @@ pub mod policy;
 pub use chain::{plain_runs, CostModel};
 pub use gc::GcReport;
 pub use merge::{build_merged_block, merge_window, MergeStats, MergedDelta};
-pub use policy::{CompactionConfig, CompactionReport, Compactor, IntentLog, NoJournal};
+pub use policy::{CompactionConfig, CompactionReport, Compactor};

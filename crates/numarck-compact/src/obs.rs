@@ -17,21 +17,7 @@
 //! * `nck_gc_files_removed_total` — files deleted by retention GC;
 //! * `nck_compact_run_ns` — wall time of one full maintenance pass.
 
-use std::sync::{Arc, OnceLock};
-
-use numarck_obs::{Counter, Histogram, Registry};
-
-macro_rules! cached {
-    ($fn_name:ident, $kind:ident, $ty:ty, $metric:literal) => {
-        /// Cached handle to the global-registry instrument `
-        #[doc = $metric]
-        /// `.
-        pub fn $fn_name() -> &'static Arc<$ty> {
-            static CELL: OnceLock<Arc<$ty>> = OnceLock::new();
-            CELL.get_or_init(|| Registry::global().$kind($metric))
-        }
-    };
-}
+use numarck_obs::{cached, Counter, Histogram};
 
 cached!(runs_total, counter, Counter, "nck_compact_runs_total");
 cached!(deltas_merged_total, counter, Counter, "nck_compact_deltas_merged_total");
@@ -43,6 +29,10 @@ cached!(run_ns, histogram, Histogram, "nck_compact_run_ns");
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use numarck_obs::Registry;
+
     use super::*;
 
     #[test]

@@ -1,59 +1,29 @@
 //! The maintenance pass: compaction → placement → GC, journaled.
 //!
 //! [`Compactor::run`] executes one pass over a store. Every write goes
-//! through the same discipline as live ingest: the exact bytes are
-//! built and **verified in memory first**, their CRC is recorded in the
-//! caller's write-ahead intent journal ([`IntentLog`]), the store write
-//! lands atomically (temp file + rename + dir fsync), the bytes are
-//! read back and CRC-checked, and only then is the intent committed. A
-//! crash at any boundary leaves either the old artefact (rename not yet
-//! landed) or the new, verified one — never a torn file — and the
-//! outstanding intent tells recovery which it must be. A read-back
-//! mismatch (storage corruption between write and verify) quarantines
-//! the damaged file so the existing scrub/re-anchor machinery repairs
-//! the chain.
-
-use std::io;
+//! through the same write-ahead bracket as live ingest,
+//! [`IntentJournal::write_ahead`]: the exact bytes are built and
+//! **verified in memory first**, their CRC is recorded in the store's
+//! intent journal, the store write lands atomically (temp file, rename,
+//! dir fsync), the bytes are read back and CRC-checked, and only then
+//! is the intent committed. A crash at any boundary leaves either the
+//! old artefact (rename not yet landed) or the new, verified one —
+//! never a torn file — and the outstanding intent tells recovery which
+//! it must be. A read-back mismatch (storage corruption between write
+//! and verify) quarantines the damaged file so the existing
+//! scrub/re-anchor machinery repairs the chain.
 
 use numarck::error::NumarckError;
 use numarck_checkpoint::chain::{ChainIndex, StoredFile};
 use numarck_checkpoint::format::{CheckpointFile, CheckpointKind};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
+use numarck_checkpoint::{IntentJournal, RetryPolicy};
 
 use crate::chain::{plain_runs, CostModel};
 use crate::gc::{self, GcReport};
 use crate::merge::{self, MergeStats};
 use crate::obs;
-
-/// The write-ahead intent interface compaction writes go through.
-///
-/// `numarck-serve` implements this for its session intent journal, so
-/// background compaction shares the crash-recovery contract of live
-/// ingest. Standalone callers (CLI on a bare store) can use
-/// [`NoJournal`]: the store's atomic writes alone still guarantee
-/// old-or-new, just without recovery's CRC cross-check.
-pub trait IntentLog {
-    /// Record the intent to write `content_crc` at `iteration`; returns
-    /// the sequence number to commit. Must be durable before the store
-    /// write starts.
-    fn begin(&mut self, iteration: u64, is_full: bool, content_crc: u32) -> io::Result<u64>;
-    /// Record that the write for `seq` landed.
-    fn commit(&mut self, seq: u64) -> io::Result<()>;
-}
-
-/// No-op journal for standalone stores.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoJournal;
-
-impl IntentLog for NoJournal {
-    fn begin(&mut self, _iteration: u64, _is_full: bool, _content_crc: u32) -> io::Result<u64> {
-        Ok(0)
-    }
-    fn commit(&mut self, _seq: u64) -> io::Result<()> {
-        Ok(())
-    }
-}
 
 /// Knobs for one maintenance pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,7 +113,7 @@ impl Compactor {
     pub fn run(
         &self,
         store: &CheckpointStore,
-        journal: &mut dyn IntentLog,
+        journal: &mut IntentJournal,
         index: &mut ChainIndex,
     ) -> Result<CompactionReport, NumarckError> {
         obs::runs_total().inc();
@@ -181,7 +151,7 @@ impl Compactor {
     fn compact(
         &self,
         store: &CheckpointStore,
-        journal: &mut dyn IntentLog,
+        journal: &mut IntentJournal,
         index: &mut ChainIndex,
         report: &mut CompactionReport,
     ) -> Result<(), NumarckError> {
@@ -191,7 +161,7 @@ impl Compactor {
             while start + w - 1 <= b {
                 let end = start + w - 1;
                 let merged = merge::merge_window(store, index, end, w)?;
-                journaled_write(
+                write_checked(
                     store,
                     journal,
                     merged.file.iteration,
@@ -222,7 +192,7 @@ impl Compactor {
     fn place(
         &self,
         store: &CheckpointStore,
-        journal: &mut dyn IntentLog,
+        journal: &mut IntentJournal,
         index: &mut ChainIndex,
         slo: u64,
         report: &mut CompactionReport,
@@ -243,7 +213,7 @@ impl Compactor {
                 let file = CheckpointFile::new(it, CheckpointKind::Full(vars));
                 let bytes = file.to_bytes();
                 let crc = numarck::serialize::crc32(&bytes);
-                journaled_write(store, journal, it, true, &bytes, crc)?;
+                write_checked(store, journal, it, true, &bytes, crc)?;
                 index.insert(it, true, StoredFile::of(&bytes));
                 report.fulls_promoted += 1;
                 obs::fulls_promoted_total().inc();
@@ -253,35 +223,32 @@ impl Compactor {
     }
 }
 
-/// The shared write discipline: journal intent → atomic store write →
-/// read-back CRC verify → journal commit. On a read-back mismatch the
-/// damaged file is quarantined (feeding the scrub/re-anchor path) and
-/// the intent is deliberately left outstanding for recovery to judge.
-fn journaled_write(
+/// One compaction write through the journal's bracket, failing fast: the
+/// store write, then a read-back CRC check that quarantines a mismatch
+/// (for scrub to re-anchor) and leaves its intent outstanding.
+fn write_checked(
     store: &CheckpointStore,
-    journal: &mut dyn IntentLog,
+    journal: &mut IntentJournal,
     iteration: u64,
     is_full: bool,
     bytes: &[u8],
     content_crc: u32,
 ) -> Result<(), NumarckError> {
-    let seq = journal
-        .begin(iteration, is_full, content_crc)
-        .map_err(|e| NumarckError::Io(format!("journal intent failed: {e}")))?;
-    store
-        .write_raw(iteration, is_full, bytes)
-        .map_err(|e| NumarckError::Io(format!("compaction write failed: {e}")))?;
-    let back = store
-        .read_raw(iteration, is_full)
-        .map_err(|e| NumarckError::Io(format!("compaction read-back failed: {e}")))?;
-    if numarck::serialize::crc32(&back) != content_crc {
-        let _ = store.quarantine(iteration, is_full);
-        return Err(NumarckError::Corrupt(format!(
-            "compaction write of iteration {iteration} failed read-back verification; quarantined"
-        )));
-    }
-    journal
-        .commit(seq)
-        .map_err(|e| NumarckError::Io(format!("journal commit failed: {e}")))?;
-    Ok(())
+    let write = || {
+        store
+            .write_raw(iteration, is_full, bytes)
+            .map_err(|e| NumarckError::Io(format!("compaction write failed: {e}")))?;
+        let back = store
+            .read_raw(iteration, is_full)
+            .map_err(|e| NumarckError::Io(format!("compaction read-back failed: {e}")))?;
+        if numarck::serialize::crc32(&back) != content_crc {
+            let _ = store.quarantine(iteration, is_full);
+            return Err(NumarckError::Corrupt(format!(
+                "compaction write of iteration {iteration} failed read-back verification; \
+                 quarantined"
+            )));
+        }
+        Ok(())
+    };
+    journal.write_ahead(iteration, is_full, content_crc, RetryPolicy::none(), || {}, write)
 }

@@ -11,10 +11,11 @@ use numarck_checkpoint::manager::{CheckpointManager, ManagerPolicy};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
 use numarck_checkpoint::{
-    repair, ChainIndex, FaultSchedule, FaultyBackend, FsBackend, VariableSet, WriteFault,
+    recover_session, repair, ChainIndex, FaultSchedule, FaultyBackend, FsBackend, IntentJournal,
+    VariableSet, WriteFault,
 };
 use numarck_compact::merge::vars_bits_equal;
-use numarck_compact::{gc, CompactionConfig, CompactionReport, Compactor, CostModel, NoJournal};
+use numarck_compact::{gc, CompactionConfig, CompactionReport, Compactor, CostModel};
 
 /// Self-cleaning unique temp directory (store::testutil is crate-private).
 struct TempDir(PathBuf);
@@ -88,13 +89,20 @@ fn restart_all(store: &CheckpointStore, iters: u64) -> Vec<VariableSet> {
     (0..iters).map(|it| engine.restart_at(it).unwrap().vars).collect()
 }
 
+/// The store's intent journal, opened on a plain [`FsBackend`] so that a
+/// [`FaultyBackend`] under the store numbers and counts only the store's
+/// own operations.
+fn journal(store: &CheckpointStore) -> IntentJournal {
+    IntentJournal::open(store.dir(), Arc::new(FsBackend)).unwrap().0
+}
+
 /// One maintenance pass over a freshly loaded index, as a caller
 /// without a session (the CLI) runs it.
 fn run_pass(
     compactor: &Compactor,
     store: &CheckpointStore,
 ) -> Result<CompactionReport, numarck::NumarckError> {
-    compactor.run(store, &mut NoJournal, &mut ChainIndex::load(store).unwrap())
+    compactor.run(store, &mut journal(store), &mut ChainIndex::load(store).unwrap())
 }
 
 #[test]
@@ -167,7 +175,7 @@ fn escape_heavy_delta_compacts_bit_exact() {
         keep_last_fulls: 0,
         ..CompactionConfig::default()
     })
-    .run(&store, &mut NoJournal, &mut ChainIndex::load(&store).unwrap())
+    .run(&store, &mut journal(&store), &mut ChainIndex::load(&store).unwrap())
     .unwrap();
     assert_eq!(report.merges, 1);
     assert!(
@@ -206,7 +214,7 @@ fn placement_bounds_worst_case_cost_under_slo() {
         cost,
         ..CompactionConfig::default()
     })
-    .run(&store, &mut NoJournal, &mut ChainIndex::load(&store).unwrap())
+    .run(&store, &mut journal(&store), &mut ChainIndex::load(&store).unwrap())
     .unwrap();
 
     assert!(report.fulls_promoted >= 8, "expected a full every ~6 iterations: {report:?}");
@@ -239,7 +247,7 @@ fn gc_removes_superseded_deltas_and_keeps_retained_chains() {
         min_age_secs: 0,
         ..CompactionConfig::default()
     })
-    .run(&store, &mut NoJournal, &mut index)
+    .run(&store, &mut journal(&store), &mut index)
     .unwrap();
     // The pass kept the caller's index current through its merges and
     // deletes.
@@ -506,6 +514,76 @@ fn torn_compaction_write_quarantines_and_repair_reanchors() {
     let rep = repair(&store).unwrap();
     assert!(rep.anchored_at.is_some(), "repair should re-anchor: {rep:?}");
     assert!(vars_bits_equal(&engine.restart_at(3).unwrap().vars, &safe_state));
+}
+
+/// Each way the write-ahead bracket can fail under a maintenance pass,
+/// injected by a [`FaultyBackend`] under the store and its journal: what
+/// the pass returns, and what the journal and recovery make of it.
+#[test]
+fn the_compaction_bracket_fails_as_the_journal_contract_says() {
+    // The pass's first merge (window 1..=4, written at 4) appends its
+    // intent (write 1), writes the merged delta's temp file (write 2)
+    // and appends the commit record (write 3).
+    let denied = WriteFault::Error(std::io::ErrorKind::PermissionDenied);
+    let cases = [
+        ("intent", 1, denied),
+        ("store write", 2, denied),
+        ("read-back", 2, WriteFault::SilentTorn { keep: 40 }),
+        ("commit", 3, denied),
+    ];
+    for (case, nth, fault) in cases {
+        let tmp = TempDir::new("bracket");
+        let store = build_store(&tmp.0, &truth_sequence(10, 150), 1000);
+        let plain = std::fs::read(store.path_of(4, false)).unwrap();
+        let backend = Arc::new(FaultyBackend::new(FaultSchedule::new().fail_write(nth, fault)));
+        let faulty = CheckpointStore::open_with(&tmp.0, backend.clone()).unwrap();
+        let (mut journal, _) = IntentJournal::open(&tmp.0, backend).unwrap();
+        let compactor = Compactor::new(CompactionConfig {
+            merge_window: 4,
+            keep_last_fulls: 0,
+            ..CompactionConfig::default()
+        });
+        let result =
+            compactor.run(&faulty, &mut journal, &mut ChainIndex::load(&faulty).unwrap());
+        drop(journal);
+
+        let unchanged = std::fs::read(store.path_of(4, false)).ok().as_ref() == Some(&plain);
+        let (_, outstanding) = IntentJournal::open(&tmp.0, Arc::new(FsBackend)).unwrap();
+        let outstanding: Vec<u64> = outstanding.iter().map(|r| r.iteration).collect();
+        let (_, report) = recover_session(&store).unwrap();
+        match case {
+            "intent" => {
+                assert!(matches!(result, Err(numarck::NumarckError::Io(_))), "{result:?}");
+                assert!(unchanged, "{case}: the store was written");
+                assert!(outstanding.is_empty(), "{case}: {outstanding:?}");
+                assert!(report.is_noop(), "{case}: {report:?}");
+            }
+            "store write" => {
+                assert!(matches!(result, Err(numarck::NumarckError::Io(_))), "{result:?}");
+                assert!(unchanged, "{case}: the store was written");
+                assert_eq!(outstanding, vec![4], "{case}");
+                // The intent is resolved and the plain delta kept. Whether
+                // recovery counts that as rolled back or completed is not
+                // asserted: every intact checkpoint ends in the CRC32 of
+                // what precedes it, so its whole-file CRC32 is the same
+                // residue constant, and the stale delta matches the
+                // journaled CRC of the merged one.
+                assert_eq!((report.replayed, report.repaired), (1, false), "{case}");
+                assert_eq!(std::fs::read(store.path_of(4, false)).ok(), Some(plain), "{case}");
+            }
+            "read-back" => {
+                assert!(matches!(result, Err(numarck::NumarckError::Corrupt(_))), "{result:?}");
+                assert!(store.quarantine_dir().join("ckpt_0000000004.delta").is_file(), "{case}");
+                assert_eq!(outstanding, vec![4], "{case}");
+                assert_eq!((report.rolled_back, report.completed), (1, 0), "{case}");
+            }
+            _ => {
+                assert_eq!(result.expect("a lost commit record fails nothing").merges, 2);
+                assert_eq!(outstanding, vec![4], "{case}");
+                assert_eq!((report.rolled_back, report.completed), (0, 1), "{case}");
+            }
+        }
+    }
 }
 
 #[test]

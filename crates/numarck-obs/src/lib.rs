@@ -47,3 +47,24 @@ pub use instrument::{
 pub use registry::Registry;
 pub use ring::{Event, EventRing, Level};
 pub use snapshot::{render_json, render_prometheus, HistogramSummary, Snapshot};
+
+/// `cached!(name, kind, Type, "metric")` defines `pub fn name() ->
+/// &'static Arc<Type>`: the process-wide [`Registry::global`]
+/// instrument `metric` of that kind (`counter`, `gauge` or
+/// `histogram`), looked up once and cached in a `OnceLock`, so a hot
+/// path pays a pointer load plus the instrument's own relaxed atomics
+/// and never touches the registry map. `Type` must be in scope where
+/// the macro is invoked.
+#[macro_export]
+macro_rules! cached {
+    ($fn_name:ident, $kind:ident, $ty:ty, $metric:literal) => {
+        /// Cached handle to the global-registry instrument `
+        #[doc = $metric]
+        /// `.
+        pub fn $fn_name() -> &'static ::std::sync::Arc<$ty> {
+            static CELL: ::std::sync::OnceLock<::std::sync::Arc<$ty>> =
+                ::std::sync::OnceLock::new();
+            CELL.get_or_init(|| $crate::Registry::global().$kind($metric))
+        }
+    };
+}

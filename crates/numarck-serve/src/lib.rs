@@ -18,28 +18,22 @@
 //! * [`client`] — a small blocking client used by the CLI subcommands
 //!   and the load generator in `numarck-bench`.
 //!
-//! Durability on top of those layers (see DESIGN.md, "Durability
-//! guarantees"):
-//!
-//! * [`journal`] — per-session write-ahead intent journal: every ingest
-//!   fsyncs an intent record (iteration + content CRC) before the store
-//!   mutates, so a crash at any instruction boundary is classifiable.
-//! * [`recovery`] — startup pass that sweeps temp files, replays the
-//!   journal, and completes or rolls back half-applied ingests before
-//!   the server accepts traffic.
+//! Durability comes from numarck-checkpoint (see DESIGN.md, "Durability
+//! guarantees"): every session store has an [`IntentJournal`], and
+//! ingest and background maintenance both write through its one
+//! write-ahead bracket; [`recover_session`] replays it and completes or
+//! rolls back half-applied writes before a session takes traffic. Both
+//! are re-exported here.
 //!
 //! See DESIGN.md ("numarck-serve wire protocol") for the normative
 //! protocol description.
 
 pub mod client;
-pub mod journal;
-pub mod recovery;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError, ClientResult, RestartReply, ScrubReply};
-pub use journal::{IntentJournal, IntentRecord};
-pub use recovery::{recover_session, RecoveryReport};
+pub use numarck_checkpoint::{recover_session, IntentJournal, IntentRecord, RecoveryReport};
 pub use server::{
     install_signal_handlers, signal_drain_requested, Server, ServerConfig, ServerHandle,
 };

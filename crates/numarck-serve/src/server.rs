@@ -41,14 +41,13 @@ use numarck::error::NumarckError;
 use numarck::Config;
 use numarck_checkpoint::backend::StorageBackend;
 use numarck_checkpoint::{
-    scrub, ChainIndex, CheckpointManager, CheckpointOutcome, CheckpointStore, DegradedRestart,
-    FsBackend, ManagerPolicy, RestartEngine, RetryPolicy, SystemClock,
+    recover_session, scrub, ChainIndex, CheckpointManager, CheckpointOutcome, CheckpointStore,
+    DegradedRestart, FsBackend, IntentJournal, ManagerPolicy, RecoveryReport, RestartEngine,
+    RetryPolicy, SystemClock,
 };
 use numarck_compact::{CompactionConfig, Compactor, CostModel};
 use numarck_obs::{Counter, Gauge, Histogram, Level, Registry, Snapshot};
 
-use crate::journal::IntentJournal;
-use crate::recovery::{self, RecoveryReport};
 use crate::wire::{
     self, ErrorCode, PutOutcome, Request, Response, SessionStat, StatsReply, WrittenKind,
 };
@@ -119,8 +118,8 @@ struct SessionState {
     id: u64,
     name: String,
     manager: CheckpointManager,
-    /// Write-ahead intent journal: every ingest journals (iteration,
-    /// content CRC) and fsyncs *before* the store mutates.
+    /// Write-ahead intent journal: every ingest and maintenance write
+    /// goes through its bracket, fsynced *before* the store mutates.
     journal: IntentJournal,
     /// The store's chain index: loaded once when the session opens,
     /// after recovery, then kept current under this session's lock by
@@ -132,20 +131,18 @@ struct SessionState {
     index: ChainIndex,
 }
 
-impl SessionState {
-    /// Reload the chain index from the store after something that may
-    /// have changed it partway. If even the reload fails, the old index
-    /// stays: a restart checks every file it pins against its entry, so
-    /// a stale entry reads as a lost iteration, never as wrong data, and
-    /// the next reload repairs it.
-    fn reload_index(&mut self, shared: &Shared) {
-        match ChainIndex::load(self.manager.store()) {
-            Ok(index) => self.index = index,
-            Err(e) => shared.obs.registry.events().push(
-                Level::Error,
-                format!("chain index reload of session {:?} failed: {e}", self.name),
-            ),
-        }
+/// Reload session `name`'s chain index from its store after something
+/// that may have changed the store partway. If even the reload fails,
+/// the old index stays: a restart checks every file it pins against its
+/// entry, so a stale entry reads as a lost iteration, never as wrong
+/// data, and the next reload repairs it.
+fn reload_index(index: &mut ChainIndex, store: &CheckpointStore, name: &str, shared: &Shared) {
+    match ChainIndex::load(store) {
+        Ok(loaded) => *index = loaded,
+        Err(e) => shared.obs.registry.events().push(
+            Level::Error,
+            format!("chain index reload of session {name:?} failed: {e}"),
+        ),
     }
 }
 
@@ -520,7 +517,7 @@ fn maintain_session(
                 Level::Error,
                 format!("maintenance on session {:?} failed: {e}", sess.name),
             );
-            sess.reload_index(shared);
+            reload_index(&mut sess.index, &store, &sess.name, shared);
         }
     }
 }
@@ -543,7 +540,7 @@ fn recover_root(shared: &Shared) -> io::Result<()> {
             continue;
         }
         let store = CheckpointStore::open_with(&dir, Arc::clone(backend))?;
-        let (_, report) = recovery::recover_session(&store).map_err(|e| {
+        let (_, report) = recover_session(&store).map_err(|e| {
             io::Error::other(format!("recovery of session {name:?} failed: {e}"))
         })?;
         shared.obs.record_recovery(&name, &report);
@@ -869,7 +866,7 @@ fn open_session(name: &str, shared: &Shared) -> Response {
     // Recover before first use: a session dir left behind by a crashed
     // server (or created while this one ran) may hold an unresolved
     // intent journal. A noop for fresh or cleanly-shut-down sessions.
-    let journal = match recovery::recover_session(&store) {
+    let journal = match recover_session(&store) {
         Ok((journal, report)) => {
             shared.obs.record_recovery(name, &report);
             journal
@@ -945,29 +942,32 @@ fn put_iterations(
     // One lock per batch: iterations within a batch are ordered by the
     // chain anyway, and the per-session lock is what lets *other*
     // sessions make progress meanwhile.
-    let mut sess = handle.lock().expect("session lock");
+    let mut guard = handle.lock().expect("session lock");
+    let SessionState { name, manager, journal, index, .. } = &mut *guard;
     let mut outcomes = Vec::with_capacity(iterations.len());
     for (iteration, vars) in &iterations {
         let bytes: u64 = vars.values().map(|v| v.len() as u64 * 8).sum();
-        // Write-ahead: encode first, journal the intent (fsynced), then
-        // let the store mutate, then mark the intent committed. A crash
-        // anywhere in between is classified by recovery on restart —
-        // and nothing is acknowledged until the whole sequence ran.
-        let journaled = sess.manager.prepare(*iteration, vars).and_then(|prepared| {
-            let seq = begin_with_retry(&mut sess.journal, &prepared, shared)
-                .map_err(|e| NumarckError::Io(format!("intent journal append failed: {e}")))?;
-            let (it, is_full, file) =
-                (prepared.iteration(), prepared.is_full(), prepared.stored_file());
-            let report = sess.manager.commit(prepared).inspect_err(|_| {
-                // A failed write may still have renamed its file into
-                // place (a failed directory sync): read the store again.
-                sess.reload_index(shared);
-            })?;
-            sess.index.insert(it, is_full, file);
-            // Best-effort: a lost commit record only means recovery
-            // re-verifies this iteration's CRC after a crash.
-            let _ = sess.journal.commit(seq);
-            Ok(report)
+        // Write-ahead: encode first, then commit inside the journal's
+        // bracket (intent appends retry under the session's policy, each
+        // retry counted). A crash anywhere in it is classified by
+        // recovery, and nothing is acknowledged until it ran.
+        let journaled = manager.prepare(*iteration, vars).and_then(|prepared| {
+            let (it, is_full, crc, file) = (
+                prepared.iteration(),
+                prepared.is_full(),
+                prepared.content_crc(),
+                prepared.stored_file(),
+            );
+            let on_retry = || shared.obs.write_retries.inc();
+            journal.write_ahead(it, is_full, crc, shared.config.retry, on_retry, || {
+                let report = manager.commit(prepared).inspect_err(|_| {
+                    // A failed write may still have renamed its file into
+                    // place (a failed directory sync): read the store again.
+                    reload_index(index, manager.store(), name, shared);
+                })?;
+                index.insert(it, is_full, file);
+                Ok(report)
+            })
         });
         match journaled {
             Ok(report) => {
@@ -1001,23 +1001,6 @@ fn put_iterations(
         }
     }
     Response::PutDone { outcomes }
-}
-
-/// Journal an intent under the manager's retry policy, sleeping on
-/// `SystemClock` as serve's managers do; every retry counts in
-/// `write_retries`. A torn append left behind by a failed attempt is
-/// harmless: replay stops at the damage, and every acknowledged
-/// iteration before it still resolves from its on-disk CRC.
-fn begin_with_retry(
-    journal: &mut IntentJournal,
-    prepared: &numarck_checkpoint::PreparedCheckpoint,
-    shared: &Shared,
-) -> io::Result<u64> {
-    shared.config.retry.run(
-        &SystemClock,
-        || journal.begin(prepared.iteration(), prepared.is_full(), prepared.content_crc()),
-        |_, _, _| shared.obs.write_retries.inc(),
-    )
 }
 
 /// One session's stats entry. `files` and the newest stored iteration
@@ -1083,7 +1066,8 @@ fn run_scrub(id: u64, repair: bool, shared: &Shared) -> Response {
     // Scrub holds the session lock: it may quarantine and rewrite files,
     // which must not race the session's own ingest. Whatever it changed,
     // the session's index is read again before the lock is released.
-    let mut sess = handle.lock().expect("session lock");
+    let mut guard = handle.lock().expect("session lock");
+    let sess = &mut *guard;
     let store = sess.manager.store();
     let resp = if repair {
         match scrub::repair(store) {
@@ -1106,7 +1090,7 @@ fn run_scrub(id: u64, repair: bool, shared: &Shared) -> Response {
             Err(e) => Response::Error { code: ErrorCode::Io, message: format!("scrub failed: {e}") },
         }
     };
-    sess.reload_index(shared);
+    reload_index(&mut sess.index, sess.manager.store(), &sess.name, shared);
     resp
 }
 
@@ -1259,6 +1243,51 @@ mod tests {
         match restart(&shared, id, 3) {
             Response::RestartData { achieved: 3, lost: 0, .. } => {}
             other => panic!("restart of 3 after a server restart: {other:?}"),
+        }
+    }
+
+    /// Each way the write-ahead bracket can fail under a put, injected
+    /// by a [`FaultyBackend`] under the session store and its journal:
+    /// what the put answers, and what the journal and recovery make of
+    /// it afterwards.
+    #[test]
+    fn the_put_bracket_fails_as_the_journal_contract_says() {
+        // A fresh session's first put appends its intent (write 1),
+        // writes the store's temp file (write 2) and appends the commit
+        // record (write 3).
+        let denied = WriteFault::Error(io::ErrorKind::PermissionDenied);
+        for (nth, case) in [(1, "intent"), (2, "store write"), (3, "commit")] {
+            let tmp = TempDir::new("put-bracket");
+            let root = tmp.0.join("root");
+            let schedule = FaultSchedule::new().fail_write(nth, denied);
+            let shared = shared_on(&root, Arc::new(FaultyBackend::new(schedule)));
+            let id = open(&shared, "sim");
+            let answer = put(&shared, id, 0);
+            drop(shared);
+
+            let dir = root.join("sim");
+            let landed = dir.join("ckpt_0000000000.full").is_file();
+            let (_, outstanding) = IntentJournal::open(&dir, Arc::new(FsBackend)).unwrap();
+            let outstanding: Vec<u64> = outstanding.iter().map(|r| r.iteration).collect();
+            let (_, report) = recover_session(&CheckpointStore::open(&dir).unwrap()).unwrap();
+            let acked = matches!(answer, Response::PutDone { .. });
+            match case {
+                "intent" => {
+                    assert!(!acked && !landed, "{case}: {answer:?}");
+                    assert!(outstanding.is_empty(), "{case}: {outstanding:?}");
+                    assert!(report.is_noop(), "{case}: {report:?}");
+                }
+                "store write" => {
+                    assert!(!acked && !landed, "{case}: {answer:?}");
+                    assert_eq!(outstanding, vec![0], "{case}");
+                    assert_eq!((report.rolled_back, report.completed), (1, 0), "{case}");
+                }
+                _ => {
+                    assert!(acked && landed, "{case}: {answer:?}");
+                    assert_eq!(outstanding, vec![0], "{case}");
+                    assert_eq!((report.rolled_back, report.completed), (0, 1), "{case}");
+                }
+            }
         }
     }
 

@@ -17,21 +17,7 @@
 //!   `numarck_encode_classify_ns`, `numarck_encode_pack_ns`,
 //!   `numarck_decode_ns` — per-phase wall time histograms.
 
-use std::sync::{Arc, OnceLock};
-
-use numarck_obs::{Counter, Histogram, Registry};
-
-macro_rules! cached {
-    ($fn_name:ident, $kind:ident, $ty:ty, $metric:literal) => {
-        /// Cached handle to the global-registry instrument `
-        #[doc = $metric]
-        /// `.
-        pub fn $fn_name() -> &'static Arc<$ty> {
-            static CELL: OnceLock<Arc<$ty>> = OnceLock::new();
-            CELL.get_or_init(|| Registry::global().$kind($metric))
-        }
-    };
-}
+use numarck_obs::{cached, Counter, Histogram};
 
 cached!(encodes_total, counter, Counter, "numarck_encodes_total");
 cached!(decodes_total, counter, Counter, "numarck_decodes_total");
@@ -44,6 +30,10 @@ cached!(decode_ns, histogram, Histogram, "numarck_decode_ns");
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use numarck_obs::Registry;
+
     use super::*;
 
     #[test]
