@@ -82,6 +82,21 @@ pub fn sniff_version(data: &[u8]) -> Result<u16, NumarckError> {
     Ok(u16::from_le_bytes(data[4..6].try_into().expect("2 bytes")))
 }
 
+/// The content hash of a checkpoint: the little-endian CRC-32 of
+/// everything before it, which v1 and v2 both store as the file's last
+/// four bytes. Writers already computed it, so two intact files tell
+/// apart by it (the CRC-32 of a *whole* intact file is one residue
+/// constant). The write-ahead journal records it and recovery compares
+/// it; the readers check it against the bytes.
+///
+/// # Panics
+/// Panics when `bytes` is shorter than the trailer — never for bytes a
+/// writer produced or a reader accepted.
+pub fn content_crc(bytes: &[u8]) -> u32 {
+    let trailer = bytes.len().checked_sub(4).expect("a checkpoint ends in a 4-byte CRC");
+    u32::from_le_bytes(bytes[trailer..].try_into().expect("4 bytes"))
+}
+
 /// Length of the header prefix every container version shares: magic,
 /// version, kind byte, iteration, variable count and delta span sit at
 /// the same offsets in v1 and v2.

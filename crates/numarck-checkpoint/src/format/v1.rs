@@ -80,7 +80,7 @@ pub(super) fn from_bytes(data: &[u8]) -> Result<CheckpointFile, NumarckError> {
         return Err(NumarckError::Corrupt("checkpoint file too short".into()));
     }
     let body = &data[..data.len() - 4];
-    let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().expect("4 bytes"));
+    let stored = super::content_crc(data);
     let computed = nser::crc32(body);
     if stored != computed {
         return Err(NumarckError::Corrupt(format!(

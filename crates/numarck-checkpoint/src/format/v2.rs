@@ -326,7 +326,7 @@ fn parse_layout(data: &[u8]) -> Result<Layout, NumarckError> {
     if data.len() < HEADER_LEN + 4 {
         return Err(corrupt("v2 checkpoint file too short"));
     }
-    let stored = le_u32(data, data.len() - 4);
+    let stored = super::content_crc(data);
     let computed = nser::crc32(&data[..data.len() - 4]);
     if stored != computed {
         return Err(corrupt(format!(

@@ -2,12 +2,15 @@
 //!
 //! Every checkpoint write that ingest or compaction makes runs inside
 //! [`IntentJournal::write_ahead`]: an *intent* record — sequence number,
-//! iteration, checkpoint kind, and the CRC of the exact bytes about to be
-//! written — is fsynced **before** the store mutates, and a *commit*
-//! record follows best-effort. After a crash, [`IntentJournal::open`]
-//! replays the journal and reports the intents that never committed, so
-//! recovery ([`crate::recovery`]) can decide per intent whether the write
-//! completed, never started, or was half-applied.
+//! iteration, checkpoint kind, and the content hash of the exact bytes
+//! about to be written — is fsynced **before** the store mutates, and a
+//! *commit* record follows best-effort. The content hash is the CRC
+//! trailer those bytes already end in ([`crate::format::content_crc`]),
+//! so journaling costs no pass over the file. After a crash,
+//! [`IntentJournal::open`] replays the journal and reports the intents
+//! that never committed, so recovery ([`crate::recovery`]) can decide per
+//! intent whether the write completed, never started, or was
+//! half-applied.
 //!
 //! Record framing, little-endian, one record per append:
 //!
@@ -18,7 +21,7 @@
 //! ```
 //!
 //! Intent payload: tag `1`, seq (u64), iteration (u64), is_full (u8),
-//! content crc (u32). Commit payload: tag `2`, seq (u64). Replay stops
+//! content hash (u32). Commit payload: tag `2`, seq (u64). Replay stops
 //! at the first record that fails the length or CRC check, so a crash
 //! mid-append loses only the record being written, and a failed append
 //! is cut back to the last whole record, atomically, before the next one
@@ -59,7 +62,8 @@ pub struct IntentRecord {
     pub iteration: u64,
     /// Whether the file is a full checkpoint (`.full`) or a delta.
     pub is_full: bool,
-    /// CRC32 of the exact bytes the store write will produce.
+    /// Content hash — the CRC trailer — of the exact bytes the store
+    /// write will produce.
     pub content_crc: u32,
 }
 
@@ -176,7 +180,8 @@ impl IntentJournal {
     /// [`SystemClock`] (`on_retry` runs before each retry); then run
     /// `write`, which leaves the file durable under its name; then
     /// append the commit record best-effort — the file has landed and its
-    /// CRC is journaled, so recovery marks a commit-less intent completed.
+    /// content hash is journaled, so recovery marks a commit-less intent
+    /// completed.
     /// A failed intent append returns before `write` runs; a failed
     /// `write` returns with its intent outstanding for recovery.
     pub fn write_ahead<T>(

@@ -66,7 +66,7 @@ pub use journal::{IntentJournal, IntentRecord};
 pub use mmapio::AlignedBytes;
 pub use manager::{
     AdaptivePolicy, CheckpointManager, CheckpointOutcome, CheckpointReport, Clock, ManagerPolicy,
-    PreparedCheckpoint, RetryPolicy, RetryTotals, SystemClock,
+    PreparedCheckpoint, RetryPolicy, SystemClock,
 };
 pub use recovery::{recover_session, RecoveryReport};
 pub use replicated::{ReplicaSpec, ReplicatedBackend};

@@ -127,8 +127,6 @@ pub struct CheckpointReport {
     pub outcome: CheckpointOutcome,
     /// Write retries that were needed (0 = first attempt succeeded).
     pub retries: u32,
-    /// Total backoff slept across those retries.
-    pub backoff: Duration,
 }
 
 /// Adaptive full-checkpoint triggering (the paper's §V future-work item:
@@ -204,17 +202,17 @@ pub enum CheckpointOutcome {
 ///
 /// Produced by [`CheckpointManager::prepare`]: the policy decision,
 /// compression, and serialization have all happened, so the exact bytes
-/// that will land on disk — and their CRC — are known *before* the
-/// store mutates. A write-ahead journal can therefore record an intent
-/// (iteration + content hash) with nothing to lie about, then
-/// [`CheckpointManager::commit`] makes the bytes durable.
+/// that will land on disk — and their content hash, the CRC trailer the
+/// serializer wrote ([`format::content_crc`](crate::format::content_crc))
+/// — are known *before* the store mutates. A write-ahead journal can
+/// therefore record an intent (iteration + content hash) with nothing to
+/// lie about, then [`CheckpointManager::commit`] makes the bytes durable.
 #[derive(Debug)]
 pub struct PreparedCheckpoint {
     iteration: u64,
     is_full: bool,
     outcome: CheckpointOutcome,
     bytes: Vec<u8>,
-    content_crc: u32,
     vars: VariableSet,
 }
 
@@ -229,10 +227,11 @@ impl PreparedCheckpoint {
         self.is_full
     }
 
-    /// CRC32 of the exact serialized bytes
-    /// [`CheckpointManager::commit`] will write.
+    /// The content hash of the exact bytes [`CheckpointManager::commit`]
+    /// will write: their CRC trailer, which tells this file apart from
+    /// any other intact checkpoint at the same path.
     pub fn content_crc(&self) -> u32 {
-        self.content_crc
+        crate::format::content_crc(&self.bytes)
     }
 
     /// Serialized size of the encoded file.
@@ -263,20 +262,6 @@ pub struct CheckpointManager {
     clock: Arc<dyn Clock>,
     previous: Option<(u64, VariableSet)>,
     drift_trackers: BTreeMap<String, DriftTracker>,
-    lifetime_retries: u64,
-    lifetime_backoff: Duration,
-}
-
-/// Lifetime write-retry totals accumulated by a [`CheckpointManager`]
-/// across every checkpoint it has written (satellite of the PR 1 retry
-/// machinery: visible even through the plain [`CheckpointManager::checkpoint`]
-/// API that discards per-call reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RetryTotals {
-    /// Write retries across the manager's lifetime.
-    pub retries: u64,
-    /// Total backoff slept across those retries.
-    pub backoff: Duration,
 }
 
 impl CheckpointManager {
@@ -310,16 +295,7 @@ impl CheckpointManager {
             clock,
             previous: None,
             drift_trackers: BTreeMap::new(),
-            lifetime_retries: 0,
-            lifetime_backoff: Duration::ZERO,
         }
-    }
-
-    /// Lifetime write-retry totals: every retry and backoff this manager
-    /// has accumulated, including calls made through the plain
-    /// [`Self::checkpoint`] API that discards per-call reports.
-    pub fn retry_totals(&self) -> RetryTotals {
-        RetryTotals { retries: self.lifetime_retries, backoff: self.lifetime_backoff }
     }
 
     /// The underlying store.
@@ -348,7 +324,7 @@ impl CheckpointManager {
     }
 
     /// Like [`Self::checkpoint`], but also reports how many write
-    /// retries (and how much backoff) the storage layer needed.
+    /// retries the storage layer needed.
     pub fn checkpoint_with_report(
         &mut self,
         iteration: u64,
@@ -362,9 +338,10 @@ impl CheckpointManager {
     /// store: policy decision, compression, and serialization all
     /// happen, but no byte lands on disk until [`Self::commit`].
     ///
-    /// The returned [`PreparedCheckpoint`] exposes the CRC of the exact
-    /// bytes `commit` will write, so a caller can record a write-ahead
-    /// intent (iteration + content hash) *before* the store mutates.
+    /// The returned [`PreparedCheckpoint`] exposes the content hash of the
+    /// exact bytes `commit` will write, so a caller can record a
+    /// write-ahead intent (iteration + content hash) *before* the store
+    /// mutates.
     /// Dropping a prepared checkpoint without committing is safe: the
     /// manager's chain state only advances on commit, so the next call
     /// re-encodes from the last committed iteration.
@@ -454,47 +431,43 @@ impl CheckpointManager {
         let is_full = matches!(kind, CheckpointKind::Full(_));
         let file = CheckpointFile::new(iteration, kind);
         let bytes = file.to_bytes();
-        let content_crc = numarck::serialize::crc32(&bytes);
-        Ok(PreparedCheckpoint { iteration, is_full, outcome, bytes, content_crc, vars: vars.clone() })
+        Ok(PreparedCheckpoint { iteration, is_full, outcome, bytes, vars: vars.clone() })
     }
 
     /// Write a [`PreparedCheckpoint`] to the store (with the manager's
     /// retry policy) and advance the chain state. Only after this
     /// returns `Ok` is the checkpoint part of the chain; the bytes on
-    /// disk are exactly those whose CRC
+    /// disk are exactly those whose content hash
     /// [`PreparedCheckpoint::content_crc`] reported.
     pub fn commit(
         &mut self,
         prepared: PreparedCheckpoint,
     ) -> Result<CheckpointReport, NumarckError> {
-        let PreparedCheckpoint { iteration, is_full, outcome, bytes, content_crc: _, vars } =
-            prepared;
-        let mut retries = 0;
-        let mut backoff = Duration::ZERO;
-        self.write_with_retry(iteration, is_full, &bytes, &mut retries, &mut backoff)?;
+        let PreparedCheckpoint { iteration, is_full, outcome, bytes, vars } = prepared;
+        let retries = self.write_with_retry(iteration, is_full, &bytes)?;
         match &outcome {
             CheckpointOutcome::Full => crate::obs::fulls_total().inc(),
             CheckpointOutcome::FullOnDrift { .. } => crate::obs::drift_fulls_total().inc(),
             CheckpointOutcome::Delta(_) => crate::obs::deltas_total().inc(),
         }
         self.previous = Some((iteration, vars));
-        Ok(CheckpointReport { outcome, retries, backoff })
+        Ok(CheckpointReport { outcome, retries })
     }
 
     /// Write checkpoint bytes to the store, retrying transient I/O
-    /// errors with exponential backoff per the manager's [`RetryPolicy`].
-    /// Permanent errors and exhausted retries surface as
-    /// [`NumarckError::Io`]. Every retry lands in the manager's lifetime
-    /// totals and the global registry — including those of calls that
-    /// ultimately fail.
+    /// errors with exponential backoff per the manager's [`RetryPolicy`],
+    /// and return the retries the write needed. Permanent errors and
+    /// exhausted retries surface as [`NumarckError::Io`]. Every retry and
+    /// its backoff land in the global registry
+    /// (`ckpt_write_retries_total`, `ckpt_backoff_ns_total`) — including
+    /// those of calls that ultimately fail.
     fn write_with_retry(
-        &mut self,
+        &self,
         iteration: u64,
         is_full: bool,
         bytes: &[u8],
-        retries: &mut u32,
-        backoff: &mut Duration,
-    ) -> Result<(), NumarckError> {
+    ) -> Result<u32, NumarckError> {
+        let mut retries = 0;
         let written = self.retry.run(
             self.clock.as_ref(),
             || {
@@ -503,10 +476,7 @@ impl CheckpointManager {
                 self.store.write_raw(iteration, is_full, bytes)
             },
             |attempt, delay, e| {
-                *backoff = backoff.saturating_add(delay);
-                *retries = attempt;
-                self.lifetime_retries += 1;
-                self.lifetime_backoff = self.lifetime_backoff.saturating_add(delay);
+                retries = attempt;
                 crate::obs::write_retries_total().inc();
                 crate::obs::backoff_ns_total()
                     .add(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX));
@@ -516,8 +486,8 @@ impl CheckpointManager {
                 );
             },
         );
-        written.map(drop).map_err(|e| {
-            let attempts = *retries + 1;
+        written.map(|_| retries).map_err(|e| {
+            let attempts = retries + 1;
             numarck_obs::Registry::global().events().push(
                 numarck_obs::Level::Error,
                 format!("ckpt write failed iter={iteration} after {attempts} attempt(s): {e}"),
@@ -758,7 +728,6 @@ mod tests {
         // Backoff doubled: 10ms then 20ms, recorded not slept.
         let sleeps = clock.0.lock().unwrap().clone();
         assert_eq!(sleeps, vec![Duration::from_millis(10), Duration::from_millis(20)]);
-        assert_eq!(report.backoff, Duration::from_millis(30));
         // The checkpoint is genuinely on disk and readable.
         assert!(mgr.store().read(1, true).is_ok());
     }
@@ -816,48 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_retry_totals_accumulate_across_plain_checkpoint_calls() {
-        use crate::backend::{FaultSchedule, WriteFault};
-        let tmp = TempDir::new("mgr-lifetime-totals");
-        // Write 1 fails once; write 3 (iteration 2's first attempt) fails
-        // once more — both land through the plain checkpoint() API that
-        // discards per-call reports.
-        let schedule = FaultSchedule::new()
-            .fail_write(1, WriteFault::Error(std::io::ErrorKind::StorageFull))
-            .fail_write(3, WriteFault::Error(std::io::ErrorKind::StorageFull));
-        let (mut mgr, _clock, _backend) =
-            retrying_manager(&tmp, schedule, RetryPolicy::default());
-        assert_eq!(mgr.retry_totals(), RetryTotals::default());
-        let global_retries_before =
-            numarck_obs::Registry::global().counter("ckpt_write_retries_total").get();
-        mgr.checkpoint(1, &vars_at(1, 100)).unwrap();
-        mgr.checkpoint(2, &vars_at(2, 100)).unwrap();
-        let totals = mgr.retry_totals();
-        assert_eq!(totals.retries, 2);
-        // Both were first retries: 10ms backoff each.
-        assert_eq!(totals.backoff, Duration::from_millis(20));
-        // The same retries are visible in the global registry.
-        let global_retries =
-            numarck_obs::Registry::global().counter("ckpt_write_retries_total").get();
-        assert!(global_retries >= global_retries_before + 2);
-    }
-
-    #[test]
-    fn failed_checkpoint_still_accumulates_its_retries() {
-        use crate::backend::{FaultSchedule, WriteFault};
-        let tmp = TempDir::new("mgr-lifetime-failed");
-        let schedule = (1..=4).fold(FaultSchedule::new(), |s, n| {
-            s.fail_write(n, WriteFault::Error(std::io::ErrorKind::StorageFull))
-        });
-        let (mut mgr, _clock, _backend) =
-            retrying_manager(&tmp, schedule, RetryPolicy::default());
-        assert!(mgr.checkpoint(1, &vars_at(1, 100)).is_err());
-        // 3 retries were spent even though the call failed.
-        assert_eq!(mgr.retry_totals().retries, 3);
-        assert_eq!(mgr.retry_totals().backoff, Duration::from_millis(10 + 20 + 40));
-    }
-
-    #[test]
     fn backoff_is_capped_at_max_backoff() {
         let policy = RetryPolicy {
             max_retries: 40,
@@ -884,8 +811,12 @@ mod tests {
         // Nothing on disk yet.
         assert_eq!(mgr.store().list().unwrap().len(), 1);
         mgr.commit(prepared).unwrap();
+        // The content hash is the trailer of the file that landed: the
+        // CRC-32 of everything before it.
         let bytes = mgr.store().read_raw(2, false).unwrap();
-        assert_eq!(numarck::serialize::crc32(&bytes), crc);
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        assert_eq!(trailer, crc.to_le_bytes());
+        assert_eq!(numarck::serialize::crc32(body), crc);
         assert!(mgr.store().read(2, false).is_ok());
     }
 

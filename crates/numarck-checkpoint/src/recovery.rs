@@ -11,17 +11,25 @@
 //! 1. A stray `*.tmp` file — the crash hit between the temp-file write
 //!    and the rename. The rename never happened, the iteration was
 //!    never acknowledged: delete the temp file.
-//! 2. An outstanding intent whose file is on disk with the journaled
-//!    CRC — the crash hit between the rename and the commit append. The
-//!    write *completed*; mark it so and move on.
+//! 2. An outstanding intent whose file verifies and carries the
+//!    journaled content hash — the crash hit between the rename and the
+//!    commit append. The write *completed*; mark it so and move on.
 //! 3. An outstanding intent whose file is missing, stale (a valid file
-//!    from an earlier write at the same path), or damaged — the write
-//!    never finished and was never acknowledged. Roll it back: leave a
-//!    stale-but-valid file alone, quarantine a damaged one and run
-//!    [`scrub::repair`] to re-anchor the chain. A file is valid when it
-//!    opens as a [`CheckpointView`] under its own name and verifies — so
-//!    one whose header names another iteration, or whose payload kind
-//!    contradicts its extension, is damaged.
+//!    with another content hash: an earlier write at the same path), or
+//!    damaged — the write never finished and was never acknowledged.
+//!    Roll it back: leave a stale-but-valid file alone, quarantine a
+//!    damaged one and run [`scrub::repair`] to re-anchor the chain.
+//!
+//! Each intent is judged by one parse-and-verify of the file at its
+//! path. A file is valid when it opens as a [`CheckpointView`] under its
+//! own name and verifies — so one whose header names another iteration,
+//! or whose payload kind contradicts its extension, is damaged. The
+//! content hash is the file's CRC trailer ([`content_crc`]), the value
+//! the writer journaled; it tells two intact files apart, where the
+//! CRC-32 of a whole intact file is one residue constant for every file.
+//! An intent journaled by a build that recorded that whole-file CRC
+//! (`0x2144DF1C`) therefore matches no trailer: it resolves as rolled
+//! back and a valid file at its path is kept.
 //!
 //! Either way the journal ends empty and every acknowledged iteration
 //! restarts. The session's first post-recovery checkpoint is a forced
@@ -32,6 +40,7 @@ use std::sync::Arc;
 
 use numarck::error::NumarckError;
 
+use crate::format::content_crc;
 use crate::journal::IntentJournal;
 use crate::{scrub, CheckpointStore, CheckpointView};
 
@@ -89,30 +98,26 @@ pub fn recover_session(
     let mut need_repair = false;
     for intent in &outstanding {
         match store.map_raw(intent.iteration, intent.is_full) {
-            Ok(bytes) if numarck::serialize::crc32(&bytes) == intent.content_crc => {
-                // Rename landed, commit record didn't. The write is done.
-                report.completed += 1;
-            }
             Ok(bytes) => {
-                report.rolled_back += 1;
+                let intended = bytes.len() >= 4 && content_crc(&bytes) == intent.content_crc;
                 match CheckpointView::parse(bytes, intent.iteration, intent.is_full)
                     .and_then(|view| view.verify())
                 {
-                    Ok(()) => {
-                        // A valid earlier write at the same path; the
-                        // intended overwrite never happened. Keep it.
-                    }
+                    // Rename landed, commit record didn't. The write is done.
+                    Ok(()) if intended => report.completed += 1,
+                    // A valid earlier write at the same path; the intended
+                    // overwrite never happened. Keep it.
+                    Ok(()) => report.rolled_back += 1,
                     Err(_) => {
                         // Neither the intended bytes nor a valid older
                         // file: half-applied. Quarantine and re-anchor.
-                        store
-                            .quarantine(intent.iteration, intent.is_full)
-                            .map_err(|e| {
-                                NumarckError::Io(format!(
-                                    "quarantining iter={} failed: {e}",
-                                    intent.iteration
-                                ))
-                            })?;
+                        report.rolled_back += 1;
+                        store.quarantine(intent.iteration, intent.is_full).map_err(|e| {
+                            NumarckError::Io(format!(
+                                "quarantining iter={} failed: {e}",
+                                intent.iteration
+                            ))
+                        })?;
                         need_repair = true;
                     }
                 }
@@ -271,6 +276,19 @@ mod tests {
         assert!(store.read_raw(4, false).is_err());
     }
 
+    /// The content hash a writer journals for a rewrite of delta 5 that
+    /// differs from the one [`build`] stores: prepared in a throwaway
+    /// store, never written.
+    fn rewrite_of_5_crc() -> u32 {
+        let tmp = TempDir::new("recovery-rewrite");
+        let store = CheckpointStore::open_with(&tmp.0, Arc::new(FsBackend)).unwrap();
+        let mut manager = CheckpointManager::new(store, config(), ManagerPolicy::fixed(4));
+        manager.checkpoint(4, &vars(4)).unwrap();
+        let prepared = manager.prepare(5, &vars(7)).unwrap();
+        assert!(!prepared.is_full());
+        prepared.content_crc()
+    }
+
     #[test]
     fn stale_valid_file_under_an_intent_is_left_alone() {
         let tmp = TempDir::new("recovery-stale");
@@ -279,13 +297,32 @@ mod tests {
         // old valid file must survive.
         let (store, mut journal) = build(&tmp, 5);
         let old = store.read_raw(5, false).unwrap();
-        journal.begin(5, false, 0x1234_5678).unwrap();
+        journal.begin(5, false, rewrite_of_5_crc()).unwrap();
         drop(journal);
 
         let (_, report) = recover_session(&store).unwrap();
-        assert_eq!(report.rolled_back, 1);
+        assert_eq!((report.rolled_back, report.completed), (1, 0));
         assert!(!report.repaired);
         assert_eq!(store.read_raw(5, false).unwrap(), old);
+    }
+
+    #[test]
+    fn whole_file_crc_intent_rolls_back_and_keeps_the_file() {
+        // A build that journaled the CRC-32 of the whole file recorded
+        // the residue constant for every write. Its landed write is
+        // counted rolled back, and the valid file stays in service.
+        let tmp = TempDir::new("recovery-residue");
+        let (store, mut journal) = build(&tmp, 5);
+        let landed = store.read_raw(5, false).unwrap();
+        assert_eq!(numarck::serialize::crc32(&landed), 0x2144_DF1C);
+        journal.begin(5, false, 0x2144_DF1C).unwrap();
+        drop(journal);
+
+        let (_, report) = recover_session(&store).unwrap();
+        assert_eq!((report.rolled_back, report.completed), (1, 0));
+        assert!(!report.repaired);
+        assert_eq!(store.read_raw(5, false).unwrap(), landed);
+        assert!(RestartEngine::new(store).restart_at(5).is_ok());
     }
 
     #[test]
@@ -293,10 +330,11 @@ mod tests {
         // Valid bytes at the intended path whose header contradicts the
         // name — another iteration, or a full payload under `.delta` —
         // are damage, not a stale earlier write.
+        let crc = rewrite_of_5_crc();
         for case in ["iteration", "kind"] {
             let tmp = TempDir::new(&format!("recovery-{case}"));
             let (store, mut journal) = build(&tmp, 5);
-            journal.begin(5, false, 0x1234_5678).unwrap();
+            journal.begin(5, false, crc).unwrap();
             let bytes = match case {
                 "iteration" => store.read_raw(3, false).unwrap(),
                 _ => CheckpointFile::new(5, CheckpointKind::Full(vars(5))).to_bytes(),

@@ -20,11 +20,14 @@
 //!   final value. This is the re-encode path, and it is what keeps the
 //!   equivalence unconditional.
 //!
-//! The caller then verifies the whole artefact end to end: the merged
-//! file is serialised, re-opened through the reader restart uses
+//! [`merge_window`] then verifies the whole artefact end to end: the
+//! merged file is serialised, re-opened through the reader restart uses
 //! ([`CheckpointView`]), and replayed against the base state, and the
 //! result is bit-compared with the original chain's replay before
-//! anything touches the store (see [`crate::policy::Compactor`]).
+//! anything touches the store. The caller writes those exact bytes
+//! through the journal's bracket: the intent records the CRC trailer the
+//! bytes already end in, and the read-back is compared byte for byte
+//! with them (see [`crate::policy::Compactor`]).
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -188,12 +191,11 @@ pub fn vars_bits_equal(a: &VariableSet, b: &VariableSet) -> bool {
 /// A merged delta built and verified in memory, not yet written.
 #[derive(Debug)]
 pub struct MergedDelta {
-    /// The merged checkpoint file (a delta at `end` with span `span`).
-    pub file: CheckpointFile,
-    /// Its exact serialised bytes (what a store write must produce).
+    /// The exact serialised bytes of the merged checkpoint (a delta at
+    /// `end` with span `span`): what a store write must produce. They
+    /// end in their own content hash, the CRC trailer the write-ahead
+    /// journal records.
     pub bytes: Vec<u8>,
-    /// CRC32 of `bytes`, for the write-ahead intent journal.
-    pub content_crc: u32,
     /// Aggregated per-point accounting across variables.
     pub stats: MergeStats,
     /// The replayed state at `end` the merged chain must reproduce.
@@ -273,9 +275,7 @@ pub fn merge_window(
         stats.absorb(st);
         blocks.insert(name.clone(), block);
     }
-    let file = CheckpointFile::merged_delta(end, blocks, span as u32);
-    let bytes = file.to_bytes();
-    let content_crc = numarck::serialize::crc32(&bytes);
+    let bytes = CheckpointFile::merged_delta(end, blocks, span as u32).to_bytes();
 
     // The proof: open the exact bytes a write would land through the
     // reader restart uses, and replay them. Anything short of bit
@@ -288,7 +288,7 @@ pub fn merge_window(
             "merged delta at {end} (span {span}) failed end-to-end bit-exactness verification"
         )));
     }
-    Ok(MergedDelta { file, bytes, content_crc, stats, expected: fin })
+    Ok(MergedDelta { bytes, stats, expected: fin })
 }
 
 /// Replay every variable of `base` through its hop in each of `files`,

@@ -3,10 +3,11 @@
 //! [`Compactor::run`] executes one pass over a store. Every write goes
 //! through the same write-ahead bracket as live ingest,
 //! [`IntentJournal::write_ahead`]: the exact bytes are built and
-//! **verified in memory first**, their CRC is recorded in the store's
-//! intent journal, the store write lands atomically (temp file, rename,
-//! dir fsync), the bytes are read back and CRC-checked, and only then
-//! is the intent committed. A crash at any boundary leaves either the
+//! **verified in memory first**, their content hash (the CRC trailer
+//! they end in) is recorded in the store's intent journal, the store
+//! write lands atomically (temp file, rename, dir fsync), the bytes are
+//! read back and compared with the bytes written, and only then is the
+//! intent committed. A crash at any boundary leaves either the
 //! old artefact (rename not yet landed) or the new, verified one —
 //! never a torn file — and the outstanding intent tells recovery which
 //! it must be. A read-back mismatch (storage corruption between write
@@ -15,7 +16,7 @@
 
 use numarck::error::NumarckError;
 use numarck_checkpoint::chain::{ChainIndex, StoredFile};
-use numarck_checkpoint::format::{CheckpointFile, CheckpointKind};
+use numarck_checkpoint::format::{content_crc, CheckpointFile, CheckpointKind};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
 use numarck_checkpoint::{IntentJournal, RetryPolicy};
@@ -161,14 +162,7 @@ impl Compactor {
             while start + w - 1 <= b {
                 let end = start + w - 1;
                 let merged = merge::merge_window(store, index, end, w)?;
-                write_checked(
-                    store,
-                    journal,
-                    merged.file.iteration,
-                    false,
-                    &merged.bytes,
-                    merged.content_crc,
-                )?;
+                write_checked(store, journal, end, false, &merged.bytes)?;
                 index.insert(end, false, StoredFile::of(&merged.bytes));
                 report.merges += 1;
                 report.deltas_merged += w;
@@ -210,10 +204,8 @@ impl Compactor {
                 && model.cost_ns(path.base_bytes, 0) <= slo
             {
                 let vars = engine.restart_with(index, it)?.vars;
-                let file = CheckpointFile::new(it, CheckpointKind::Full(vars));
-                let bytes = file.to_bytes();
-                let crc = numarck::serialize::crc32(&bytes);
-                write_checked(store, journal, it, true, &bytes, crc)?;
+                let bytes = CheckpointFile::new(it, CheckpointKind::Full(vars)).to_bytes();
+                write_checked(store, journal, it, true, &bytes)?;
                 index.insert(it, true, StoredFile::of(&bytes));
                 report.fulls_promoted += 1;
                 obs::fulls_promoted_total().inc();
@@ -224,15 +216,15 @@ impl Compactor {
 }
 
 /// One compaction write through the journal's bracket, failing fast: the
-/// store write, then a read-back CRC check that quarantines a mismatch
-/// (for scrub to re-anchor) and leaves its intent outstanding.
+/// intent of `bytes`' content hash, the store write, then a read-back
+/// byte compare that quarantines a mismatch (for scrub to re-anchor) and
+/// leaves its intent outstanding.
 fn write_checked(
     store: &CheckpointStore,
     journal: &mut IntentJournal,
     iteration: u64,
     is_full: bool,
     bytes: &[u8],
-    content_crc: u32,
 ) -> Result<(), NumarckError> {
     let write = || {
         store
@@ -241,7 +233,7 @@ fn write_checked(
         let back = store
             .read_raw(iteration, is_full)
             .map_err(|e| NumarckError::Io(format!("compaction read-back failed: {e}")))?;
-        if numarck::serialize::crc32(&back) != content_crc {
+        if back != bytes {
             let _ = store.quarantine(iteration, is_full);
             return Err(NumarckError::Corrupt(format!(
                 "compaction write of iteration {iteration} failed read-back verification; \
@@ -250,5 +242,5 @@ fn write_checked(
         }
         Ok(())
     };
-    journal.write_ahead(iteration, is_full, content_crc, RetryPolicy::none(), || {}, write)
+    journal.write_ahead(iteration, is_full, content_crc(bytes), RetryPolicy::none(), || {}, write)
 }

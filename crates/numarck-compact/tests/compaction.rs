@@ -492,7 +492,7 @@ fn torn_compaction_write_quarantines_and_repair_reanchors() {
     let safe_state = engine.restart_at(3).unwrap().vars;
 
     // The write "succeeds" but lands torn (silent storage corruption):
-    // read-back CRC verification catches it, quarantines the damaged
+    // the read-back byte compare catches it, quarantines the damaged
     // merged delta, and errors out with the intent left outstanding.
     let schedule = FaultSchedule::new().fail_write(1, WriteFault::SilentTorn { keep: 40 });
     let faulty =
@@ -562,13 +562,10 @@ fn the_compaction_bracket_fails_as_the_journal_contract_says() {
                 assert!(matches!(result, Err(numarck::NumarckError::Io(_))), "{result:?}");
                 assert!(unchanged, "{case}: the store was written");
                 assert_eq!(outstanding, vec![4], "{case}");
-                // The intent is resolved and the plain delta kept. Whether
-                // recovery counts that as rolled back or completed is not
-                // asserted: every intact checkpoint ends in the CRC32 of
-                // what precedes it, so its whole-file CRC32 is the same
-                // residue constant, and the stale delta matches the
-                // journaled CRC of the merged one.
+                // The plain delta at 4 is intact but is not the merged
+                // delta the intent names: rolled back, and kept.
                 assert_eq!((report.replayed, report.repaired), (1, false), "{case}");
+                assert_eq!((report.rolled_back, report.completed), (1, 0), "{case}");
                 assert_eq!(std::fs::read(store.path_of(4, false)).ok(), Some(plain), "{case}");
             }
             "read-back" => {
