@@ -91,6 +91,17 @@ impl ChainPath {
     pub fn files(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
         std::iter::once((self.base, true)).chain(self.deltas.iter().rev().map(|&d| (d, false)))
     }
+
+    /// The deltas the path applies after iteration `node`, newest
+    /// first, when `node` is one of the path's nodes (its base or one
+    /// of its deltas); `None` otherwise.
+    pub fn deltas_after(&self, node: u64) -> Option<&[u64]> {
+        if node == self.base {
+            return Some(&self.deltas);
+        }
+        let at = self.deltas.iter().position(|&d| d == node)?;
+        Some(&self.deltas[..at])
+    }
 }
 
 /// Header-level snapshot of a store's chain shape.

@@ -72,6 +72,10 @@ pub struct IntentRecord {
 pub struct IntentJournal {
     backend: Arc<dyn StorageBackend>,
     path: PathBuf,
+    /// The journal file holds records under a synced directory entry.
+    /// Until it does (the journal opened empty), the next append syncs
+    /// the store directory.
+    on_disk: bool,
     next_seq: u64,
     outstanding: usize,
     /// Length of the journal's whole records.
@@ -123,6 +127,7 @@ impl IntentJournal {
         let journal = Self {
             backend,
             path,
+            on_disk: !bytes.is_empty(),
             next_seq,
             outstanding: outstanding.len(),
             len: (bytes.len() - cursor.len()) as u64,
@@ -229,6 +234,13 @@ impl IntentJournal {
             return Err(e);
         }
         self.len += record.len() as u64;
+        if !self.on_disk {
+            // The append may have created the file: its record is durable
+            // only once the directory entry is, and an intent must be
+            // durable before the store write it guards.
+            self.backend.sync_dir(self.path.parent().expect("journal lives in a directory"))?;
+            self.on_disk = true;
+        }
         Ok(())
     }
 
@@ -240,6 +252,7 @@ impl IntentJournal {
         bytes.truncate(self.len as usize);
         write_atomic(self.backend.as_ref(), &self.path, &bytes)?;
         self.torn = false;
+        self.on_disk = true;
         Ok(())
     }
 }
@@ -280,6 +293,89 @@ mod tests {
 
     fn open(dir: &Path) -> (IntentJournal, Vec<IntentRecord>) {
         IntentJournal::open(dir, Arc::new(FsBackend)).unwrap()
+    }
+
+    /// The real filesystem, logging each append, write and directory
+    /// sync as `op name`.
+    #[derive(Debug, Default)]
+    struct Recording(std::sync::Mutex<Vec<String>>);
+
+    impl Recording {
+        fn log(&self, op: &str, path: &Path) {
+            let name = path.file_name().unwrap().to_string_lossy();
+            self.0.lock().unwrap().push(format!("{op} {name}"));
+        }
+    }
+
+    impl StorageBackend for Recording {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            FsBackend.create_dir_all(dir)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.log("write", path);
+            FsBackend.write(path, bytes)
+        }
+        fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.log("append", path);
+            FsBackend.append(path, bytes)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            FsBackend.rename(from, to)
+        }
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.log("sync_dir", dir);
+            FsBackend.sync_dir(dir)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            FsBackend.read(path)
+        }
+        fn map(&self, path: &Path) -> io::Result<crate::mmapio::AlignedBytes> {
+            FsBackend.map(path)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            FsBackend.remove_file(path)
+        }
+        fn list_dir(&self, dir: &Path) -> io::Result<Vec<String>> {
+            FsBackend.list_dir(dir)
+        }
+    }
+
+    #[test]
+    fn the_append_that_creates_the_journal_syncs_the_store_directory() {
+        use crate::manager::{CheckpointManager, ManagerPolicy, RetryPolicy};
+        use crate::store::CheckpointStore;
+
+        let tmp = TempDir::new("journal-create-sync");
+        let dir = tmp.0.join("store");
+        let backend = Arc::new(Recording::default());
+        let store = CheckpointStore::open_with(&dir, backend.clone()).unwrap();
+        let cfg = numarck::Config::new(8, 0.001, numarck::Strategy::Clustering).unwrap();
+        let mut manager = CheckpointManager::new(store, cfg, ManagerPolicy::fixed(4));
+        let (mut journal, _) = IntentJournal::open(&dir, backend.clone()).unwrap();
+        // Two puts through serve's bracket: prepare, then commit inside
+        // the journal's write-ahead.
+        for it in 0..2u64 {
+            let mut vars = crate::VariableSet::new();
+            vars.insert("x".into(), (0..64).map(|j| (j + 1) as f64 * (1.0 + it as f64 / 100.0)).collect());
+            let prepared = manager.prepare(it, &vars).unwrap();
+            let (is_full, crc) = (prepared.is_full(), prepared.content_crc());
+            journal
+                .write_ahead(it, is_full, crc, RetryPolicy::none(), || {}, || manager.commit(prepared))
+                .unwrap();
+        }
+        let ops = backend.0.lock().unwrap().clone();
+        let first = |op: &str| ops.iter().position(|o| o.starts_with(op)).unwrap_or_else(|| panic!("no {op}: {ops:?}"));
+        let append = first("append intent.journal");
+        let sync = first("sync_dir store");
+        let write = first("write ckpt_");
+        assert!(append < sync && sync < write, "the first intent is not durable before its write: {ops:?}");
+        // Only the creating append syncs: each later record costs its
+        // append alone.
+        let syncs_before_write = ops[..write].iter().filter(|o| o.starts_with("sync_dir")).count();
+        assert_eq!(syncs_before_write, 1, "{ops:?}");
+        let appends_after = ops[write..].iter().filter(|o| o.starts_with("append")).count();
+        let syncs_after = ops[write..].iter().filter(|o| o.starts_with("sync_dir")).count();
+        assert_eq!((appends_after, syncs_after), (3, 2), "one sync per store write: {ops:?}");
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use manager::{
 };
 pub use recovery::{recover_session, RecoveryReport};
 pub use replicated::{ReplicaSpec, ReplicatedBackend};
-pub use restart::{DegradedRestart, LostIteration, RestartEngine};
+pub use restart::{DegradedRestart, Head, LostIteration, RestartEngine};
 pub use scrub::{repair, scrub, RepairReport, ReplicaScrubReport, ScrubFinding, ScrubReport};
 pub use store::{CheckpointStore, StoreEntry};
 

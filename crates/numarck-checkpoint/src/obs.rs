@@ -23,7 +23,10 @@
 //!   `ckpt_replica_write_errors_total` — replicated-backend read-repair
 //!   and quorum accounting;
 //! * `ckpt_index_loads_total` — [`crate::ChainIndex::load`] calls, each
-//!   one store listing plus a header read per stored file.
+//!   one store listing plus a header read per stored file;
+//! * `ckpt_restart_head_hits_total` — restart candidates pinned from a
+//!   cached [`crate::restart::Head`]: only the hops after it are read
+//!   and decoded.
 //!
 //! Retries and quarantines additionally land in the global registry's
 //! event ring, so the most recent degradations are inspectable even
@@ -47,6 +50,7 @@ cached!(replica_repairs_total, counter, Counter, "ckpt_replica_repairs_total");
 cached!(replica_quorum_failures_total, counter, Counter, "ckpt_replica_quorum_failures_total");
 cached!(replica_write_errors_total, counter, Counter, "ckpt_replica_write_errors_total");
 cached!(index_loads_total, counter, Counter, "ckpt_index_loads_total");
+cached!(restart_head_hits_total, counter, Counter, "ckpt_restart_head_hits_total");
 
 #[cfg(test)]
 mod tests {

@@ -17,6 +17,15 @@
 //! output. A caller that shares the store with writers pins under their
 //! lock, from the index those writers keep current, and decodes after
 //! releasing it ([`RestartEngine::restart_at_or_before_locked`]).
+//!
+//! Such a caller may also keep a [`Head`]: the result of an earlier
+//! restart, bit-identical to a cold restart of its iteration. When the
+//! head's iteration is a node of the target's resolved path, only the
+//! files after it are pinned, and each variable is replayed from the
+//! head's values through the remaining hops. Files before the head are
+//! neither read nor verified again.
+
+use std::sync::Arc;
 
 use numarck::decode::{self, BlockRef};
 use numarck::error::NumarckError;
@@ -31,14 +40,27 @@ use crate::VariableSet;
 /// failure that coincided with a change to the store.
 const STALE_INDEX_RETRIES: usize = 4;
 
-/// A resolved restart path with every file on it held: mapped on
+/// A restart result kept to start later restarts from: the state at
+/// `iteration`, bit-identical to a cold restart of it.
+#[derive(Debug, Clone)]
+pub struct Head {
+    /// The iteration the state belongs to.
+    pub iteration: u64,
+    /// The reconstructed variables.
+    pub vars: Arc<VariableSet>,
+}
+
+/// A resolved restart path with every file it replays held: mapped on
 /// filesystem stores (a mapping survives a later unlink), copied on
 /// other backends. Replaying it reads nothing more from the store.
 #[derive(Debug)]
 struct PinnedChain {
     path: ChainPath,
-    /// The bytes of each file, in [`ChainPath::files`] order.
-    files: Vec<AlignedBytes>,
+    /// The head the replay continues from; `None` starts it at the
+    /// path's base full, the first pinned file.
+    head: Option<Head>,
+    /// Each file the replay reads, in replay order, under its name.
+    files: Vec<((u64, bool), AlignedBytes)>,
 }
 
 impl PinnedChain {
@@ -48,17 +70,25 @@ impl PinnedChain {
     }
 
     /// Open every pinned file as a [`CheckpointView`] under its name,
-    /// then replay each variable from the base full, lent in place,
-    /// through all of its deltas in one pass.
+    /// then replay each variable from its start — the head's values, or
+    /// the base full's, lent in place — through all of its remaining
+    /// deltas in one pass.
     fn replay(self) -> Result<RestartResult, NumarckError> {
-        let Self { path, files } = self;
-        let views: Vec<CheckpointView> = path
-            .files()
-            .zip(files)
+        let Self { path, head, files } = self;
+        let views: Vec<CheckpointView> = files
+            .into_iter()
             .map(|((it, is_full), bytes)| CheckpointView::parse(bytes, it, is_full))
             .collect::<Result<_, _>>()?;
-        let (base, deltas) = views.split_first().expect("a path starts at its base");
-        let base = base.full_sections()?;
+        let (base, deltas) = match &head {
+            Some(head) => {
+                let vars = head.vars.iter().map(|(name, values)| (name.as_str(), values.as_slice()));
+                (vars.collect(), &views[..])
+            }
+            None => {
+                let (base, deltas) = views.split_first().expect("a path starts at its base");
+                (base.full_sections()?, deltas)
+            }
+        };
         let hops: Vec<Vec<Hop<'_>>> = deltas
             .iter()
             .map(|file| file.hops(base.iter().map(|(name, _)| *name)))
@@ -94,10 +124,12 @@ pub struct RestartResult {
     pub iteration: u64,
     /// Iteration of the full checkpoint the chain started from.
     pub base_iteration: u64,
-    /// Number of delta files applied on top of the base. With merged
-    /// deltas in the chain this can be less than
-    /// `iteration - base_iteration`: each merged file replays several
-    /// original iterations in one step.
+    /// The path's hop count: the delta files between the base and
+    /// `iteration`. With merged deltas in the chain this can be less
+    /// than `iteration - base_iteration`: each merged file replays
+    /// several original iterations in one step. A restart that continues
+    /// from a [`Head`] decodes only the hops after it, and still reports
+    /// the whole path's count.
     pub deltas_applied: u64,
 }
 
@@ -180,18 +212,33 @@ impl RestartEngine {
         index: &ChainIndex,
         target: u64,
     ) -> Result<RestartResult, NumarckError> {
-        self.pin(index, target)?.replay()
+        self.pin(index, target, None)?.replay()
     }
 
-    /// Resolve `target` with `index` and map every file on its path,
-    /// each checked against its index entry ([`ChainIndex::map_file`]).
-    fn pin(&self, index: &ChainIndex, target: u64) -> Result<PinnedChain, NumarckError> {
+    /// Resolve `target` with `index` and map every file its replay
+    /// reads, each checked against its index entry
+    /// ([`ChainIndex::map_file`]): the files after `head` when the
+    /// head's iteration is a node of the path, else the whole path.
+    fn pin(
+        &self,
+        index: &ChainIndex,
+        target: u64,
+        head: Option<&Head>,
+    ) -> Result<PinnedChain, NumarckError> {
         let path = index.resolve(target)?;
-        let files = path
-            .files()
-            .map(|(it, is_full)| index.map_file(&self.store, it, is_full))
-            .collect::<Result<_, _>>()?;
-        Ok(PinnedChain { path, files })
+        let (head, files): (_, Vec<(u64, bool)>) =
+            match head.and_then(|h| Some((h, path.deltas_after(h.iteration)?))) {
+                Some((head, after)) => {
+                    crate::obs::restart_head_hits_total().inc();
+                    (Some(head.clone()), after.iter().rev().map(|&d| (d, false)).collect())
+                }
+                None => (None, path.files().collect()),
+            };
+        let files = files
+            .into_iter()
+            .map(|(it, is_full)| Ok(((it, is_full), index.map_file(&self.store, it, is_full)?)))
+            .collect::<Result<_, NumarckError>>()?;
+        Ok(PinnedChain { path, head, files })
     }
 
     pub(crate) fn index(&self) -> Result<ChainIndex, NumarckError> {
@@ -211,7 +258,7 @@ impl RestartEngine {
     /// Loads one [`ChainIndex`] and resolves every candidate with it.
     pub fn restart_at_or_before(&self, target: u64) -> Result<DegradedRestart, NumarckError> {
         let index = self.index()?;
-        self.restart_at_or_before_locked(target, || &index, |index| index)
+        self.restart_at_or_before_locked(target, || &index, |index| index, |_| None)
     }
 
     /// [`Self::restart_at_or_before`] against a store that writers
@@ -226,11 +273,20 @@ impl RestartEngine {
     /// its pin check and reads as lost, never as wrong data. A pinned
     /// chain that fails to replay is recorded as lost, and the next
     /// older candidate is pinned under the lock again.
+    ///
+    /// `head(&guard)` is the caller's cached [`Head`], if any, read
+    /// under the same lock. A candidate whose resolved path runs through
+    /// the head's iteration pins and decodes only the hops after it; the
+    /// result, `deltas_applied` included, is the cold one. The caller
+    /// owns the head's validity: it must drop the head whenever the
+    /// store changes in a way that could change a restart of its
+    /// iteration.
     pub fn restart_at_or_before_locked<G>(
         &self,
         target: u64,
         lock: impl Fn() -> G,
         index: impl Fn(&G) -> &ChainIndex,
+        head: impl Fn(&G) -> Option<Head>,
     ) -> Result<DegradedRestart, NumarckError> {
         let mut lost = Vec::new();
         let mut bound = Some(target);
@@ -244,7 +300,7 @@ impl RestartEngine {
                         reason: "no checkpoint file stored for this iteration".into(),
                     });
                 }
-                self.pin_newest(index, b, &mut lost)
+                self.pin_newest(index, head(&guard).as_ref(), b, &mut lost)
             };
             let Some(pinned) = pinned else { break };
             let it = pinned.target();
@@ -265,11 +321,12 @@ impl RestartEngine {
     fn pin_newest(
         &self,
         index: &ChainIndex,
+        head: Option<&Head>,
         bound: u64,
         lost: &mut Vec<LostIteration>,
     ) -> Option<PinnedChain> {
         for it in index.iterations_at_or_before(bound).rev() {
-            match self.pin(index, it) {
+            match self.pin(index, it, head) {
                 Ok(pinned) => return Some(pinned),
                 Err(e) => lost.push(LostIteration { iteration: it, reason: e.to_string() }),
             }
@@ -451,6 +508,54 @@ mod tests {
         assert!(engine.restart_at(5).is_err());
         // Targets before the hole still work.
         assert!(engine.restart_at(2).is_ok());
+    }
+
+    fn bits(vars: &VariableSet) -> Vec<(&str, Vec<u64>)> {
+        vars.iter().map(|(n, v)| (n.as_str(), v.iter().map(|x| x.to_bits()).collect())).collect()
+    }
+
+    #[test]
+    fn a_restart_from_any_head_matches_the_cold_one_bit_for_bit() {
+        let tmp = TempDir::new("restart-head");
+        let truth = truth_sequence(12, 300);
+        // Fulls at 0 and 8.
+        let store = build_store(&tmp, &truth, 8);
+        let engine = RestartEngine::new(store);
+        let index = engine.index().unwrap();
+        let cold: Vec<DegradedRestart> =
+            (0..14).map(|t| engine.restart_at_or_before(t).unwrap()).collect();
+        for h in 0..12 {
+            let head = Head { iteration: h, vars: Arc::new(cold[h as usize].result.vars.clone()) };
+            for (t, want) in cold.iter().enumerate() {
+                let got = engine
+                    .restart_at_or_before_locked(t as u64, || &index, |i| i, |_| Some(head.clone()))
+                    .unwrap();
+                let facts = |d: &DegradedRestart| {
+                    (d.achieved(), d.result.base_iteration, d.result.deltas_applied, d.lost.len())
+                };
+                assert_eq!(facts(&got), facts(want), "head {h}, target {t}");
+                assert_eq!(bits(&got.result.vars), bits(&want.result.vars), "head {h}, target {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn files_before_the_head_are_not_read_again() {
+        let tmp = TempDir::new("restart-head-below");
+        let truth = truth_sequence(8, 100);
+        let store = build_store(&tmp, &truth, 8);
+        let engine = RestartEngine::new(store.clone());
+        let head = Head { iteration: 5, vars: Arc::new(engine.restart_at(5).unwrap().vars) };
+        let want = engine.restart_at(7).unwrap();
+        // Damage below the head, out of band: a cold restart of 7 falls
+        // back past it, the one from the head does not see it.
+        std::fs::write(store.path_of(3, false), b"garbage").unwrap();
+        let index = engine.index().unwrap();
+        let warm =
+            engine.restart_at_or_before_locked(7, || &index, |i| i, |_| Some(head.clone())).unwrap();
+        assert!(warm.is_exact());
+        assert_eq!(bits(&warm.result.vars), bits(&want.vars));
+        assert_eq!(engine.restart_at_or_before(7).unwrap().achieved(), 2);
     }
 
     #[test]

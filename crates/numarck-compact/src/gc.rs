@@ -31,6 +31,10 @@
 //!    files under the same lock GC runs under (numarck-serve's session
 //!    lock), so a file on a pinned path is already mapped or copied
 //!    before GC can unlink it.
+//!
+//! The removals become durable with one sync of the store directory
+//! after the last of them, before the pass reports them; a failed sync
+//! fails the pass.
 
 use std::collections::HashSet;
 use std::time::{Duration, SystemTime};
@@ -162,6 +166,12 @@ pub(crate) fn collect_in(
         }
         index.remove(it, is_full);
     }
+    // A removal is durable only once its directory entry is: report the
+    // files as gone only after that.
+    store
+        .backend()
+        .sync_dir(store.dir())
+        .map_err(|e| NumarckError::Io(format!("gc directory sync failed: {e}")))?;
     Ok(report)
 }
 

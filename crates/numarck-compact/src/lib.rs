@@ -40,4 +40,4 @@ pub mod policy;
 pub use chain::{plain_runs, CostModel};
 pub use gc::GcReport;
 pub use merge::{build_merged_block, merge_window, MergeStats, MergedDelta};
-pub use policy::{CompactionConfig, CompactionReport, Compactor};
+pub use policy::{CompactionConfig, CompactionReport, Compactor, PassPlan};

@@ -13,6 +13,13 @@
 //! it must be. A read-back mismatch (storage corruption between write
 //! and verify) quarantines the damaged file so the existing
 //! scrub/re-anchor machinery repairs the chain.
+//!
+//! A pass has two halves. [`Compactor::plan`] builds and verifies the
+//! merged deltas from a chain index: it reads the store and writes
+//! nothing. [`Compactor::apply`] writes them, then runs placement and GC.
+//! [`Compactor::run`] is the one after the other; a caller that shares
+//! the store with writers may plan from a snapshot of its index without
+//! its lock, and apply under it (see `apply` for what it must check).
 
 use numarck::error::NumarckError;
 use numarck_checkpoint::chain::{ChainIndex, StoredFile};
@@ -20,6 +27,7 @@ use numarck_checkpoint::format::{content_crc, CheckpointFile, CheckpointKind};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
 use numarck_checkpoint::{IntentJournal, RetryPolicy};
+use numarck_obs::Span;
 
 use crate::chain::{plain_runs, CostModel};
 use crate::gc::{self, GcReport};
@@ -80,6 +88,16 @@ pub struct CompactionReport {
     pub worst_case_cost_ns: Option<u64>,
 }
 
+/// The merged deltas of one maintenance pass, built and verified by
+/// [`Compactor::plan`] and not yet written.
+#[derive(Debug)]
+pub struct PassPlan {
+    /// `(end, span, bytes, stats)` of each merged delta, in chain order.
+    merges: Vec<(u64, u64, Vec<u8>, MergeStats)>,
+    /// The pass's wall time, from planning through applying.
+    _span: Span<'static>,
+}
+
 /// Runs maintenance passes under a [`CompactionConfig`].
 #[derive(Debug, Clone)]
 pub struct Compactor {
@@ -117,13 +135,72 @@ impl Compactor {
         journal: &mut IntentJournal,
         index: &mut ChainIndex,
     ) -> Result<CompactionReport, NumarckError> {
+        let plan = self.plan(store, index)?;
+        self.apply(plan, store, journal, index)
+    }
+
+    /// The first half of a pass: merge every complete
+    /// `merge_window`-sized window of consecutive plain deltas in
+    /// `index`, each verified bit-exact against the chain's replay, and
+    /// write nothing. Files are mapped and checked against `index`, so a
+    /// file replaced since `index` was taken fails the plan rather than
+    /// feed it.
+    pub fn plan(
+        &self,
+        store: &CheckpointStore,
+        index: &ChainIndex,
+    ) -> Result<PassPlan, NumarckError> {
         obs::runs_total().inc();
-        let _span = obs::run_ns().span();
+        let span = obs::run_ns().span();
+        let mut merges = Vec::new();
+        let w = self.config.merge_window;
+        if w >= 2 {
+            for (a, b) in plain_runs(index) {
+                let mut start = a;
+                while start + w - 1 <= b {
+                    let end = start + w - 1;
+                    let merged = merge::merge_window(store, index, end, w)?;
+                    merges.push((end, w, merged.bytes, merged.stats));
+                    start = end + 1;
+                }
+            }
+        }
+        Ok(PassPlan { merges, _span: span })
+    }
+
+    /// The second half of a pass: write `plan`'s merged deltas, each
+    /// replacing the plain delta at its window's end (the window's other
+    /// plain deltas stay on disk for GC to judge), then promote fulls and
+    /// collect, exactly as [`Self::run`] does.
+    ///
+    /// `plan` must come from an index that agrees with the store as it
+    /// is now on every iteration up to its last window: the chain may
+    /// only have grown past its newest iteration since. A caller that
+    /// planned without its lock checks that nothing else changed the
+    /// store in between (a re-put, a reload after a failed write, a
+    /// scrub or a repair) and plans again if anything did. The rest of
+    /// [`Self::run`]'s contract holds here too.
+    pub fn apply(
+        &self,
+        plan: PassPlan,
+        store: &CheckpointStore,
+        journal: &mut IntentJournal,
+        index: &mut ChainIndex,
+    ) -> Result<CompactionReport, NumarckError> {
+        let PassPlan { merges, _span } = plan;
         let mut report = CompactionReport::default();
         let bytes_before = index.total_bytes();
 
-        if self.config.merge_window >= 2 {
-            self.compact(store, journal, index, &mut report)?;
+        for (end, span, bytes, stats) in merges {
+            write_checked(store, journal, end, false, &bytes)?;
+            index.insert(end, false, StoredFile::of(&bytes));
+            report.merges += 1;
+            report.deltas_merged += span;
+            report.merge_stats.unchanged += stats.unchanged;
+            report.merge_stats.ratio_coded += stats.ratio_coded;
+            report.merge_stats.escaped += stats.escaped;
+            obs::merges_total().inc();
+            obs::deltas_merged_total().add(span);
         }
         if let Some(slo) = self.config.restart_slo_ns {
             self.place(store, journal, index, slo, &mut report)?;
@@ -143,38 +220,6 @@ impl Compactor {
         obs::bytes_reclaimed_total().add(report.bytes_reclaimed);
         report.worst_case_cost_ns = self.config.cost.worst_case_cost_ns(index);
         Ok(report)
-    }
-
-    /// Merge every complete `merge_window`-sized window of consecutive
-    /// plain deltas. Each merged delta is verified bit-exact against
-    /// the current chain's replay before it replaces anything; the
-    /// superseded plain deltas stay on disk for GC to judge.
-    fn compact(
-        &self,
-        store: &CheckpointStore,
-        journal: &mut IntentJournal,
-        index: &mut ChainIndex,
-        report: &mut CompactionReport,
-    ) -> Result<(), NumarckError> {
-        let w = self.config.merge_window;
-        for (a, b) in plain_runs(index) {
-            let mut start = a;
-            while start + w - 1 <= b {
-                let end = start + w - 1;
-                let merged = merge::merge_window(store, index, end, w)?;
-                write_checked(store, journal, end, false, &merged.bytes)?;
-                index.insert(end, false, StoredFile::of(&merged.bytes));
-                report.merges += 1;
-                report.deltas_merged += w;
-                report.merge_stats.unchanged += merged.stats.unchanged;
-                report.merge_stats.ratio_coded += merged.stats.ratio_coded;
-                report.merge_stats.escaped += merged.stats.escaped;
-                obs::merges_total().inc();
-                obs::deltas_merged_total().add(w);
-                start = end + 1;
-            }
-        }
-        Ok(())
     }
 
     /// Promote full checkpoints until every resolvable iteration's

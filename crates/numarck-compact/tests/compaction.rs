@@ -142,6 +142,51 @@ fn compacted_chain_restarts_bit_exact_everywhere() {
     assert_eq!(second.merges, 0, "compaction must be idempotent: {second:?}");
 }
 
+/// A pass planned from a snapshot of the index and applied after the
+/// chain grew past the snapshot's newest iteration (how the serve
+/// worker runs it, planning without the session lock) writes exactly the
+/// merged files a pass run at the snapshot writes, and every iteration,
+/// the appended ones included, still restarts bit-exact.
+#[test]
+fn a_plan_applied_after_appends_writes_what_a_run_writes() {
+    let truth = truth_sequence(20, 200);
+    let compactor = Compactor::new(CompactionConfig {
+        merge_window: 4,
+        restart_slo_ns: None,
+        keep_last_fulls: 0,
+        ..CompactionConfig::default()
+    });
+    let (a, b) = (TempDir::new("plan-run"), TempDir::new("plan-apply"));
+    let run_store = build_store(&a.0, &truth[..13], 1000);
+    let planned_store = build_store(&b.0, &truth[..13], 1000);
+    let ran = run_pass(&compactor, &run_store).unwrap();
+
+    let snapshot = ChainIndex::load(&planned_store).unwrap();
+    let plan = compactor.plan(&planned_store, &snapshot).unwrap();
+    // Appends land between the plan and its apply: a full at 13, then
+    // deltas.
+    let grown = planned_store;
+    let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
+    let mut mgr = CheckpointManager::new(grown.clone(), cfg, ManagerPolicy::fixed(1000));
+    for (it, vars) in truth.iter().enumerate().skip(13) {
+        mgr.checkpoint(it as u64, vars).unwrap();
+    }
+    let want = restart_all(&grown, 20);
+    let mut index = ChainIndex::load(&grown).unwrap();
+    let applied = compactor.apply(plan, &grown, &mut journal(&grown), &mut index).unwrap();
+
+    assert_eq!((applied.merges, applied.deltas_merged), (ran.merges, ran.deltas_merged));
+    assert_eq!(applied.merges, 3, "12 plain deltas, three 4-windows");
+    for end in [4, 8, 12] {
+        assert_eq!(grown.read_raw(end, false).unwrap(), run_store.read_raw(end, false).unwrap());
+    }
+    assert_eq!(index, ChainIndex::load(&grown).unwrap(), "apply keeps the index current");
+    let engine = RestartEngine::new(grown.clone());
+    for (it, want) in want.iter().enumerate() {
+        assert!(vars_bits_equal(&engine.restart_at(it as u64).unwrap().vars, want));
+    }
+}
+
 #[test]
 fn escape_heavy_delta_compacts_bit_exact() {
     let tmp = TempDir::new("escape-heavy");
@@ -268,6 +313,74 @@ fn gc_removes_superseded_deltas_and_keeps_retained_chains() {
     assert_eq!(r4.deltas_applied, 1, "iteration 4 should resolve through the merged delta");
     // Non-retained mid-window iterations are genuinely gone.
     assert!(engine.restart_at(2).is_err(), "collected iteration must fail loudly");
+}
+
+/// The real filesystem, logging each removal and directory sync.
+#[derive(Debug, Default)]
+struct Recording(std::sync::Mutex<Vec<String>>);
+
+impl Recording {
+    fn log(&self, op: &str, path: &std::path::Path) {
+        let name = path.file_name().unwrap().to_string_lossy();
+        self.0.lock().unwrap().push(format!("{op} {name}"));
+    }
+}
+
+impl numarck_checkpoint::StorageBackend for Recording {
+    fn create_dir_all(&self, dir: &std::path::Path) -> std::io::Result<()> {
+        FsBackend.create_dir_all(dir)
+    }
+    fn write(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+        FsBackend.write(path, bytes)
+    }
+    fn append(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+        FsBackend.append(path, bytes)
+    }
+    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+        FsBackend.rename(from, to)
+    }
+    fn sync_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
+        self.log("sync_dir", dir);
+        FsBackend.sync_dir(dir)
+    }
+    fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
+        FsBackend.read(path)
+    }
+    fn map(&self, path: &std::path::Path) -> std::io::Result<numarck_checkpoint::AlignedBytes> {
+        FsBackend.map(path)
+    }
+    fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
+        self.log("remove", path);
+        FsBackend.remove_file(path)
+    }
+    fn list_dir(&self, dir: &std::path::Path) -> std::io::Result<Vec<String>> {
+        FsBackend.list_dir(dir)
+    }
+}
+
+#[test]
+fn gc_syncs_the_store_directory_before_it_reports_removals() {
+    let tmp = TempDir::new("gc-sync");
+    let dir = tmp.0.join("store");
+    // Fulls at 0, 4 and 8: with one full kept, the chains before 8 die.
+    build_store(&dir, &truth_sequence(10, 100), 4);
+    let backend = Arc::new(Recording::default());
+    let store = CheckpointStore::open_with(&dir, backend.clone()).unwrap();
+    let report = gc::collect(&store, 1, 0, 0).unwrap();
+    assert_eq!(report.removed, 8);
+    let ops = backend.0.lock().unwrap().clone();
+    let removes: Vec<usize> =
+        ops.iter().enumerate().filter(|(_, o)| o.starts_with("remove")).map(|(i, _)| i).collect();
+    assert_eq!(removes.len(), 8, "{ops:?}");
+    assert_eq!(ops[removes[7] + 1..], ["sync_dir store".to_string()], "{ops:?}");
+
+    // A pass whose directory sync fails reports an error, not removals.
+    let dir = tmp.0.join("store-sync-fails");
+    build_store(&dir, &truth_sequence(10, 100), 4);
+    let schedule = FaultSchedule::new().fail_sync_dir(1, std::io::ErrorKind::PermissionDenied);
+    let store = CheckpointStore::open_with(&dir, Arc::new(FaultyBackend::new(schedule))).unwrap();
+    let err = gc::collect(&store, 1, 0, 0).unwrap_err();
+    assert!(err.to_string().contains("gc directory sync failed"), "{err}");
 }
 
 #[test]

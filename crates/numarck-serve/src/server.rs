@@ -17,7 +17,9 @@
 //! session also holds its store's [`ChainIndex`], loaded once when the
 //! session opens and kept current by the writers that hold its lock, so
 //! restarts and maintenance passes never list the store or re-read file
-//! headers.
+//! headers. And each session keeps its newest restart result, its
+//! *head*, so a restart of a later iteration replays only the hops after
+//! it (see `HeadCache`).
 //!
 //! Drain (`Shutdown` request or SIGTERM/SIGINT) flips one flag: the
 //! acceptor, woken by [`ServerHandle::join`], closes the listener and
@@ -42,8 +44,8 @@ use numarck::Config;
 use numarck_checkpoint::backend::StorageBackend;
 use numarck_checkpoint::{
     recover_session, scrub, ChainIndex, CheckpointManager, CheckpointOutcome, CheckpointStore,
-    DegradedRestart, FsBackend, IntentJournal, ManagerPolicy, RecoveryReport, RestartEngine,
-    RetryPolicy, SystemClock,
+    DegradedRestart, FsBackend, Head, IntentJournal, ManagerPolicy, RecoveryReport, RestartEngine,
+    RetryPolicy, SystemClock, VariableSet,
 };
 use numarck_compact::{CompactionConfig, Compactor, CostModel};
 use numarck_obs::{Counter, Gauge, Histogram, Level, Registry, Snapshot};
@@ -129,14 +131,90 @@ struct SessionState {
     /// scrub or repair) reloads it. Restarts and Stats resolve and pin
     /// from it under the same lock.
     index: ChainIndex,
+    /// The session's restart head. Its own lock nests inside this one,
+    /// so a restart installs a result without waiting for a put.
+    head: Arc<Mutex<HeadCache>>,
+}
+
+/// A session's restart result of the highest iteration restarted since
+/// it was last dropped (the *head*), and the generation that guards
+/// installing one.
+///
+/// Restarts continue from the head
+/// ([`RestartEngine::restart_at_or_before_locked`]), so it must stay
+/// bit-identical to a cold restart of its iteration. What could break
+/// that drops the head and bumps the generation, under the session lock:
+/// a commit that does not append past every stored iteration (a re-put),
+/// and every index reload (a failed commit or maintenance pass, a scrub,
+/// a repair). A restart decodes off the lock, so it installs its result
+/// only if the generation it read before pinning is still current, and
+/// never over a newer head. Successful maintenance keeps the head:
+/// merges and promotions are verified bit-exact before they land, and
+/// GC removes only files off every retained path; a head whose iteration
+/// leaves the chain is simply not on any path any more. The head is
+/// filled lazily, by restarts and Stats: a put never pays for it.
+///
+/// The generation so counts every change to the store other than an
+/// append past its newest iteration, which is also what a maintenance
+/// pass planned without the session lock must not have missed
+/// (`maintain_session`).
+#[derive(Debug, Default)]
+struct HeadCache {
+    head: Option<Head>,
+    generation: u64,
+}
+
+impl HeadCache {
+    fn invalidate(&mut self) {
+        self.head = None;
+        self.generation += 1;
+    }
+
+    /// Account for a commit at `iteration` into a store whose newest
+    /// iteration was `newest`. Bounding by the newest stored iteration,
+    /// not just the head's, also refuses the install of a restart that
+    /// pinned the old file and is still decoding.
+    fn on_commit(&mut self, iteration: u64, newest: Option<u64>) {
+        let top = newest.max(self.head.as_ref().map(|h| h.iteration));
+        if top.is_some_and(|top| iteration <= top) {
+            self.invalidate();
+        }
+    }
+
+    /// Whether a restart of `iteration` computed under `generation` may
+    /// become the head.
+    fn takes(&self, generation: u64, iteration: u64) -> bool {
+        generation == self.generation && self.head.as_ref().is_none_or(|h| h.iteration < iteration)
+    }
+}
+
+/// Install `vars`, a restart of `iteration` computed under
+/// `generation`, as the session's head if [`HeadCache::takes`] it. The
+/// copy is made outside the lock.
+fn install_head(cache: &Mutex<HeadCache>, generation: u64, iteration: u64, vars: &VariableSet) {
+    if !cache.lock().expect("head lock").takes(generation, iteration) {
+        return;
+    }
+    let vars = Arc::new(vars.clone());
+    let mut cache = cache.lock().expect("head lock");
+    if cache.takes(generation, iteration) {
+        cache.head = Some(Head { iteration, vars });
+    }
 }
 
 /// Reload session `name`'s chain index from its store after something
-/// that may have changed the store partway. If even the reload fails,
-/// the old index stays: a restart checks every file it pins against its
-/// entry, so a stale entry reads as a lost iteration, never as wrong
-/// data, and the next reload repairs it.
-fn reload_index(index: &mut ChainIndex, store: &CheckpointStore, name: &str, shared: &Shared) {
+/// that may have changed the store partway, and drop its head. If even
+/// the reload fails, the old index stays: a restart checks every file it
+/// pins against its entry, so a stale entry reads as a lost iteration,
+/// never as wrong data, and the next reload repairs it.
+fn reload_index(
+    index: &mut ChainIndex,
+    head: &Mutex<HeadCache>,
+    store: &CheckpointStore,
+    name: &str,
+    shared: &Shared,
+) {
+    head.lock().expect("head lock").invalidate();
     match ChainIndex::load(store) {
         Ok(loaded) => *index = loaded,
         Err(e) => shared.obs.registry.events().push(
@@ -446,12 +524,12 @@ impl Server {
 }
 
 /// Background chain maintenance: every `compact_interval`, run one
-/// compaction/placement/GC pass over each open session. Each pass holds
-/// that session's lock (exactly as scrub does), so maintenance never
-/// races the session's own ingest or a restart pinning its chain, and
-/// its writes go through the session's write-ahead intent journal — to
-/// crash recovery they are indistinguishable from ingest writes. Exits
-/// when drain is triggered.
+/// compaction/placement/GC pass over each open session. Each pass builds
+/// its merged deltas without the session lock and writes them holding it
+/// (exactly as scrub does), so maintenance never races the session's own
+/// ingest or a restart pinning its chain, and its writes go through the
+/// session's write-ahead intent journal — to crash recovery they are
+/// indistinguishable from ingest writes. Exits when drain is triggered.
 fn maintenance_loop(shared: &Shared, compaction: CompactionConfig) {
     let mut last_sweep = Instant::now();
     loop {
@@ -474,23 +552,47 @@ fn maintenance_loop(shared: &Shared, compaction: CompactionConfig) {
     }
 }
 
-/// One maintenance pass over one session, under its lock and on its
-/// live chain index.
+/// One maintenance pass over one session, on its live chain index.
+///
+/// The merges, which replay the chain and make up most of a pass, are
+/// planned from a snapshot of the index without the session lock, so
+/// neither the session's puts nor its restarts wait for them. They are
+/// then written under the lock if the store changed only by appends in
+/// between: the head cache's generation moves with every other change
+/// (a re-put, a reload after a failed write, a scrub or a repair), and a
+/// moved generation plans again under the lock.
 fn maintain_session(
     shared: &Shared,
     handle: &Arc<Mutex<SessionState>>,
     compaction: CompactionConfig,
 ) {
+    let (store, snapshot, generation, compactor) = {
+        let sess = handle.lock().expect("session lock");
+        // Re-seed the restart cost model from the decode timings the
+        // replay path has actually measured (`numarck_decode_ns`), scaled
+        // by this session's variable count — placement then chases
+        // observed latency, not the compile-time default.
+        let cost = CostModel::from_obs(sess.manager.variable_count());
+        let generation = sess.head.lock().expect("head lock").generation;
+        (
+            sess.manager.store().clone(),
+            sess.index.clone(),
+            generation,
+            Compactor::new(CompactionConfig { cost, ..compaction }),
+        )
+    };
+    let plan = compactor.plan(&store, &snapshot);
     let mut guard = handle.lock().expect("session lock");
     let sess = &mut *guard;
-    let store = sess.manager.store().clone();
-    // Re-seed the restart cost model from the decode timings the
-    // replay path has actually measured (`numarck_decode_ns`), scaled
-    // by this session's variable count — placement then chases
-    // observed latency, not the compile-time default.
-    let cost = CostModel::from_obs(sess.manager.variable_count());
-    let compactor = Compactor::new(CompactionConfig { cost, ..compaction });
-    match compactor.run(&store, &mut sess.journal, &mut sess.index) {
+    let pass = plan.and_then(|plan| {
+        let plan = if sess.head.lock().expect("head lock").generation == generation {
+            plan
+        } else {
+            compactor.plan(&store, &sess.index)?
+        };
+        compactor.apply(plan, &store, &mut sess.journal, &mut sess.index)
+    });
+    match pass {
         Ok(report) => {
             if report.merges > 0 || report.fulls_promoted > 0 || report.gc.removed > 0 {
                 shared.obs.registry.events().push(
@@ -517,7 +619,7 @@ fn maintain_session(
                 Level::Error,
                 format!("maintenance on session {:?} failed: {e}", sess.name),
             );
-            reload_index(&mut sess.index, &store, &sess.name, shared);
+            reload_index(&mut sess.index, &sess.head, &store, &sess.name, shared);
         }
     }
 }
@@ -910,6 +1012,7 @@ fn open_session(name: &str, shared: &Shared) -> Response {
                 manager,
                 journal,
                 index,
+                head: Arc::default(),
             })),
         );
     Response::SessionOpened { session: id }
@@ -943,7 +1046,7 @@ fn put_iterations(
     // chain anyway, and the per-session lock is what lets *other*
     // sessions make progress meanwhile.
     let mut guard = handle.lock().expect("session lock");
-    let SessionState { name, manager, journal, index, .. } = &mut *guard;
+    let SessionState { name, manager, journal, index, head, .. } = &mut *guard;
     let mut outcomes = Vec::with_capacity(iterations.len());
     for (iteration, vars) in &iterations {
         let bytes: u64 = vars.values().map(|v| v.len() as u64 * 8).sum();
@@ -963,9 +1066,11 @@ fn put_iterations(
                 let report = manager.commit(prepared).inspect_err(|_| {
                     // A failed write may still have renamed its file into
                     // place (a failed directory sync): read the store again.
-                    reload_index(index, manager.store(), name, shared);
+                    reload_index(index, head, manager.store(), name, shared);
                 })?;
+                let newest = index.latest();
                 index.insert(it, is_full, file);
+                head.lock().expect("head lock").on_commit(it, newest);
                 Ok(report)
             })
         });
@@ -1005,10 +1110,12 @@ fn put_iterations(
 
 /// One session's stats entry. `files` and the newest stored iteration
 /// come from the session's chain index under a short session lock; the
-/// newest chain is then pinned and replayed exactly as [`restart`] does,
-/// so a Stats request never stalls the session's puts for a whole
-/// replay. `latest_restartable` stays a replayed guarantee, not a guess
-/// from file names.
+/// newest iteration is then restarted exactly as [`restart`] does, so a
+/// Stats request never stalls the session's puts for a whole replay.
+/// That restart continues from the session's head and installs its
+/// result as the new one: a Stats with no put since the newest iteration
+/// was last restarted decodes nothing. `latest_restartable` stays a
+/// restart's guarantee, not a guess from file names.
 fn session_stat(handle: &Arc<Mutex<SessionState>>) -> SessionStat {
     let (id, name, files, newest) = {
         let sess = handle.lock().expect("session lock");
@@ -1023,19 +1130,28 @@ fn session_stat(handle: &Arc<Mutex<SessionState>>) -> SessionStat {
 /// is resolved from the session's live index and pinned under the
 /// session lock — the lock ingest and maintenance (GC included) hold
 /// while they change the store — so no file on it can be collected
-/// between the resolve and the open, and nothing lists the store. The
-/// parse and decode run after the lock is released: restarts are reads
-/// and must not stall ingest.
+/// between the resolve and the open, and nothing lists the store. When
+/// the session's head lies on the path, only the files after it are
+/// pinned. The parse and decode run after the lock is released: restarts
+/// are reads and must not stall ingest. A result newer than the
+/// session's head then becomes the head ([`HeadCache`]).
 fn restart_session(
     handle: &Arc<Mutex<SessionState>>,
     target: u64,
 ) -> Result<DegradedRestart, NumarckError> {
-    let store = handle.lock().expect("session lock").manager.store().clone();
-    RestartEngine::new(store).restart_at_or_before_locked(
+    let (store, head, generation) = {
+        let sess = handle.lock().expect("session lock");
+        let generation = sess.head.lock().expect("head lock").generation;
+        (sess.manager.store().clone(), Arc::clone(&sess.head), generation)
+    };
+    let degraded = RestartEngine::new(store).restart_at_or_before_locked(
         target,
         || handle.lock().expect("session lock"),
         |sess| &sess.index,
-    )
+        |sess| sess.head.lock().expect("head lock").head.clone(),
+    )?;
+    install_head(&head, generation, degraded.achieved(), &degraded.result.vars);
+    Ok(degraded)
 }
 
 fn restart(id: u64, at_or_before: u64, shared: &Shared) -> Response {
@@ -1043,7 +1159,12 @@ fn restart(id: u64, at_or_before: u64, shared: &Shared) -> Response {
         Ok(h) => h,
         Err(resp) => return resp,
     };
-    match restart_session(&handle, at_or_before) {
+    restart_reply(at_or_before, restart_session(&handle, at_or_before))
+}
+
+/// The reply to a restart of `at_or_before` that ended in `restarted`.
+fn restart_reply(at_or_before: u64, restarted: Result<DegradedRestart, NumarckError>) -> Response {
+    match restarted {
         Ok(degraded) => Response::RestartData {
             achieved: degraded.achieved(),
             base: degraded.result.base_iteration,
@@ -1090,7 +1211,7 @@ fn run_scrub(id: u64, repair: bool, shared: &Shared) -> Response {
             Err(e) => Response::Error { code: ErrorCode::Io, message: format!("scrub failed: {e}") },
         }
     };
-    reload_index(&mut sess.index, sess.manager.store(), &sess.name, shared);
+    reload_index(&mut sess.index, &sess.head, sess.manager.store(), &sess.name, shared);
     resp
 }
 
@@ -1212,9 +1333,10 @@ mod tests {
     fn a_commit_failing_after_its_rename_reloads_the_index() {
         let tmp = TempDir::new("sync-fault");
         let root = tmp.0.join("root");
-        // Only store writes sync the directory: the third sync is the
-        // third put's commit.
-        let schedule = FaultSchedule::new().fail_sync_dir(3, io::ErrorKind::PermissionDenied);
+        // The first sync makes the journal the first put creates
+        // durable; after it only store writes sync the directory, so the
+        // fourth sync is the third put's commit.
+        let schedule = FaultSchedule::new().fail_sync_dir(4, io::ErrorKind::PermissionDenied);
         let shared = shared_on(&root, Arc::new(FaultyBackend::new(schedule)));
         let id = open(&shared, "sim");
         for it in 0..2 {
@@ -1286,6 +1408,74 @@ mod tests {
                     assert!(acked && landed, "{case}: {answer:?}");
                     assert_eq!(outstanding, vec![0], "{case}");
                     assert_eq!((report.rolled_back, report.completed), (0, 1), "{case}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// After any seeded sequence of puts (re-puts at or below the
+        /// head, gaps that force fulls, commits failing on an injected
+        /// write fault), maintenance passes that merge, promote and
+        /// collect, scrubs and repairs, Stats, and restarts of the latest
+        /// and of random iterations, the restart reply of every target is
+        /// byte-identical to the one a cold [`RestartEngine`] gives on a
+        /// freshly loaded index. Each check itself restarts every target
+        /// in ascending order, so it also moves the head forward.
+        #[test]
+        fn a_warm_restart_replies_exactly_as_a_cold_one(
+            ops in numarck_prop::collection::vec((0u8..11, 0u64..64), 1..32),
+            faults in numarck_prop::collection::vec((1u64..80, 0u8..2), 0..4),
+        ) {
+            let tmp = TempDir::new("warm-head");
+            let root = tmp.0.join("root");
+            let schedule = faults.iter().fold(FaultSchedule::new(), |s, &(nth, kind)| {
+                let fault = if kind == 0 {
+                    WriteFault::Error(io::ErrorKind::Other)
+                } else {
+                    WriteFault::Torn { keep: 9 }
+                };
+                s.fail_write(nth, fault)
+            });
+            let shared = shared_on(&root, Arc::new(FaultyBackend::new(schedule)));
+            let id = open(&shared, "sim");
+            let cold = RestartEngine::new(CheckpointStore::open(root.join("sim")).unwrap());
+            let compaction = CompactionConfig {
+                merge_window: 2,
+                keep_last_fulls: 1,
+                min_age_secs: 0,
+                ..CompactionConfig::default()
+            };
+            let mut next = 0u64;
+            for (step, &(op, arg)) in ops.iter().enumerate() {
+                match op {
+                    // Puts: the next iteration, a gap that forces a full,
+                    // or a re-put at or below the newest.
+                    0..=4 => {
+                        let it = match op {
+                            3 => next + 3,
+                            4 => arg % (next + 1),
+                            _ => next,
+                        };
+                        if let Response::PutDone { .. } = put(&shared, id, it) {
+                            next = it + 1;
+                        }
+                    }
+                    5 | 6 => maintain_session(&shared, &handle(&shared, id), compaction),
+                    7 => drop(dispatch(Request::Scrub { session: id, repair: arg % 2 == 0 }, &shared)),
+                    8 => drop(restart(&shared, id, next.saturating_sub(1))),
+                    9 => drop(restart(&shared, id, arg % (next + 2))),
+                    _ => drop(dispatch(Request::Stats, &shared)),
+                }
+                for target in 0..next + 2 {
+                    let warm = restart(&shared, id, target);
+                    let want = restart_reply(target, cold.restart_at_or_before(target));
+                    prop_assert!(
+                        warm.to_frame(0) == want.to_frame(0),
+                        "step {step} (op {op}, arg {arg}), target {target}: {warm:?} != {want:?}"
+                    );
                 }
             }
         }

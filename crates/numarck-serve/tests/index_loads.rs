@@ -6,79 +6,21 @@
 //! `ckpt_index_loads_total` is process-global, so this file holds one
 //! test and nothing else moves the counter.
 
-use std::io;
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use numarck::{Config, Strategy};
-use numarck_checkpoint::{AlignedBytes, FsBackend, StorageBackend, VariableSet};
 use numarck_compact::CompactionConfig;
 use numarck_obs::Registry;
 use numarck_serve::{Client, Server, ServerConfig};
 
+mod fixture;
 mod util;
+use fixture::{vars, CountingBackend};
 use util::TempDir;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
-
-/// The real filesystem, counting the two calls an index load makes.
-#[derive(Debug, Default)]
-struct CountingBackend {
-    list_dirs: AtomicU64,
-    prefixes: AtomicU64,
-}
-
-impl CountingBackend {
-    fn counts(&self) -> (u64, u64) {
-        (self.list_dirs.load(Ordering::SeqCst), self.prefixes.load(Ordering::SeqCst))
-    }
-}
-
-impl StorageBackend for CountingBackend {
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        FsBackend.create_dir_all(dir)
-    }
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        FsBackend.write(path, bytes)
-    }
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        FsBackend.append(path, bytes)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        FsBackend.rename(from, to)
-    }
-    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        FsBackend.sync_dir(dir)
-    }
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        FsBackend.read(path)
-    }
-    fn read_prefix(&self, path: &Path, len: usize) -> io::Result<(Vec<u8>, u64)> {
-        self.prefixes.fetch_add(1, Ordering::SeqCst);
-        FsBackend.read_prefix(path, len)
-    }
-    fn map(&self, path: &Path) -> io::Result<AlignedBytes> {
-        FsBackend.map(path)
-    }
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        FsBackend.remove_file(path)
-    }
-    fn list_dir(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.list_dirs.fetch_add(1, Ordering::SeqCst);
-        FsBackend.list_dir(dir)
-    }
-}
-
-fn vars(iteration: u64) -> VariableSet {
-    let mut v = VariableSet::new();
-    v.insert(
-        "x".into(),
-        (0..128).map(|j| (j as f64 + 1.0) * 1.002f64.powi(iteration as i32)).collect(),
-    );
-    v
-}
 
 fn index_loads() -> u64 {
     Registry::global().counter("ckpt_index_loads_total").get()
@@ -114,6 +56,8 @@ fn the_session_open_is_the_only_index_load() {
     });
     let server = Server::spawn("127.0.0.1:0", config).unwrap();
     let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+    let counts =
+        || (backend.list_dirs.load(Ordering::SeqCst), backend.prefixes.load(Ordering::SeqCst));
 
     let before_open = index_loads();
     let session = client.open_session("sim").unwrap();
@@ -129,17 +73,17 @@ fn the_session_open_is_the_only_index_load() {
     // Restarts of the latest iteration and of the two retained fulls
     // (every 16th iteration is one): each resolves and pins from the
     // live index alone.
-    let (list_dirs, prefixes) = backend.counts();
+    let (list_dirs, prefixes) = counts();
     for k in 0..50 {
         let target = [iters - 1, 192, 176][k % 3];
         let reply = client.restart(session, target).unwrap();
         assert_eq!(reply.achieved, target, "restart of {target}");
     }
-    assert_eq!(backend.counts(), (list_dirs, prefixes), "a restart listed or indexed the store");
+    assert_eq!(counts(), (list_dirs, prefixes), "a restart listed or indexed the store");
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.sessions[0].latest_restartable, Some(iters - 1));
-    assert_eq!(backend.counts(), (list_dirs, prefixes), "Stats listed or indexed the store");
+    assert_eq!(counts(), (list_dirs, prefixes), "Stats listed or indexed the store");
     assert_eq!(stats.counter("ckpt_index_loads_total"), opened, "over the wire too");
 
     // Maintenance passes run on the live index as well.
