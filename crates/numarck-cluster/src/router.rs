@@ -293,8 +293,8 @@ impl Shared {
     fn finish_stats(&self, results: &[(usize, ShardResult)]) -> Response {
         let mut replies: Vec<StatsReply> = Vec::new();
         for (_, r) in results {
-            // Either stats layout decodes; a reply that does not is
-            // dropped from the fold rather than forwarded.
+            // A reply that does not decode (torn, or from a peer of
+            // another build) is dropped from the fold, not forwarded.
             if let ShardResult::Frame(f) = r {
                 if let Ok(Response::StatsData(s)) = Response::from_frame(f) {
                     replies.push(*s);
@@ -361,11 +361,6 @@ impl RouterHandle {
     /// in-flight requests, exit once the last client is gone.
     pub fn trigger_drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a drain has been triggered.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining()
     }
 
     /// Router registry merged with the process-global registry.

@@ -4,17 +4,19 @@
 //! are folded into one `StatsReply` a stock client decodes unchanged.
 //! Aggregation rules:
 //!
-//! * **The base counters** (`accepted`, `served`,
-//!   `iterations_ingested`, ...) are summed. They count *shard-side*
-//!   work, so with replication factor R an ingested iteration appears R
-//!   times in the sum — that is the true amount of work the cluster did,
-//!   and per-shard gauges on the router's own `/metrics` endpoint give
-//!   the de-duplicated view.
 //! * **The named instruments** fold with [`Snapshot::merge`], so an
-//!   instrument no code here knows merges like every other: counters and
-//!   gauges sum; histogram counts and sums add, and p50/p90/p99 take the
-//!   max (a lossy but conservative merge — true cluster-wide quantiles
-//!   would need the raw buckets on the wire).
+//!   instrument no code here knows merges like every other. Counters
+//!   sum: they count *shard-side* work, so with replication factor R an
+//!   ingested iteration appears R times in the sum — that is the true
+//!   amount of work the cluster did, and per-shard gauges on the
+//!   router's own `/metrics` endpoint give the de-duplicated view.
+//!   Gauges take the max, so a level every shard reports (such as
+//!   `simd_dispatch_level`) reads as one shard's. Histogram counts and
+//!   sums add, and p50/p90/p99 take the max (a lossy but conservative
+//!   merge — true cluster-wide quantiles would need the raw buckets on
+//!   the wire).
+//! * **The base fields** (`accepted`, `served`, ...) are a view of six
+//!   of those counters, so they read as the shards' sums.
 //! * **Sessions** are merged by *name* (each replica shard reports the
 //!   session under its own local id): `files` and `latest_restartable`
 //!   take the max across replicas — the best any single replica can
@@ -44,12 +46,6 @@ pub fn aggregate(
     let mut sessions: BTreeMap<String, SessionStat> = BTreeMap::new();
     let mut metrics = Snapshot::default();
     for r in replies {
-        out.accepted += r.accepted;
-        out.served += r.served;
-        out.busy_rejected += r.busy_rejected;
-        out.iterations_ingested += r.iterations_ingested;
-        out.bytes_ingested += r.bytes_ingested;
-        out.write_retries += r.write_retries;
         metrics.merge(r.metrics());
         for s in &r.sessions {
             let entry = sessions.entry(s.name.clone()).or_insert_with(|| SessionStat {
@@ -75,26 +71,30 @@ pub fn aggregate(
 mod tests {
     use super::*;
     use numarck_obs::HistogramSummary;
-    use numarck_serve::wire::LatencyStat;
 
     fn shard_reply(id: u64, name: &str, latest: Option<u64>, ingested: u64) -> StatsReply {
-        StatsReply {
-            accepted: 1,
-            served: 2,
-            iterations_ingested: ingested,
+        let mut reply = StatsReply {
             sessions: vec![SessionStat {
                 id,
                 name: name.into(),
                 files: latest.map_or(0, |l| l as u32 + 1),
                 latest_restartable: latest,
             }],
-            counters: vec![("nsrv_iterations_ingested_total".into(), ingested)],
-            latencies: vec![LatencyStat {
-                name: "nsrv_request_put_ns".into(),
-                summary: HistogramSummary { count: ingested, sum: ingested * 10, p50: 5, p90: 9, p99: 12 },
-            }],
             ..Default::default()
-        }
+        };
+        reply.set_metrics(Snapshot {
+            counters: vec![
+                ("nsrv_accepted_total".into(), 1),
+                ("nsrv_iterations_ingested_total".into(), ingested),
+                ("nsrv_served_total".into(), 2),
+            ],
+            histograms: vec![(
+                "nsrv_request_put_ns".into(),
+                HistogramSummary { count: ingested, sum: ingested * 10, p50: 5, p90: 9, p99: 12 },
+            )],
+            ..Snapshot::default()
+        });
+        reply
     }
 
     #[test]
@@ -112,9 +112,11 @@ mod tests {
             ]
         };
         let with = |mut r: StatsReply, extra: Vec<(String, u64)>, queue: i64| {
-            r.counters.extend(extra);
-            r.counters.sort();
-            r.gauges = vec![("nsrv_queue_depth".to_owned(), queue)];
+            let mut metrics = r.metrics();
+            metrics.counters.extend(extra);
+            metrics.counters.sort();
+            metrics.gauges = vec![("nsrv_queue_depth".to_owned(), queue)];
+            r.set_metrics(metrics);
             r
         };
         let a = with(shard_reply(1, "ha", Some(7), 8), compaction(3, 8, 1000, 5), 2);
@@ -123,12 +125,13 @@ mod tests {
         assert_eq!(merged.iterations_ingested, 15, "shard-side work sums");
         assert_eq!(merged.counter("nsrv_iterations_ingested_total"), 15);
         assert_eq!(merged.accepted, 2);
+        assert_eq!(merged.served, 4, "the base fields read the summed counters");
         assert_eq!(merged.counter("nck_compact_runs_total"), 5, "maintenance counters sum too");
         assert_eq!(merged.counter("nck_compact_deltas_merged_total"), 12);
         assert_eq!(merged.counter("nck_compact_bytes_reclaimed_total"), 1500);
         assert_eq!(merged.counter("nck_gc_files_removed_total"), 6);
         assert_eq!(merged.counter("zz_instrument_nobody_registered_total"), 500);
-        assert_eq!(merged.gauge("nsrv_queue_depth"), 3, "gauges sum");
+        assert_eq!(merged.gauge("nsrv_queue_depth"), 2, "gauges take the max");
         let names: Vec<&str> = merged.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.is_sorted(), "merged counters stay sorted: {names:?}");
         assert_eq!(merged.sessions.len(), 1, "merged by name, not id");

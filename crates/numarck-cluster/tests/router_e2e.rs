@@ -218,6 +218,48 @@ fn routed_ingest_replicates_and_restarts_byte_identical() {
     client.close_session(session).expect("close via router");
 }
 
+/// Gauges fold by max through the router: over two real shards it
+/// reports the shards' own `simd_dispatch_level` (both resolve it from
+/// this process's CPU), not their sum, and the base fields still read
+/// the summed counters.
+#[test]
+fn routed_stats_report_the_shards_own_gauge_levels() {
+    let tmp = TempDir::new("gauges");
+    let shards: Vec<ServerHandle> = (0..2)
+        .map(|i| {
+            let config = ServerConfig::new(tmp.0.join(format!("shard-{i}")), test_config());
+            Server::spawn("127.0.0.1:0", config).expect("spawn shard")
+        })
+        .collect();
+    let config = RouterConfig {
+        shards: shards.iter().map(|s| s.addr().to_string()).collect(),
+        probe_interval: Duration::from_millis(100),
+        ..RouterConfig::default()
+    };
+    let router = Router::spawn("127.0.0.1:0", config).expect("spawn router");
+
+    let levels: Vec<i64> = shards
+        .iter()
+        .map(|s| {
+            let mut direct = Client::connect(s.addr(), TIMEOUT).expect("connect shard directly");
+            direct.stats().expect("direct shard stats").gauge("simd_dispatch_level")
+        })
+        .collect();
+    assert_eq!(levels[0], levels[1], "one process, one dispatch level");
+    let routed = Client::connect(router.addr(), TIMEOUT)
+        .expect("connect via router")
+        .stats()
+        .expect("stats via router");
+    assert_eq!(routed.gauge("simd_dispatch_level"), levels[0], "a shard's level, not a sum");
+    assert_eq!(routed.served, routed.counter("nsrv_served_total"));
+    assert!(routed.served >= 2, "both shards served their direct Stats");
+
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
 #[test]
 fn restart_fails_over_when_the_primary_shard_dies() {
     let mut cluster = Cluster::start("failover", |_| {});

@@ -48,18 +48,6 @@ impl std::fmt::Display for FitError {
 impl std::error::Error for FitError {}
 
 impl CubicBSpline {
-    /// Wrap existing control points (e.g. deserialized coefficients).
-    ///
-    /// # Panics
-    /// Panics if fewer than [`MIN_CONTROL_POINTS`] coefficients are given.
-    pub fn from_coeffs(coeffs: Vec<f64>) -> Self {
-        assert!(
-            coeffs.len() >= MIN_CONTROL_POINTS,
-            "need at least {MIN_CONTROL_POINTS} coefficients"
-        );
-        Self { coeffs }
-    }
-
     /// The control points.
     pub fn coeffs(&self) -> &[f64] {
         &self.coeffs

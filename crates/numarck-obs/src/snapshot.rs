@@ -89,14 +89,15 @@ impl Snapshot {
     ///   shard reports the same names, so a collision is the normal
     ///   case.
     ///
-    /// On a collision counters and gauges are summed, and histogram
-    /// summaries combine: count and sum add, quantiles take the max (a
-    /// conservative bound; exact merged quantiles would need the
-    /// bucket counts). `self` stays sorted by name whatever order
-    /// `other` arrives in.
+    /// On a collision counters are summed, gauges take the max (a level
+    /// every shard reports, such as `simd_dispatch_level`, stays one
+    /// shard's level), and histogram summaries combine: count and sum
+    /// add, quantiles take the max (a conservative bound; exact merged
+    /// quantiles would need the bucket counts). `self` stays sorted by
+    /// name whatever order `other` arrives in.
     pub fn merge(&mut self, other: Snapshot) {
         merge_sorted(&mut self.counters, other.counters, |a, b| *a += b);
-        merge_sorted(&mut self.gauges, other.gauges, |a, b| *a += b);
+        merge_sorted(&mut self.gauges, other.gauges, |a, b| *a = (*a).max(b));
         merge_sorted(&mut self.histograms, other.histograms, |a, b| {
             a.count += b.count;
             a.sum += b.sum;
@@ -276,10 +277,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_union_with_sum_on_collision() {
+    fn merge_is_union_with_counters_summed_and_gauges_maxed() {
         let r1 = Registry::new();
         r1.counter("a_total").add(1);
         r1.counter("b_total").add(2);
+        r1.gauge("g").set(2);
         let r2 = Registry::new();
         r2.counter("b_total").add(10);
         r2.counter("c_total").add(3);
@@ -294,6 +296,6 @@ mod tests {
                 ("c_total".to_owned(), 3)
             ]
         );
-        assert_eq!(snap.gauges, vec![("g".to_owned(), 5)]);
+        assert_eq!(snap.gauges, vec![("g".to_owned(), 5)], "gauges take the max, not the sum");
     }
 }

@@ -47,7 +47,7 @@ use numarck_checkpoint::{
     DegradedRestart, FsBackend, Head, IntentJournal, ManagerPolicy, RecoveryReport, RestartEngine,
     RetryPolicy, SystemClock, VariableSet,
 };
-use numarck_compact::{CompactionConfig, Compactor, CostModel};
+use numarck_compact::{CompactionConfig, Compactor, CostModel, PassPlan};
 use numarck_obs::{Counter, Gauge, Histogram, Level, Registry, Snapshot};
 
 use crate::wire::{
@@ -341,25 +341,16 @@ impl Shared {
         }
     }
 
-    /// The stats reply: the base counters, every session, and the
-    /// whole metrics snapshot by instrument name. The snapshot is taken
-    /// last, so instruments the session replays create are in it.
+    /// The stats reply: every session, and the whole metrics snapshot
+    /// by instrument name. The snapshot is taken last, so instruments
+    /// the session replays create are in it.
     fn stats(&self) -> StatsReply {
         let handles: Vec<Arc<Mutex<SessionState>>> =
             self.sessions.lock().expect("sessions lock").values().cloned().collect();
         let mut sessions: Vec<SessionStat> = handles.iter().map(session_stat).collect();
         sessions.sort_by_key(|s| s.id);
-        let mut reply = StatsReply {
-            accepted: self.obs.accepted.get(),
-            served: self.obs.served.get(),
-            busy_rejected: self.obs.busy_rejected.get(),
-            iterations_ingested: self.obs.iterations_ingested.get(),
-            bytes_ingested: self.obs.bytes_ingested.get(),
-            write_retries: self.obs.write_retries.get(),
-            draining: self.draining.load(Ordering::Relaxed),
-            sessions,
-            ..StatsReply::default()
-        };
+        let draining = self.draining.load(Ordering::Relaxed);
+        let mut reply = StatsReply { draining, sessions, ..StatsReply::default() };
         reply.set_metrics(self.metrics_snapshot());
         reply
     }
@@ -391,12 +382,6 @@ impl ServerHandle {
     /// Idempotent; returns immediately.
     pub fn trigger_drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a drain has been triggered (by request, signal, or
-    /// [`Self::trigger_drain`]).
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
     }
 
     /// Snapshot of this server's metrics registry merged with the
@@ -552,36 +537,50 @@ fn maintenance_loop(shared: &Shared, compaction: CompactionConfig) {
     }
 }
 
-/// One maintenance pass over one session, on its live chain index.
-///
-/// The merges, which replay the chain and make up most of a pass, are
-/// planned from a snapshot of the index without the session lock, so
-/// neither the session's puts nor its restarts wait for them. They are
-/// then written under the lock if the store changed only by appends in
-/// between: the head cache's generation moves with every other change
-/// (a re-put, a reload after a failed write, a scrub or a repair), and a
-/// moved generation plans again under the lock.
+/// One maintenance pass over one session, on its live chain index:
+/// [`plan_pass`], then [`apply_pass`].
 fn maintain_session(
     shared: &Shared,
     handle: &Arc<Mutex<SessionState>>,
     compaction: CompactionConfig,
 ) {
-    let (store, snapshot, generation, compactor) = {
-        let sess = handle.lock().expect("session lock");
-        // Re-seed the restart cost model from the decode timings the
-        // replay path has actually measured (`numarck_decode_ns`), scaled
-        // by this session's variable count — placement then chases
-        // observed latency, not the compile-time default.
-        let cost = CostModel::from_obs(sess.manager.variable_count());
-        let generation = sess.head.lock().expect("head lock").generation;
-        (
-            sess.manager.store().clone(),
-            sess.index.clone(),
-            generation,
-            Compactor::new(CompactionConfig { cost, ..compaction }),
-        )
-    };
+    apply_pass(shared, handle, plan_pass(handle, compaction));
+}
+
+/// A pass planned from a snapshot of a session's index, and the head
+/// generation the snapshot was taken under.
+struct PlannedPass {
+    store: CheckpointStore,
+    compactor: Compactor,
+    generation: u64,
+    plan: Result<PassPlan, NumarckError>,
+}
+
+/// Snapshot the index under the session lock, then plan the merges,
+/// which replay the chain and make up most of a pass, without it, so
+/// neither the session's puts nor its restarts wait for them.
+fn plan_pass(handle: &Arc<Mutex<SessionState>>, compaction: CompactionConfig) -> PlannedPass {
+    let sess = handle.lock().expect("session lock");
+    // Re-seed the restart cost model from the decode timings the replay
+    // path has actually measured (`numarck_decode_ns`), scaled by this
+    // session's variable count — placement then chases observed latency,
+    // not the compile-time default.
+    let cost = CostModel::from_obs(sess.manager.variable_count());
+    let compactor = Compactor::new(CompactionConfig { cost, ..compaction });
+    let generation = sess.head.lock().expect("head lock").generation;
+    let (store, snapshot) = (sess.manager.store().clone(), sess.index.clone());
+    drop(sess);
     let plan = compactor.plan(&store, &snapshot);
+    PlannedPass { store, compactor, generation, plan }
+}
+
+/// Write a planned pass under the session lock if the store changed
+/// only by appends since its snapshot: the head cache's generation
+/// moves with every other change (a re-put, a reload after a failed
+/// write, a scrub or a repair), and a moved generation plans again
+/// under the lock.
+fn apply_pass(shared: &Shared, handle: &Arc<Mutex<SessionState>>, planned: PlannedPass) {
+    let PlannedPass { store, compactor, generation, plan } = planned;
     let mut guard = handle.lock().expect("session lock");
     let sess = &mut *guard;
     let pass = plan.and_then(|plan| {
@@ -1365,6 +1364,48 @@ mod tests {
         match restart(&shared, id, 3) {
             Response::RestartData { achieved: 3, lost: 0, .. } => {}
             other => panic!("restart of 3 after a server restart: {other:?}"),
+        }
+    }
+
+    /// A pass planned before a re-put and applied after it plans again
+    /// under the lock. The re-put of 3 lands as a full and moves the head
+    /// generation; the stale plan's merge at 4, over the deltas 1..=4
+    /// from the full at 0, would bypass that full. So the pass writes
+    /// nothing: the live index stays what the re-put left, equal to a
+    /// fresh load, and every iteration restarts exactly as a cold restart
+    /// of the store after the re-put does.
+    #[test]
+    fn a_pass_planned_before_a_re_put_plans_again() {
+        let tmp = TempDir::new("replan");
+        let root = tmp.0.join("root");
+        let shared = shared_on(&root, Arc::new(FsBackend));
+        let id = open(&shared, "sim");
+        for it in 0..=8 {
+            assert!(matches!(put(&shared, id, it), Response::PutDone { .. }), "put {it}");
+        }
+        let handle = handle(&shared, id);
+        let compaction =
+            CompactionConfig { merge_window: 4, min_age_secs: 0, ..CompactionConfig::default() };
+        let planned = plan_pass(&handle, compaction);
+        assert!(planned.plan.is_ok(), "the plan merges 1..=4");
+
+        match put(&shared, id, 3) {
+            Response::PutDone { outcomes } => assert_eq!(outcomes[0].kind, WrittenKind::Full),
+            other => panic!("re-put of 3: {other:?}"),
+        }
+        let generation = handle.lock().unwrap().head.lock().unwrap().generation;
+        assert_ne!(generation, planned.generation, "the re-put moves the generation");
+        let reput_index = handle.lock().unwrap().index.clone();
+        let cold = RestartEngine::new(CheckpointStore::open(root.join("sim")).unwrap());
+        let want: Vec<Vec<u8>> =
+            (0..10).map(|t| restart_reply(t, cold.restart_at_or_before(t)).to_frame(0)).collect();
+
+        apply_pass(&shared, &handle, planned);
+        live_index_is_current(&shared, id, "the pass").unwrap();
+        assert!(handle.lock().unwrap().index == reput_index, "the stale plan was written");
+        for (target, want) in want.iter().enumerate() {
+            let warm = restart(&shared, id, target as u64);
+            assert!(warm.to_frame(0) == *want, "target {target}: {warm:?}");
         }
     }
 

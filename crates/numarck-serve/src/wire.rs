@@ -17,8 +17,8 @@
 //! ```
 //!
 //! Requests use opcodes `0x01..=0x07`; responses set the high bit
-//! (`0x81..=0x88`; `0x85` is the frozen stats layout, decoded but no
-//! longer sent), plus two out-of-band replies: [`Response::Busy`] (`0xBB`,
+//! (`0x81..=0x84`, `0x86`, `0x87`, and `0x89` for the stats reply),
+//! plus two out-of-band replies: [`Response::Busy`] (`0xBB`,
 //! sent by the acceptor when the work queue is full — the typed
 //! backpressure signal) and [`Response::Error`] (`0xEE`). A frame that
 //! fails CRC or structural validation is answered with
@@ -60,13 +60,12 @@ pub mod opcode {
     pub const PUT_DONE: u8 = 0x82;
     pub const RESTART_DATA: u8 = 0x83;
     pub const SCRUB_DONE: u8 = 0x84;
-    /// The frozen stats layout (base payload plus three fixed tails):
-    /// decoded, never sent.
-    pub const STATS_DATA: u8 = 0x85;
     pub const SESSION_CLOSED: u8 = 0x86;
     pub const SHUTTING_DOWN: u8 = 0x87;
-    /// The stats reply: base payload plus the named instruments.
-    pub const STATS_METRICS: u8 = 0x88;
+    /// The stats reply: the draining flag, the sessions and the named
+    /// instruments. A fresh opcode, so a peer of an earlier layout gets
+    /// a typed "unknown response opcode" error.
+    pub const STATS_REPLY: u8 = 0x89;
     pub const BUSY: u8 = 0xBB;
     pub const ERROR: u8 = 0xEE;
 }
@@ -198,12 +197,12 @@ pub struct LatencyStat {
 
 /// Payload of [`Response::StatsData`].
 ///
-/// The fields up to `sessions` are the frozen base payload. After them
-/// the reply carries the server's whole metrics snapshot (the one its
-/// `/metrics` listener renders) by instrument name, so an instrument
-/// added to any registry reaches the client with no wire change. A
-/// reply decoded from a peer that still sends the frozen `0x85` layout
-/// carries that layout's fields under their instrument names.
+/// On the wire the reply is the draining flag, the sessions, and the
+/// server's whole metrics snapshot (the one its `/metrics` listener
+/// renders) by instrument name, so an instrument added to any registry
+/// reaches the client with no wire change. The six base fields are a
+/// view of six of those counters: [`Self::set_metrics`] is their one
+/// writer, and they are not encoded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsReply {
     /// Connections accepted into service (excludes Busy rejections).
@@ -253,9 +252,15 @@ impl StatsReply {
     }
 
     /// Replace the named instruments with a snapshot's (its events are
-    /// not carried).
+    /// not carried), and read the base fields off its counters.
     pub fn set_metrics(&mut self, snap: Snapshot) {
         self.counters = snap.counters;
+        self.accepted = self.counter("nsrv_accepted_total");
+        self.served = self.counter("nsrv_served_total");
+        self.busy_rejected = self.counter("nsrv_busy_rejected_total");
+        self.iterations_ingested = self.counter("nsrv_iterations_ingested_total");
+        self.bytes_ingested = self.counter("nsrv_bytes_ingested_total");
+        self.write_retries = self.counter("nsrv_write_retries_total");
         self.gauges = snap.gauges;
         self.latencies = snap
             .histograms
@@ -586,10 +591,6 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Pre-allocation guard for length-prefixed sequences: clamp a
     /// declared element count to what the remaining payload could
     /// possibly hold (`min_size` bytes per element), so a corrupt or
@@ -599,20 +600,15 @@ impl<'a> Cursor<'a> {
         declared.min(self.0.len() / min_size.max(1))
     }
 
-    /// A counted list of histograms, each a name, then count, sum, p50,
-    /// p90 and p99.
-    fn latencies(&mut self) -> io::Result<Vec<LatencyStat>> {
-        let summary = |cur: &mut Self| {
-            Ok(HistogramSummary {
-                count: cur.u64()?,
-                sum: cur.u64()?,
-                p50: cur.u64()?,
-                p90: cur.u64()?,
-                p99: cur.u64()?,
-            })
-        };
-        let named = self.named(40, summary)?;
-        Ok(named.into_iter().map(|(name, summary)| LatencyStat { name, summary }).collect())
+    /// A histogram summary: count, sum, p50, p90 and p99.
+    fn summary(&mut self) -> io::Result<HistogramSummary> {
+        Ok(HistogramSummary {
+            count: self.u64()?,
+            sum: self.u64()?,
+            p50: self.u64()?,
+            p90: self.u64()?,
+            p99: self.u64()?,
+        })
     }
 
     /// A u32-counted list of (name, value) entries, each value at
@@ -836,7 +832,7 @@ impl Response {
             Response::PutDone { .. } => opcode::PUT_DONE,
             Response::RestartData { .. } => opcode::RESTART_DATA,
             Response::ScrubDone { .. } => opcode::SCRUB_DONE,
-            Response::StatsData(_) => opcode::STATS_METRICS,
+            Response::StatsData(_) => opcode::STATS_REPLY,
             Response::SessionClosed => opcode::SESSION_CLOSED,
             Response::ShuttingDown => opcode::SHUTTING_DOWN,
             Response::Busy => opcode::BUSY,
@@ -892,16 +888,6 @@ impl Response {
                 buf.extend_from_slice(&lost.to_le_bytes());
             }
             Response::StatsData(s) => {
-                for v in [
-                    s.accepted,
-                    s.served,
-                    s.busy_rejected,
-                    s.iterations_ingested,
-                    s.bytes_ingested,
-                    s.write_retries,
-                ] {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
                 buf.push(u8::from(s.draining));
                 buf.extend_from_slice(&(s.sessions.len() as u32).to_le_bytes());
                 for sess in &s.sessions {
@@ -911,7 +897,6 @@ impl Response {
                     buf.push(u8::from(sess.latest_restartable.is_some()));
                     buf.extend_from_slice(&sess.latest_restartable.unwrap_or(0).to_le_bytes());
                 }
-                // The named instruments (see `StatsReply` docs).
                 buf.extend_from_slice(&(s.counters.len() as u32).to_le_bytes());
                 for (name, v) in &s.counters {
                     put_string(buf, name);
@@ -974,17 +959,8 @@ impl Response {
                     lost,
                 }
             }
-            op @ (opcode::STATS_DATA | opcode::STATS_METRICS) => {
-                let mut s = StatsReply {
-                    accepted: cur.u64()?,
-                    served: cur.u64()?,
-                    busy_rejected: cur.u64()?,
-                    iterations_ingested: cur.u64()?,
-                    bytes_ingested: cur.u64()?,
-                    write_retries: cur.u64()?,
-                    draining: cur.u8()? != 0,
-                    ..StatsReply::default()
-                };
+            opcode::STATS_REPLY => {
+                let mut s = StatsReply { draining: cur.u8()? != 0, ..StatsReply::default() };
                 let count = cur.u32()? as usize;
                 for _ in 0..count {
                     let id = cur.u64()?;
@@ -999,13 +975,12 @@ impl Response {
                         latest_restartable: has_latest.then_some(latest),
                     });
                 }
-                if op == opcode::STATS_METRICS {
-                    s.counters = cur.named(8, Cursor::u64)?;
-                    s.gauges = cur.named(8, Cursor::i64)?;
-                    s.latencies = cur.latencies()?;
-                } else {
-                    legacy_stats_tails(&mut cur, &mut s)?;
-                }
+                s.set_metrics(Snapshot {
+                    counters: cur.named(8, Cursor::u64)?,
+                    gauges: cur.named(8, Cursor::i64)?,
+                    histograms: cur.named(40, Cursor::summary)?,
+                    events: Vec::new(),
+                });
                 Response::StatsData(Box::new(s))
             }
             opcode::SESSION_CLOSED => Response::SessionClosed,
@@ -1020,56 +995,6 @@ impl Response {
         cur.done()?;
         Ok(resp)
     }
-}
-
-/// Read the frozen `0x85` stats layout's tails onto the instrument
-/// names its fields always reported, so a new client or router still
-/// reads an old shard. Three tails follow the base payload, each absent
-/// from a peer that predates it: observability (the queue-depth gauge
-/// and the request histograms), durability (six counters) and
-/// compaction (four counters). A tail that is present but short is an
-/// error. Frozen: new instruments travel in the `0x88` lists.
-fn legacy_stats_tails(cur: &mut Cursor<'_>, s: &mut StatsReply) -> io::Result<()> {
-    let mut counters = vec![
-        ("nsrv_accepted_total", s.accepted),
-        ("nsrv_served_total", s.served),
-        ("nsrv_busy_rejected_total", s.busy_rejected),
-        ("nsrv_iterations_ingested_total", s.iterations_ingested),
-        ("nsrv_bytes_ingested_total", s.bytes_ingested),
-        ("nsrv_write_retries_total", s.write_retries),
-    ];
-    if !cur.is_empty() {
-        s.gauges.push(("nsrv_queue_depth".to_owned(), cur.i64()?));
-        s.latencies = cur.latencies()?;
-        s.latencies.sort_by(|a, b| a.name.cmp(&b.name));
-        let tails: [&[&str]; 2] = [
-            &[
-                "nsrv_journal_replayed_total",
-                "nsrv_journal_rolled_back_total",
-                "nsrv_recovery_repairs_total",
-                "nsrv_idle_disconnects_total",
-                "ckpt_replica_repairs_total",
-                "ckpt_replica_quorum_failures_total",
-            ],
-            &[
-                "nck_compact_runs_total",
-                "nck_compact_deltas_merged_total",
-                "nck_compact_bytes_reclaimed_total",
-                "nck_gc_files_removed_total",
-            ],
-        ];
-        for tail in tails {
-            if cur.is_empty() {
-                break;
-            }
-            for &name in tail {
-                counters.push((name, cur.u64()?));
-            }
-        }
-    }
-    counters.sort_unstable_by_key(|&(name, _)| name);
-    s.counters = counters.into_iter().map(|(name, v)| (name.to_owned(), v)).collect();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1159,37 +1084,31 @@ mod tests {
             anchored_at: None,
             lost: 0,
         });
-        roundtrip_response(Response::StatsData(Box::new(StatsReply {
-            accepted: 5,
-            served: 40,
-            busy_rejected: 2,
-            iterations_ingested: 64,
-            bytes_ingested: 1 << 20,
-            write_retries: 3,
+        let mut stats = StatsReply {
             draining: true,
             sessions: vec![
                 SessionStat { id: 1, name: "a".into(), files: 16, latest_restartable: Some(15) },
                 SessionStat { id: 2, name: "b".into(), files: 0, latest_restartable: None },
             ],
+            ..StatsReply::default()
+        };
+        stats.set_metrics(Snapshot {
             counters: vec![
                 ("nsrv_accepted_total".into(), 5),
+                ("nsrv_served_total".into(), 40),
                 ("some_instrument_no_code_knows_total".into(), 11),
             ],
             gauges: vec![("nsrv_queue_depth".into(), 3), ("simd_dispatch_level".into(), -1)],
-            latencies: vec![
-                LatencyStat {
-                    name: "nsrv_request_put_ns".into(),
-                    summary: HistogramSummary {
-                        count: 40,
-                        sum: 4_000_000,
-                        p50: 90_000,
-                        p90: 150_000,
-                        p99: 400_000,
-                    },
-                },
-                LatencyStat { name: "nsrv_request_stats_ns".into(), summary: Default::default() },
+            histograms: vec![
+                (
+                    "nsrv_request_put_ns".into(),
+                    HistogramSummary { count: 40, sum: 4_000_000, p50: 90_000, p90: 150_000, p99: 400_000 },
+                ),
+                ("nsrv_request_stats_ns".into(), HistogramSummary::default()),
             ],
-        })));
+            events: Vec::new(),
+        });
+        roundtrip_response(Response::StatsData(Box::new(stats)));
         roundtrip_response(Response::SessionClosed);
         roundtrip_response(Response::ShuttingDown);
         roundtrip_response(Response::Busy);
@@ -1197,45 +1116,6 @@ mod tests {
             code: ErrorCode::UnknownSession,
             message: "session 9 is not open".into(),
         });
-    }
-
-    /// The frozen `0x85` base payload, hand-encoded: six counters, the
-    /// draining flag and one session. An old encoder stopped here.
-    fn legacy_base() -> Vec<u8> {
-        let mut payload = Vec::new();
-        for v in [5u64, 40, 2, 64, 1 << 20, 3] {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        payload.push(1); // draining
-        payload.extend_from_slice(&1u32.to_le_bytes()); // one session
-        payload.extend_from_slice(&7u64.to_le_bytes());
-        payload.extend_from_slice(&6u16.to_le_bytes());
-        payload.extend_from_slice(b"legacy");
-        payload.extend_from_slice(&16u32.to_le_bytes());
-        payload.push(1);
-        payload.extend_from_slice(&15u64.to_le_bytes());
-        payload
-    }
-
-    /// The frozen observability tail: the queue depth, then a counted
-    /// list of (name, count, sum, p50, p90, p99) latencies.
-    fn legacy_obs_tail(payload: &mut Vec<u8>, queue_depth: i64, latencies: &[(&str, [u64; 5])]) {
-        payload.extend_from_slice(&queue_depth.to_le_bytes());
-        payload.extend_from_slice(&(latencies.len() as u32).to_le_bytes());
-        for (name, values) in latencies {
-            payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            payload.extend_from_slice(name.as_bytes());
-            for v in values {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
-
-    /// A frozen tail of plain u64s (durability: six, compaction: four).
-    fn legacy_u64_tail(payload: &mut Vec<u8>, values: &[u64]) {
-        for v in values {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
     }
 
     fn decode_stats(op: u8, payload: &[u8]) -> io::Result<StatsReply> {
@@ -1246,135 +1126,83 @@ mod tests {
         }
     }
 
-    /// A `0x85` payload from an old-format peer (no observability
-    /// extension after the sessions) decodes with the extension
-    /// instruments absent, which read as 0, instead of failing.
-    #[test]
-    fn old_format_stats_reply_decodes_with_default_extension() {
-        let s = decode_stats(opcode::STATS_DATA, &legacy_base()).unwrap();
-        assert_eq!(s.accepted, 5);
-        assert_eq!(s.write_retries, 3);
-        assert!(s.draining);
-        assert_eq!(s.sessions.len(), 1);
-        assert_eq!(s.sessions[0].name, "legacy");
-        assert_eq!(s.sessions[0].latest_restartable, Some(15));
-        assert_eq!(s.counter("nsrv_accepted_total"), 5, "base fields carry their names");
-        assert_eq!(s.counter("nsrv_write_retries_total"), 3);
-        assert_eq!(s.gauge("nsrv_queue_depth"), 0, "extension default");
-        assert!(s.latencies.is_empty(), "extension default");
-        assert_eq!(s.counter("nsrv_journal_replayed_total"), 0, "durability extension default");
-        assert_eq!(s.counter("ckpt_replica_repairs_total"), 0, "durability extension default");
-    }
-
-    /// A peer with the observability extension but not the durability
-    /// one (it stops after the latencies) decodes with the durability
-    /// instruments absent.
-    #[test]
-    fn stats_reply_without_durability_extension_decodes_with_defaults() {
-        let mut payload = legacy_base();
-        legacy_obs_tail(&mut payload, 2, &[("x_ns", [0; 5])]);
-        let s = decode_stats(opcode::STATS_DATA, &payload).unwrap();
-        assert_eq!(s.gauge("nsrv_queue_depth"), 2, "first extension still decodes");
-        assert_eq!(s.latencies.len(), 1);
-        assert_eq!(s.counter("nsrv_journal_replayed_total"), 0, "durability default");
-        assert_eq!(s.counter("nsrv_idle_disconnects_total"), 0, "durability default");
-        assert_eq!(s.counter("nck_compact_runs_total"), 0, "compaction default");
-    }
-
-    /// A peer with the durability extension but not the compaction one
-    /// (it stops after the six durability u64s) decodes with the
-    /// compaction instruments absent.
-    #[test]
-    fn stats_reply_without_compaction_extension_decodes_with_defaults() {
-        let mut payload = legacy_base();
-        legacy_obs_tail(&mut payload, 0, &[]);
-        legacy_u64_tail(&mut payload, &[7, 0, 0, 0, 5, 0]);
-        let s = decode_stats(opcode::STATS_DATA, &payload).unwrap();
-        assert_eq!(s.counter("nsrv_journal_replayed_total"), 7, "durability still decodes");
-        assert_eq!(s.counter("ckpt_replica_repairs_total"), 5, "durability still decodes");
-        assert_eq!(s.counter("nck_compact_runs_total"), 0, "compaction default");
-        assert_eq!(s.counter("nck_gc_files_removed_total"), 0, "compaction default");
-    }
-
-    /// A peer with all three frozen tails: every old field decodes onto
-    /// the instrument name it always reported, each list sorted by name.
-    #[test]
-    fn legacy_stats_reply_with_every_tail_decodes_into_named_instruments() {
-        let mut payload = legacy_base();
-        legacy_obs_tail(
-            &mut payload,
-            4,
-            &[("nsrv_request_put_ns", [40, 4_000, 90, 150, 400]), ("nsrv_request_open_ns", [1; 5])],
-        );
-        legacy_u64_tail(&mut payload, &[4, 1, 1, 6, 9, 2]);
-        legacy_u64_tail(&mut payload, &[11, 44, 1 << 16, 33]);
-        let s = decode_stats(opcode::STATS_DATA, &payload).unwrap();
-        let expected: Vec<(String, u64)> = [
-            ("ckpt_replica_quorum_failures_total", 2),
-            ("ckpt_replica_repairs_total", 9),
-            ("nck_compact_bytes_reclaimed_total", 1 << 16),
-            ("nck_compact_deltas_merged_total", 44),
-            ("nck_compact_runs_total", 11),
-            ("nck_gc_files_removed_total", 33),
-            ("nsrv_accepted_total", 5),
-            ("nsrv_busy_rejected_total", 2),
-            ("nsrv_bytes_ingested_total", 1 << 20),
-            ("nsrv_idle_disconnects_total", 6),
-            ("nsrv_iterations_ingested_total", 64),
-            ("nsrv_journal_replayed_total", 4),
-            ("nsrv_journal_rolled_back_total", 1),
-            ("nsrv_recovery_repairs_total", 1),
-            ("nsrv_served_total", 40),
-            ("nsrv_write_retries_total", 3),
-        ]
-        .into_iter()
-        .map(|(n, v)| (n.to_owned(), v))
-        .collect();
-        assert_eq!(s.counters, expected);
-        assert_eq!(s.gauges, vec![("nsrv_queue_depth".to_owned(), 4)]);
-        let names: Vec<&str> = s.latencies.iter().map(|l| l.name.as_str()).collect();
-        assert_eq!(names, ["nsrv_request_open_ns", "nsrv_request_put_ns"]);
-        assert_eq!(
-            s.latencies[1].summary,
-            HistogramSummary { count: 40, sum: 4_000, p50: 90, p90: 150, p99: 400 }
-        );
-    }
-
-    /// A *truncated* tail (bytes present but not a whole one) is still a
-    /// decode error, not a silent partial parse, in both layouts; so are
-    /// trailing bytes after the last tail.
-    #[test]
-    fn truncated_stats_extension_is_rejected() {
-        let mut legacy = legacy_base();
-        legacy_obs_tail(&mut legacy, 2, &[("x_ns", [0; 5])]);
-        for cut in 1..12 {
-            let short = &legacy[..legacy.len() - cut];
-            assert!(decode_stats(opcode::STATS_DATA, short).is_err(), "0x85 cut {cut} bytes");
-        }
-        let current = Response::StatsData(Box::new(StatsReply {
+    /// A reply with one session and one entry in each named list.
+    fn sample_stats() -> Vec<u8> {
+        let mut stats = StatsReply {
+            sessions: vec![SessionStat { id: 7, name: "s".into(), files: 3, latest_restartable: None }],
+            ..StatsReply::default()
+        };
+        stats.set_metrics(Snapshot {
             counters: vec![("a_total".into(), 1)],
             gauges: vec![("g".into(), -2)],
-            latencies: vec![LatencyStat { name: "x_ns".into(), summary: Default::default() }],
-            ..Default::default()
-        }))
-        .payload();
-        // Every cut at or after the end of the base payload, which is 53
-        // bytes long here (six u64s, the flag, an empty session count).
-        for cut in 53..current.len() {
-            assert!(decode_stats(opcode::STATS_METRICS, &current[..cut]).is_err(), "0x88 at {cut}");
+            histograms: vec![("x_ns".into(), HistogramSummary::default())],
+            events: Vec::new(),
+        });
+        Response::StatsData(Box::new(stats)).payload()
+    }
+
+    /// The six base fields travel only as their counters, and decode
+    /// as a view of them.
+    #[test]
+    fn base_fields_are_read_off_the_counters() {
+        let mut stats = StatsReply::default();
+        let names = [
+            "nsrv_accepted_total",
+            "nsrv_busy_rejected_total",
+            "nsrv_bytes_ingested_total",
+            "nsrv_iterations_ingested_total",
+            "nsrv_served_total",
+            "nsrv_write_retries_total",
+        ];
+        let counters = names.iter().zip(1..).map(|(n, v)| (n.to_string(), v)).collect();
+        stats.set_metrics(Snapshot { counters, ..Snapshot::default() });
+        let base = |s: &StatsReply| {
+            [s.accepted, s.busy_rejected, s.bytes_ingested, s.iterations_ingested, s.served, s.write_retries]
+        };
+        assert_eq!(base(&stats), [1, 2, 3, 4, 5, 6]);
+        let payload = Response::StatsData(Box::new(stats.clone())).payload();
+        assert_eq!(decode_stats(opcode::STATS_REPLY, &payload).unwrap(), stats);
+
+        // A field set by hand and not by its counter does not travel.
+        stats.served = 99;
+        let payload = Response::StatsData(Box::new(stats)).payload();
+        assert_eq!(base(&decode_stats(opcode::STATS_REPLY, &payload).unwrap())[4], 5);
+    }
+
+    /// Every response opcode this build does not send, the earlier
+    /// stats layouts' among them, is a typed decode error.
+    #[test]
+    fn unsent_response_opcodes_are_unknown() {
+        let sent = [
+            opcode::SESSION_OPENED,
+            opcode::PUT_DONE,
+            opcode::RESTART_DATA,
+            opcode::SCRUB_DONE,
+            opcode::SESSION_CLOSED,
+            opcode::SHUTTING_DOWN,
+            opcode::STATS_REPLY,
+            opcode::BUSY,
+            opcode::ERROR,
+        ];
+        let payload = sample_stats();
+        for op in (0x80..=0xFF).filter(|op| !sent.contains(op)) {
+            let err = decode_stats(op, &payload).unwrap_err();
+            assert!(err.to_string().contains("unknown response opcode"), "{op:#x}: {err}");
         }
-        for (op, payload) in [(opcode::STATS_DATA, &legacy), (opcode::STATS_METRICS, &current)] {
-            let mut long = payload.clone();
-            long.push(0);
-            assert!(decode_stats(op, &long).is_err(), "trailing byte after {op:#x}");
+    }
+
+    /// A reply cut anywhere, or followed by a trailing byte, is a
+    /// decode error, not a silent partial parse.
+    #[test]
+    fn truncated_stats_reply_is_rejected() {
+        let payload = sample_stats();
+        assert!(decode_stats(opcode::STATS_REPLY, &payload).is_ok());
+        for cut in 0..payload.len() {
+            assert!(decode_stats(opcode::STATS_REPLY, &payload[..cut]).is_err(), "cut at {cut}");
         }
-        // The legacy layout with every tail and a byte more is rejected.
-        let mut full = legacy_base();
-        legacy_obs_tail(&mut full, 0, &[]);
-        legacy_u64_tail(&mut full, &[0; 10]);
-        assert!(decode_stats(opcode::STATS_DATA, &full).is_ok());
-        full.push(0);
-        assert!(decode_stats(opcode::STATS_DATA, &full).is_err());
+        let mut long = payload;
+        long.push(0);
+        assert!(decode_stats(opcode::STATS_REPLY, &long).is_err(), "trailing byte");
     }
 
     /// A hostile element count in any named list fails without a huge
@@ -1386,12 +1214,8 @@ mod tests {
             // The three empty list counts sit at the payload's tail.
             let at = payload.len() - 12 + 4 * list;
             payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(decode_stats(opcode::STATS_METRICS, &payload).is_err(), "list {list}");
+            assert!(decode_stats(opcode::STATS_REPLY, &payload).is_err(), "list {list}");
         }
-        let mut payload = legacy_base();
-        payload.extend_from_slice(&0i64.to_le_bytes());
-        payload.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_stats(opcode::STATS_DATA, &payload).is_err());
     }
 
     #[test]

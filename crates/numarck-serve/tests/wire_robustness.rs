@@ -10,9 +10,10 @@
 use std::io;
 
 use numarck_checkpoint::VariableSet;
+use numarck_obs::{HistogramSummary, Snapshot};
 use numarck_serve::wire::{
-    opcode, read_frame, write_frame, Frame, LatencyStat, Request, Response, SessionStat,
-    StatsReply, HEADER_LEN, MAX_PAYLOAD,
+    opcode, read_frame, write_frame, Frame, Request, Response, SessionStat, StatsReply,
+    HEADER_LEN, MAX_PAYLOAD,
 };
 
 /// SplitMix64: deterministic stream for the corruption sweeps.
@@ -55,20 +56,7 @@ fn corpus() -> Vec<Vec<u8>> {
             lost: 0,
             vars: sample_vars(),
         },
-        Response::StatsData(Box::new(StatsReply {
-            accepted: 2,
-            served: 9,
-            sessions: vec![SessionStat {
-                id: 1,
-                name: "s".into(),
-                files: 3,
-                latest_restartable: Some(2),
-            }],
-            counters: vec![("nsrv_accepted_total".into(), 2)],
-            gauges: vec![("nsrv_queue_depth".into(), 1)],
-            latencies: vec![LatencyStat { name: "nsrv_request_put_ns".into(), ..Default::default() }],
-            ..Default::default()
-        })),
+        Response::StatsData(Box::new(sample_stats())),
     ];
     let mut frames = Vec::new();
     for req in requests {
@@ -81,39 +69,27 @@ fn corpus() -> Vec<Vec<u8>> {
         write_frame(&mut buf, resp.opcode(), 1, &resp.payload()).unwrap();
         frames.push(buf);
     }
-    let mut buf = Vec::new();
-    write_frame(&mut buf, opcode::STATS_DATA, 1, &legacy_stats_payload()).unwrap();
-    frames.push(buf);
     frames
 }
 
-/// A frozen `0x85` stats payload with all three tails, hand-encoded:
-/// the base payload with no sessions, the observability tail (queue
-/// depth and one latency), six durability and four compaction u64s.
-fn legacy_stats_payload() -> Vec<u8> {
-    let mut payload = Vec::new();
-    for v in [2u64, 9, 0, 0, 0, 0] {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    payload.push(0); // draining
-    payload.extend_from_slice(&0u32.to_le_bytes()); // no sessions
-    payload.extend_from_slice(&1i64.to_le_bytes()); // queue depth
-    payload.extend_from_slice(&1u32.to_le_bytes()); // one latency
-    payload.extend_from_slice(&4u16.to_le_bytes());
-    payload.extend_from_slice(b"x_ns");
-    for v in [3u64, 30, 10, 10, 10] {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    for v in 1..=10u64 {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    payload
+/// A stats reply with a session and an entry in each named list.
+fn sample_stats() -> StatsReply {
+    let mut stats = StatsReply {
+        sessions: vec![SessionStat { id: 1, name: "s".into(), files: 3, latest_restartable: Some(2) }],
+        ..StatsReply::default()
+    };
+    stats.set_metrics(Snapshot {
+        counters: vec![("nsrv_accepted_total".into(), 2), ("nsrv_served_total".into(), 9)],
+        gauges: vec![("nsrv_queue_depth".into(), 1)],
+        histograms: vec![("nsrv_request_put_ns".into(), HistogramSummary::default())],
+        events: Vec::new(),
+    });
+    stats
 }
 
-/// The stats frames of the corpus: the current `0x88` reply and the
-/// frozen `0x85` fixture.
+/// The stats frames of the corpus.
 fn stats_frames() -> Vec<Vec<u8>> {
-    corpus().into_iter().filter(|f| matches!(f[6], opcode::STATS_DATA | opcode::STATS_METRICS)).collect()
+    corpus().into_iter().filter(|f| f[6] == opcode::STATS_REPLY).collect()
 }
 
 /// Full decode pipeline on raw bytes; the return value only matters in
@@ -214,7 +190,7 @@ fn random_garbage_never_panics() {
         // Same bytes under a valid header shell: random payloads against
         // every known opcode.
         let mut framed = Vec::new();
-        let opcode = [0x01, 0x02, 0x03, 0x04, 0x05, 0x81, 0x82, 0x83, 0x85, 0x88, 0xEE]
+        let opcode = [0x01, 0x02, 0x03, 0x04, 0x05, 0x81, 0x82, 0x83, 0x86, 0x89, 0xEE]
             [round % 11];
         write_frame(&mut framed, opcode, rng.next(), &bytes).unwrap();
         let frame = read_frame(&mut framed.as_slice()).unwrap();
@@ -223,25 +199,20 @@ fn random_garbage_never_panics() {
     }
 }
 
-/// Both stats layouts decode: the frozen `0x85` fixture's fields land
-/// on their instrument names, and the `0x88` reply round-trips.
+/// The corpus's stats frame decodes, its base fields read off its
+/// counters.
 #[test]
-fn both_stats_layouts_decode() {
+fn the_stats_reply_decodes() {
     let frames = stats_frames();
-    assert_eq!(frames.len(), 2);
-    for bytes in frames {
-        let frame = read_frame(&mut bytes.as_slice()).unwrap();
-        let Ok(Response::StatsData(s)) = Response::from_frame(&frame) else {
-            panic!("stats frame {:#x} must decode", frame.opcode());
-        };
-        assert_eq!(s.served, 9);
-        assert_eq!(s.gauge("nsrv_queue_depth"), 1);
-        assert_eq!(s.latencies.len(), 1);
-        if frame.opcode() == opcode::STATS_DATA {
-            assert_eq!(s.counter("nsrv_journal_replayed_total"), 1);
-            assert_eq!(s.counter("nck_gc_files_removed_total"), 10);
-        }
-    }
+    assert_eq!(frames.len(), 1);
+    let frame = read_frame(&mut frames[0].as_slice()).unwrap();
+    let Ok(Response::StatsData(s)) = Response::from_frame(&frame) else {
+        panic!("stats frame {:#x} must decode", frame.opcode());
+    };
+    assert_eq!(*s, sample_stats());
+    assert_eq!((s.accepted, s.served), (2, 9));
+    assert_eq!(s.gauge("nsrv_queue_depth"), 1);
+    assert_eq!(s.latencies.len(), 1);
 }
 
 /// Header-length constant sanity: every corpus frame is at least a

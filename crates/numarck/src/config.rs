@@ -57,13 +57,6 @@ impl Config {
         Ok(Self { bits, tolerance, strategy, clustering: ClusteringOptions::default() })
     }
 
-    /// Override the clustering options (no-op unless the strategy is
-    /// [`Strategy::Clustering`]).
-    pub fn with_clustering_options(mut self, opts: ClusteringOptions) -> Self {
-        self.clustering = opts;
-        self
-    }
-
     /// The approximation precision `B` in bits.
     #[inline]
     pub fn bits(&self) -> u8 {
