@@ -3,13 +3,15 @@
 //! Checkpointing exists to survive faults, so the test suite must
 //! exercise the failure paths: torn writes, bit rot, vanished files.
 //! These helpers mutate stored checkpoint files in controlled ways and
-//! [`verify_store`] reports which iterations remain restartable.
+//! [`verify_store`] reports which iterations remain restartable,
+//! restarting them oldest first, each from the last success (a [`Head`]).
 
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::chain::ChainIndex;
-use crate::restart::RestartEngine;
+use crate::restart::{Head, RestartEngine};
 use crate::store::CheckpointStore;
 
 /// A way to damage a checkpoint file.
@@ -88,23 +90,27 @@ pub struct IterationDiagnosis {
 /// Like [`verify_store`], but keeps the error text per broken iteration.
 ///
 /// Loads one [`ChainIndex`] and resolves every stored iteration with
-/// it, so the cost is one listing and one header read per file plus the
-/// replays, not one index load per iteration.
+/// it: one listing and one header read per file, then the walk.
 pub fn diagnose_store(store: &CheckpointStore) -> std::io::Result<Vec<IterationDiagnosis>> {
     let index = ChainIndex::load(store)?;
-    Ok(diagnose_index(&RestartEngine::new(store.clone()), &index))
+    Ok(diagnose_index(&RestartEngine::new(store.clone()), &index).0)
 }
 
 /// [`diagnose_store`] over an index already loaded: one diagnosis per
 /// file `index` holds, in store-listing order (fulls before deltas at
-/// the same iteration).
+/// the same iteration), and the newest restartable iteration's state.
 pub(crate) fn diagnose_index(
     engine: &RestartEngine,
     index: &ChainIndex,
-) -> Vec<IterationDiagnosis> {
+) -> (Vec<IterationDiagnosis>, Option<Head>) {
     let mut out = Vec::with_capacity(index.file_count());
+    let mut head = None;
     for iteration in index.iterations() {
-        let error = engine.restart_with(index, iteration).err().map(|e| e.to_string());
+        let restarted = engine.restart_with(index, iteration, head.as_ref());
+        let error = restarted.as_ref().err().map(ToString::to_string);
+        if let Ok(result) = restarted {
+            head = Some(Head { iteration, vars: Arc::new(result.vars) });
+        }
         let entry = index.entry(iteration).expect("iterated key");
         for (is_full, file) in [(true, entry.full), (false, entry.delta)] {
             if file.is_some() {
@@ -112,7 +118,7 @@ pub(crate) fn diagnose_index(
             }
         }
     }
-    out
+    (out, head)
 }
 
 #[cfg(test)]
@@ -212,6 +218,28 @@ mod tests {
             assert!(!err.is_empty());
             assert!(!d.is_full);
         }
+    }
+
+    #[test]
+    fn a_diagnosis_maps_each_stored_file_once() {
+        use crate::backend::{FaultSchedule, FaultyBackend};
+        let tmp = TempDir::new("fault-reads");
+        let backend = std::sync::Arc::new(FaultyBackend::new(FaultSchedule::new()));
+        let store = CheckpointStore::open_with(&tmp.0, backend.clone()).unwrap();
+        let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
+        // Fulls at 0, 8, 16, 24, 32.
+        let mut mgr = CheckpointManager::new(store.clone(), cfg, ManagerPolicy::fixed(8));
+        let mut state: Vec<f64> = (0..200).map(|i| 1.0 + (i % 9) as f64).collect();
+        for it in 0..40 {
+            state.iter_mut().for_each(|v| *v *= 1.002);
+            let mut vars = VariableSet::new();
+            vars.insert("x".into(), state.clone());
+            mgr.checkpoint(it, &vars).unwrap();
+        }
+        let reads = backend.reads_attempted();
+        let report = diagnose_store(&store).unwrap();
+        assert!(report.iter().all(|d| d.error.is_none()));
+        assert_eq!(backend.reads_attempted() - reads, 40);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!   and quorum accounting;
 //! * `ckpt_index_loads_total` — [`crate::ChainIndex::load`] calls, each
 //!   one store listing plus a header read per stored file;
-//! * `ckpt_restart_head_hits_total` — restart candidates pinned from a
-//!   cached [`crate::restart::Head`]: only the hops after it are read
-//!   and decoded.
+//! * `ckpt_restart_head_hits_total` — degraded-restart candidates
+//!   pinned from a caller's cached [`crate::restart::Head`] (serve's
+//!   session head): only the hops after it are read and decoded. The
+//!   forward walks of compaction and diagnosis are not counted.
 //!
 //! Retries and quarantines additionally land in the global registry's
 //! event ring, so the most recent degradations are inspectable even

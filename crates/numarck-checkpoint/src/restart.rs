@@ -18,12 +18,13 @@
 //! lock, from the index those writers keep current, and decodes after
 //! releasing it ([`RestartEngine::restart_at_or_before_locked`]).
 //!
-//! Such a caller may also keep a [`Head`]: the result of an earlier
-//! restart, bit-identical to a cold restart of its iteration. When the
-//! head's iteration is a node of the target's resolved path, only the
-//! files after it are pinned, and each variable is replayed from the
-//! head's values through the remaining hops. Files before the head are
-//! neither read nor verified again.
+//! A restart may also continue from a [`Head`]: the result of an
+//! earlier restart, bit-identical to a cold restart of its iteration.
+//! When the head's iteration is a node of the target's resolved path,
+//! only the files after it are pinned, and each variable is replayed
+//! from the head's values through the remaining hops. Files before the
+//! head are neither read nor verified again. Serve keeps one per
+//! session; compaction and diagnosis walk forward through one.
 
 use std::sync::Arc;
 
@@ -64,11 +65,6 @@ struct PinnedChain {
 }
 
 impl PinnedChain {
-    /// The iteration this chain restarts.
-    fn target(&self) -> u64 {
-        self.path.target
-    }
-
     /// Open every pinned file as a [`CheckpointView`] under its name,
     /// then replay each variable from its start — the head's values, or
     /// the base full's, lent in place — through all of its remaining
@@ -193,7 +189,7 @@ impl RestartEngine {
         let mut index = self.index()?;
         let mut retries = 0;
         loop {
-            let err = match self.restart_with(&index, target) {
+            let err = match self.restart_with(&index, target, None) {
                 Ok(result) => return Ok(result),
                 Err(err) => err,
             };
@@ -206,13 +202,16 @@ impl RestartEngine {
         }
     }
 
-    /// Rebuild the state at `target` along the path `index` resolves.
+    /// Rebuild the state at `target` along the path `index` resolves,
+    /// continuing from `head` when its iteration is a node of that path.
+    /// The result, or the error, is the cold restart's.
     pub fn restart_with(
         &self,
         index: &ChainIndex,
         target: u64,
+        head: Option<&Head>,
     ) -> Result<RestartResult, NumarckError> {
-        self.pin(index, target, None)?.replay()
+        self.pin(index, target, head)?.replay()
     }
 
     /// Resolve `target` with `index` and map every file its replay
@@ -229,7 +228,6 @@ impl RestartEngine {
         let (head, files): (_, Vec<(u64, bool)>) =
             match head.and_then(|h| Some((h, path.deltas_after(h.iteration)?))) {
                 Some((head, after)) => {
-                    crate::obs::restart_head_hits_total().inc();
                     (Some(head.clone()), after.iter().rev().map(|&d| (d, false)).collect())
                 }
                 None => (None, path.files().collect()),
@@ -303,7 +301,10 @@ impl RestartEngine {
                 self.pin_newest(index, head(&guard).as_ref(), b, &mut lost)
             };
             let Some(pinned) = pinned else { break };
-            let it = pinned.target();
+            if pinned.head.is_some() {
+                crate::obs::restart_head_hits_total().inc();
+            }
+            let it = pinned.path.target;
             match pinned.replay() {
                 Ok(result) => return Ok(DegradedRestart { requested: target, result, lost }),
                 Err(e) => lost.push(LostIteration { iteration: it, reason: e.to_string() }),

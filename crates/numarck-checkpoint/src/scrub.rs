@@ -14,6 +14,7 @@
 //! error — see DESIGN.md's failure-model section.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use numarck::error::NumarckError;
 
@@ -22,7 +23,7 @@ use crate::fault::diagnose_index;
 use crate::format::{CheckpointFile, CheckpointKind, CheckpointView};
 use crate::mmapio::AlignedBytes;
 use crate::replicated::plurality;
-use crate::restart::{LostIteration, RestartEngine};
+use crate::restart::{Head, LostIteration, RestartEngine};
 use crate::store::{CheckpointStore, StoreEntry};
 
 /// One file the scrubber pulled out of service.
@@ -224,44 +225,37 @@ pub struct RepairReport {
 /// store ends with every listed iteration restartable and a full
 /// checkpoint at its head.
 ///
-/// Loads one [`ChainIndex`] after the scrub: the diagnosis resolves
-/// every iteration with it, and the anchor is rebuilt along it.
+/// Loads one [`ChainIndex`] after the scrub and diagnoses every
+/// iteration with it in one forward walk; the walk's last successful
+/// restart is the anchor's state, so the anchor is not replayed again.
 pub fn repair(store: &CheckpointStore) -> Result<RepairReport, NumarckError> {
     let scrub_report = scrub(store)?;
-    let mut index =
+    let index =
         ChainIndex::load(store).map_err(|e| NumarckError::Io(format!("diagnosis failed: {e}")))?;
-    let engine = RestartEngine::new(store.clone());
-    let diagnosis = diagnose_index(&engine, &index);
+    let (diagnosis, head) = diagnose_index(&RestartEngine::new(store.clone()), &index);
     let mut lost = Vec::new();
-    let mut anchored_at = None;
     for d in &diagnosis {
-        match &d.error {
-            None => anchored_at = Some(anchored_at.map_or(d.iteration, |a: u64| a.max(d.iteration))),
-            Some(reason) => {
-                store
-                    .quarantine(d.iteration, d.is_full)
-                    .map_err(|e| NumarckError::Io(format!("quarantine failed: {e}")))?;
-                index.remove(d.iteration, d.is_full);
-                lost.push(LostIteration { iteration: d.iteration, reason: reason.clone() });
-            }
+        if let Some(reason) = &d.error {
+            store
+                .quarantine(d.iteration, d.is_full)
+                .map_err(|e| NumarckError::Io(format!("quarantine failed: {e}")))?;
+            lost.push(LostIteration { iteration: d.iteration, reason: reason.clone() });
         }
     }
     // Newest-first reads better in reports (mirrors degraded restart).
     lost.sort_by_key(|l| std::cmp::Reverse(l.iteration));
-    let mut wrote_full = false;
-    if let Some(anchor) = anchored_at {
-        let already_full = diagnosis
-            .iter()
-            .any(|d| d.iteration == anchor && d.is_full && d.error.is_none());
-        if !already_full {
-            let result = engine.restart_with(&index, anchor)?;
-            let file = CheckpointFile::new(anchor, CheckpointKind::Full(result.vars));
+    let anchored_at = head.as_ref().map(|h| h.iteration);
+    let wrote_full = match head.filter(|h| index.file(h.iteration, true).is_none()) {
+        Some(Head { iteration, vars }) => {
+            let kind = CheckpointKind::Full(Arc::unwrap_or_clone(vars));
+            let file = CheckpointFile::new(iteration, kind);
             store
                 .write(&file)
                 .map_err(|e| NumarckError::Io(format!("anchor write failed: {e}")))?;
-            wrote_full = true;
+            true
         }
-    }
+        None => false,
+    };
     crate::obs::repairs_total().inc();
     crate::obs::repair_lost_total().add(lost.len() as u64);
     if !lost.is_empty() || wrote_full {

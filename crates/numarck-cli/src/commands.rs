@@ -365,10 +365,12 @@ fn verify_store(dir: &str, replicas: usize) -> CliResult {
     // flagging so the operator runs compaction to completion.
     let mut versions = std::collections::BTreeMap::<u16, usize>::new();
     for d in &diagnosis {
+        let path = store.path_of(d.iteration, d.is_full);
         let ver = store
-            .read_raw(d.iteration, d.is_full)
+            .backend()
+            .read_prefix(&path, numarck_checkpoint::format::HEADER_PREFIX_LEN)
             .ok()
-            .and_then(|bytes| numarck_checkpoint::sniff_version(&bytes).ok());
+            .and_then(|(prefix, _)| numarck_checkpoint::sniff_version(&prefix).ok());
         if let Some(v) = ver {
             *versions.entry(v).or_insert(0) += 1;
         }

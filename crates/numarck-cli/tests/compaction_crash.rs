@@ -18,7 +18,7 @@
 //! Environment knobs (for CI):
 //!
 //! - `NUMARCK_CRASH_POINTS=N` — sweep kill points `0..N` (default 96:
-//!   a full pass over this chain is 39 storage operations, so the
+//!   a full pass over this chain is 38 storage operations, so the
 //!   default walks every boundary and the budget-outlives-work tail).
 //! - `NUMARCK_CRASH_REPORT=PATH` — append one JSON line per kill point.
 

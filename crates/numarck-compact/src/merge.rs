@@ -20,26 +20,26 @@
 //!   final value. This is the re-encode path, and it is what keeps the
 //!   equivalence unconditional.
 //!
-//! [`merge_window`] then verifies the whole artefact end to end: the
-//! merged file is serialised, re-opened through the reader restart uses
-//! ([`CheckpointView`]), and replayed against the base state, and the
-//! result is bit-compared with the original chain's replay before
-//! anything touches the store. The caller writes those exact bytes
-//! through the journal's bracket: the intent records the CRC trailer the
-//! bytes already end in, and the read-back is compared byte for byte
-//! with them (see [`crate::policy::Compactor`]).
+//! [`merge_window`] is a pure function of a base state and the window's
+//! opened delta files; the caller reads them and supplies the base (see
+//! [`crate::policy::Compactor::plan`]). It verifies the whole artefact
+//! end to end: the merged file is serialised, re-opened through the
+//! reader restart uses ([`CheckpointView`]), and replayed against the
+//! base state, and the result is bit-compared with the original chain's
+//! replay before anything touches the store. The caller writes those
+//! exact bytes through the journal's bracket: the intent records the CRC
+//! trailer the bytes already end in, and the read-back is compared byte
+//! for byte with them.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use numarck::decode;
 use numarck::encode::{pack_codes_serial, CompressedIteration, ESCAPE};
 use numarck::error::NumarckError;
 use numarck::table::BinTable;
-use numarck_checkpoint::chain::ChainIndex;
 use numarck_checkpoint::format::{CheckpointFile, CheckpointView, Hop};
-use numarck_checkpoint::restart::RestartEngine;
-use numarck_checkpoint::store::CheckpointStore;
 use numarck_checkpoint::{AlignedBytes, VariableSet};
 
 /// How a merged block's points were stored.
@@ -54,7 +54,8 @@ pub struct MergeStats {
 }
 
 impl MergeStats {
-    fn absorb(&mut self, other: MergeStats) {
+    /// Add `other`'s counts to these.
+    pub fn absorb(&mut self, other: MergeStats) {
         self.unchanged += other.unchanged;
         self.ratio_coded += other.ratio_coded;
         self.escaped += other.escaped;
@@ -198,59 +199,36 @@ pub struct MergedDelta {
     pub bytes: Vec<u8>,
     /// Aggregated per-point accounting across variables.
     pub stats: MergeStats,
-    /// The replayed state at `end` the merged chain must reproduce.
-    pub expected: VariableSet,
+    /// The replayed state at `end`, bit-identical to a restart of it:
+    /// what the merged chain must reproduce, and the next window's base.
+    pub expected: Arc<VariableSet>,
 }
 
-/// Merge the deltas `(end − span, end]` of the chain in `store` into
-/// one span-`span` delta at `end`, verified end to end.
+/// Merge the opened plain deltas `(first, end]` of `window`, oldest
+/// first, into one span-`window.len()` delta at `end`, verified end to
+/// end.
 ///
-/// The window must be the tail of the path `index` resolves for `end`:
-/// `span` consecutive plain deltas whose chain continues at
-/// `end − span` (anything else is [`NumarckError::Corrupt`]). The base
-/// state is the restart of `end − span` along that path; the final
-/// state is the window's deltas replayed onto it in one
+/// `base` is the state at `first`, bit-identical to a restart of it.
+/// The final state is the window replayed onto it in one
 /// [`decode::replay`] — exactly what a restart of `end` reproduces
 /// today, quantization error already baked into the chain and all.
 /// Before returning, the serialised bytes are re-parsed and replayed
-/// against the base state and bit-compared with the original replay;
-/// an artefact that fails that proof never reaches the caller.
+/// against `base` and bit-compared with that replay; an artefact that
+/// fails the proof never reaches the caller.
 pub fn merge_window(
-    store: &CheckpointStore,
-    index: &ChainIndex,
-    end: u64,
-    span: u64,
+    base: &VariableSet,
+    window: &[CheckpointView],
 ) -> Result<MergedDelta, NumarckError> {
-    if span < 2 {
-        return Err(NumarckError::InvalidConfig(format!("merge span {span} must be >= 2")));
-    }
-    if span > end {
-        return Err(NumarckError::InvalidConfig(format!(
-            "merge span {span} reaches past the start of the chain to {end}"
-        )));
-    }
-    if span > u64::from(u32::MAX) {
-        return Err(NumarckError::InvalidConfig(format!("merge span {span} exceeds u32")));
-    }
-    let first = end - span;
-    let path = index.resolve(end)?;
-    let window_is_tail = path.deltas.len() >= span as usize
-        && path.deltas.iter().zip((first + 1..=end).rev()).all(|(&d, it)| d == it)
-        && path.deltas.get(span as usize).map_or(path.base, |&d| d) == first;
-    if !window_is_tail {
-        return Err(NumarckError::Corrupt(format!(
-            "deltas ({first}, {end}] are not the tail of the chain to {end}"
-        )));
-    }
-    let base = RestartEngine::new(store.clone()).restart_with(index, first)?.vars;
-    let window = (first + 1..=end)
-        .map(|it| CheckpointView::parse(index.map_file(store, it, false)?, it, false))
-        .collect::<Result<Vec<_>, _>>()?;
+    let (Some(last), Ok(span @ 2..)) = (window.last(), u32::try_from(window.len())) else {
+        let len = window.len();
+        return Err(NumarckError::InvalidConfig(format!("merge span {len} out of 2..=u32::MAX")));
+    };
+    let end = last.iteration();
     let window: Vec<Vec<Hop<'_>>> = window
         .iter()
         .map(|delta| delta.hops(base.keys().map(String::as_str)))
         .collect::<Result<_, _>>()?;
-    let fin = replay_each(&base, &window)?;
+    let fin = replay_each(base, &window)?;
 
     // Metadata: compose the replaced segment's error bounds and carry
     // the widest index width forward.
@@ -269,26 +247,26 @@ pub fn merge_window(
 
     let mut blocks = BTreeMap::new();
     let mut stats = MergeStats::default();
-    for (name, base_vals) in &base {
+    for (name, base_vals) in base {
         let fin_vals = &fin[name];
         let (block, st) = build_merged_block(base_vals, fin_vals, bits, tolerance)?;
         stats.absorb(st);
         blocks.insert(name.clone(), block);
     }
-    let bytes = CheckpointFile::merged_delta(end, blocks, span as u32).to_bytes();
+    let bytes = CheckpointFile::merged_delta(end, blocks, span).to_bytes();
 
     // The proof: open the exact bytes a write would land through the
     // reader restart uses, and replay them. Anything short of bit
     // equality is a construction bug and must never be written.
     let merged = CheckpointView::parse(AlignedBytes::copy_from(&bytes), end, false)?;
     let merged = merged.hops(base.keys().map(String::as_str))?;
-    let replayed = replay_each(&base, std::slice::from_ref(&merged))?;
+    let replayed = replay_each(base, std::slice::from_ref(&merged))?;
     if !vars_bits_equal(&replayed, &fin) {
         return Err(NumarckError::Corrupt(format!(
             "merged delta at {end} (span {span}) failed end-to-end bit-exactness verification"
         )));
     }
-    Ok(MergedDelta { bytes, stats, expected: fin })
+    Ok(MergedDelta { bytes, stats, expected: Arc::new(fin) })
 }
 
 /// Replay every variable of `base` through its hop in each of `files`,

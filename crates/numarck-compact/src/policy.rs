@@ -23,15 +23,15 @@
 
 use numarck::error::NumarckError;
 use numarck_checkpoint::chain::{ChainIndex, StoredFile};
-use numarck_checkpoint::format::{content_crc, CheckpointFile, CheckpointKind};
-use numarck_checkpoint::restart::RestartEngine;
+use numarck_checkpoint::format::{content_crc, CheckpointFile, CheckpointKind, CheckpointView};
+use numarck_checkpoint::restart::{Head, RestartEngine};
 use numarck_checkpoint::store::CheckpointStore;
 use numarck_checkpoint::{IntentJournal, RetryPolicy};
 use numarck_obs::Span;
 
 use crate::chain::{plain_runs, CostModel};
 use crate::gc::{self, GcReport};
-use crate::merge::{self, MergeStats};
+use crate::merge::{self, MergeStats, MergedDelta};
 use crate::obs;
 
 /// Knobs for one maintenance pass.
@@ -110,11 +110,6 @@ impl Compactor {
         Self { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &CompactionConfig {
-        &self.config
-    }
-
     /// One full maintenance pass: merge plain-delta windows, promote
     /// fulls until the modeled worst-case restart cost meets the SLO,
     /// then collect superseded artefacts.
@@ -144,7 +139,9 @@ impl Compactor {
     /// `index`, each verified bit-exact against the chain's replay, and
     /// write nothing. Files are mapped and checked against `index`, so a
     /// file replaced since `index` was taken fails the plan rather than
-    /// feed it.
+    /// feed it. The windows are one forward walk: each continues from the
+    /// state the one before it built (a [`Head`]), so the pass maps each
+    /// file it merges once.
     pub fn plan(
         &self,
         store: &CheckpointStore,
@@ -152,20 +149,43 @@ impl Compactor {
     ) -> Result<PassPlan, NumarckError> {
         obs::runs_total().inc();
         let span = obs::run_ns().span();
-        let mut merges = Vec::new();
         let w = self.config.merge_window;
-        if w >= 2 {
-            for (a, b) in plain_runs(index) {
-                let mut start = a;
-                while start + w - 1 <= b {
-                    let end = start + w - 1;
-                    let merged = merge::merge_window(store, index, end, w)?;
-                    merges.push((end, w, merged.bytes, merged.stats));
-                    start = end + 1;
-                }
+        let mut merges = Vec::new();
+        self.walk(store, index, |end, merged| merges.push((end, w, merged.bytes, merged.stats)))?;
+        Ok(PassPlan { merges, _span: span })
+    }
+
+    /// [`Self::plan`]'s windows, each handed to `each` with its end. A
+    /// window of plain span-1 deltas is the tail of its end's chain, so
+    /// its replay onto a restart of its first iteration is a restart of
+    /// its end; a head at that iteration pins and decodes nothing.
+    fn walk(
+        &self,
+        store: &CheckpointStore,
+        index: &ChainIndex,
+        mut each: impl FnMut(u64, MergedDelta),
+    ) -> Result<(), NumarckError> {
+        let w = self.config.merge_window;
+        if w < 2 {
+            return Ok(());
+        }
+        let engine = RestartEngine::new(store.clone());
+        let mut head = None;
+        for (a, b) in plain_runs(index) {
+            let mut first = a.max(1) - 1;
+            while first + w <= b {
+                let end = first + w;
+                let base = engine.restart_with(index, first, head.take().as_ref())?.vars;
+                let window = (first + 1..=end)
+                    .map(|it| CheckpointView::parse(index.map_file(store, it, false)?, it, false))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let merged = merge::merge_window(&base, &window)?;
+                head = Some(Head { iteration: end, vars: merged.expected.clone() });
+                each(end, merged);
+                first = end;
             }
         }
-        Ok(PassPlan { merges, _span: span })
+        Ok(())
     }
 
     /// The second half of a pass: write `plan`'s merged deltas, each
@@ -196,9 +216,7 @@ impl Compactor {
             index.insert(end, false, StoredFile::of(&bytes));
             report.merges += 1;
             report.deltas_merged += span;
-            report.merge_stats.unchanged += stats.unchanged;
-            report.merge_stats.ratio_coded += stats.ratio_coded;
-            report.merge_stats.escaped += stats.escaped;
+            report.merge_stats.absorb(stats);
             obs::merges_total().inc();
             obs::deltas_merged_total().add(span);
         }
@@ -248,7 +266,7 @@ impl Compactor {
                 && hops >= 1
                 && model.cost_ns(path.base_bytes, 0) <= slo
             {
-                let vars = engine.restart_with(index, it)?.vars;
+                let vars = engine.restart_with(index, it, None)?.vars;
                 let bytes = CheckpointFile::new(it, CheckpointKind::Full(vars)).to_bytes();
                 write_checked(store, journal, it, true, &bytes)?;
                 index.insert(it, true, StoredFile::of(&bytes));
@@ -288,4 +306,120 @@ fn write_checked(
         Ok(())
     };
     journal.write_ahead(iteration, is_full, content_crc(bytes), RetryPolicy::none(), || {}, write)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::merge::vars_bits_equal;
+    use numarck::{Config, Strategy};
+    use numarck_checkpoint::{CheckpointManager, ManagerPolicy, VariableSet};
+    use numarck_prop::prelude::*;
+
+    /// Removes its directory on drop, pass or fail.
+    struct TempDir(std::path::PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Iteration `it` of a smooth variable and one that pops to zero.
+    fn vars(it: u64) -> VariableSet {
+        let x = (0..64).map(|i| (1.0 + (i % 13) as f64) * (1.0 + 0.003 * it as f64)).collect();
+        let z = (0..64u64)
+            .map(|i| {
+                if (i + it).is_multiple_of(4) {
+                    0.0
+                } else {
+                    ((i * 7919 + it * 104_729) % 1000) as f64
+                }
+            })
+            .collect();
+        VariableSet::from([("x".to_string(), x), ("z".to_string(), z)])
+    }
+
+    /// A full at 0, then one segment after another: a run of `len` plain
+    /// deltas (kind 0), a promoted full beside a plain delta (kind 1), or
+    /// a merged delta over `len` clamped to 2..=4 iterations (kind 2).
+    fn build(dir: &std::path::Path, segments: &[(u8, u64)]) -> CheckpointStore {
+        let store = CheckpointStore::open(dir).unwrap();
+        let widths: Vec<u64> = segments
+            .iter()
+            .map(|&(kind, len)| match kind {
+                0 => len,
+                1 => 1,
+                _ => len.clamp(2, 4),
+            })
+            .collect();
+        let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
+        let mut mgr = CheckpointManager::new(store.clone(), cfg, ManagerPolicy::fixed(u64::MAX));
+        for it in 0..=widths.iter().sum::<u64>() {
+            mgr.checkpoint(it, &vars(it)).unwrap();
+        }
+        let engine = RestartEngine::new(store.clone());
+        let mut last = 0;
+        for (&(kind, _), &width) in segments.iter().zip(&widths) {
+            let end = last + width;
+            if kind == 1 {
+                let vars = engine.restart_at(end).unwrap().vars;
+                store.write(&CheckpointFile::new(end, CheckpointKind::Full(vars))).unwrap();
+            } else if kind == 2 {
+                let index = ChainIndex::load(&store).unwrap();
+                let base = engine.restart_at(last).unwrap().vars;
+                let window: Vec<CheckpointView> = (last + 1..=end)
+                    .map(|it| {
+                        CheckpointView::parse(index.map_file(&store, it, false)?, it, false)
+                    })
+                    .collect::<Result<_, _>>()
+                    .unwrap();
+                let merged = merge::merge_window(&base, &window).unwrap();
+                store.write_raw(end, false, &merged.bytes).unwrap();
+                (last + 1..end).for_each(|it| store.remove(it, false).unwrap());
+            }
+            last = end;
+        }
+        store
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every window of a pass's forward walk is the merge a cold
+        /// restart of its first iteration gives, byte for byte, and the
+        /// state it hands on is a cold restart of its end, bit for bit.
+        #[test]
+        fn the_walk_merges_exactly_what_cold_merges_give(
+            segments in numarck_prop::collection::vec((0u8..3, 1u64..14), 1..7),
+            w in 2u64..6
+        ) {
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("numarck-walk-{}-{case}", std::process::id()));
+            let _guard = TempDir(dir.clone());
+            let store = build(&dir, &segments);
+            let index = ChainIndex::load(&store).unwrap();
+            let compactor = Compactor::new(CompactionConfig { merge_window: w, ..Default::default() });
+            let mut walked = Vec::new();
+            compactor.walk(&store, &index, |end, merged| walked.push((end, merged))).unwrap();
+
+            let windows: u64 = plain_runs(&index).iter().map(|&(a, b)| (b + 1 - a) / w).sum();
+            prop_assert_eq!(walked.len() as u64, windows);
+            let engine = RestartEngine::new(store.clone());
+            for (end, merged) in &walked {
+                let first = end - w;
+                let base = engine.restart_at(first).unwrap().vars;
+                let window: Vec<CheckpointView> = (first + 1..=*end)
+                    .map(|it| CheckpointView::parse(index.map_file(&store, it, false)?, it, false))
+                    .collect::<Result<_, _>>()
+                    .unwrap();
+                let cold = merge::merge_window(&base, &window).unwrap();
+                prop_assert!(merged.bytes == cold.bytes, "window ending at {end}");
+                let restart = engine.restart_at(*end).unwrap().vars;
+                prop_assert!(vars_bits_equal(&merged.expected, &restart), "state at {end}");
+            }
+        }
+    }
 }

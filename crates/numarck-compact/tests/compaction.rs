@@ -7,6 +7,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use numarck::{Config, Strategy};
+use numarck_checkpoint::format::CheckpointView;
 use numarck_checkpoint::manager::{CheckpointManager, ManagerPolicy};
 use numarck_checkpoint::restart::RestartEngine;
 use numarck_checkpoint::store::CheckpointStore;
@@ -697,29 +698,55 @@ fn the_compaction_bracket_fails_as_the_journal_contract_says() {
 }
 
 #[test]
-fn merge_window_replays_the_window_once_and_rejects_a_window_off_the_chain() {
+fn merge_window_replays_the_window_onto_its_base_as_a_restart_of_its_end() {
     let tmp = TempDir::new("merge-window-tail");
     let truth = truth_sequence(8, 300);
     let store = build_store(&tmp.0, &truth, 1000);
-    let mut index = ChainIndex::load(&store).unwrap();
     let engine = RestartEngine::new(store.clone());
+    let open = |index: &ChainIndex, its: std::ops::RangeInclusive<u64>| -> Vec<CheckpointView> {
+        its.map(|it| CheckpointView::parse(index.map_file(&store, it, false).unwrap(), it, false))
+            .collect::<Result<_, _>>()
+            .unwrap()
+    };
+    let mut index = ChainIndex::load(&store).unwrap();
 
-    // The window (2, 5] is the tail of the chain to 5: its final state is
-    // exactly what a restart of 5 reproduces.
-    let merged = numarck_compact::merge_window(&store, &index, 5, 3).unwrap();
+    // The window (2, 5] replayed onto the restart of 2 is exactly what a
+    // restart of 5 reproduces.
+    let base = engine.restart_at(2).unwrap().vars;
+    let merged = numarck_compact::merge_window(&base, &open(&index, 3..=5)).unwrap();
     assert!(vars_bits_equal(&merged.expected, &engine.restart_at(5).unwrap().vars));
     store.write_raw(5, false, &merged.bytes).unwrap();
     index.insert(5, false, numarck_checkpoint::StoredFile::of(&merged.bytes));
+    assert!(vars_bits_equal(&merged.expected, &engine.restart_at(5).unwrap().vars));
 
-    // The chain to 6 now steps 6 → 5 → 2: the plain deltas 4 and 5 it
-    // would merge are no longer consecutive hops of it.
-    let err = numarck_compact::merge_window(&store, &index, 6, 2).unwrap_err();
-    assert!(matches!(err, numarck::error::NumarckError::Corrupt(_)), "{err}");
-    // A window ending on the merged delta is off the chain as well: the
-    // chain to 5 skips 3 and 4.
-    let err = numarck_compact::merge_window(&store, &index, 5, 2).unwrap_err();
-    assert!(matches!(err, numarck::error::NumarckError::Corrupt(_)), "{err}");
-    // A window past it is the tail of the chain again.
-    let merged = numarck_compact::merge_window(&store, &index, 7, 2).unwrap();
-    assert!(vars_bits_equal(&merged.expected, &engine.restart_at(7).unwrap().vars));
+    // The next window continues from that state, not from a restart.
+    let next = numarck_compact::merge_window(&merged.expected, &open(&index, 6..=7)).unwrap();
+    assert!(vars_bits_equal(&next.expected, &engine.restart_at(7).unwrap().vars));
+
+    // Fewer than two deltas are no window.
+    let err = numarck_compact::merge_window(&base, &open(&index, 3..=3)).unwrap_err();
+    assert!(matches!(err, numarck::error::NumarckError::InvalidConfig(_)), "{err}");
+    let err = numarck_compact::merge_window(&base, &[]).unwrap_err();
+    assert!(matches!(err, numarck::error::NumarckError::InvalidConfig(_)), "{err}");
+}
+
+/// A pass maps each file it merges once: the first window's base is the
+/// full, every later window continues from the state the one before it
+/// built, and nothing is read twice.
+#[test]
+fn a_plan_maps_each_stored_file_once() {
+    let tmp = TempDir::new("plan-reads");
+    let backend = Arc::new(FaultyBackend::new(FaultSchedule::new()));
+    let store = CheckpointStore::open_with(&tmp.0, backend.clone()).unwrap();
+    let cfg = Config::new(8, 0.001, Strategy::Clustering).unwrap();
+    let mut mgr = CheckpointManager::new(store.clone(), cfg, ManagerPolicy::fixed(1000));
+    for (it, vars) in truth_sequence(17, 100).iter().enumerate() {
+        mgr.checkpoint(it as u64, vars).unwrap();
+    }
+    let index = ChainIndex::load(&store).unwrap();
+    let compactor = Compactor::new(CompactionConfig { merge_window: 4, ..Default::default() });
+    let reads = backend.reads_attempted();
+    compactor.plan(&store, &index).unwrap();
+    // The full at 0 and the plain deltas 1..=16, once each.
+    assert_eq!(backend.reads_attempted() - reads, 17);
 }

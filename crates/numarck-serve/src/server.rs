@@ -704,24 +704,29 @@ pub fn join_accept_loop(acceptor: JoinHandle<()>, addr: SocketAddr, draining: &A
 
 /// Full queue ⇒ Busy + drop.
 fn acceptor_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: &Shared) {
-    accept_until_drain(&listener, &shared.draining, |stream| match tx.try_send(stream) {
-        Ok(()) => {
-            shared.obs.accepted.inc();
-            // Decremented by the worker that picks it up.
-            shared.obs.queue_depth.inc();
-            true
+    accept_until_drain(&listener, &shared.draining, |stream| {
+        // Raised before the hand-off, so the worker that picks the
+        // connection up (and lowers it) can never run first; undone when
+        // the hand-off fails.
+        shared.obs.queue_depth.inc();
+        let sent = tx.try_send(stream);
+        if sent.is_err() {
+            shared.obs.queue_depth.dec();
         }
-        Err(TrySendError::Full(stream)) => {
-            shared.obs.busy_rejected.inc();
-            shared
-                .obs
-                .registry
-                .events()
-                .push(Level::Warn, "hand-off queue full: connection rejected with Busy");
-            reject_busy(stream, shared.config.io_timeout);
-            true
+        match sent {
+            Ok(()) => true,
+            Err(TrySendError::Full(stream)) => {
+                shared.obs.busy_rejected.inc();
+                shared
+                    .obs
+                    .registry
+                    .events()
+                    .push(Level::Warn, "hand-off queue full: connection rejected with Busy");
+                reject_busy(stream, shared.config.io_timeout);
+                true
+            }
+            Err(TrySendError::Disconnected(_)) => false,
         }
-        Err(TrySendError::Disconnected(_)) => false,
     });
     // Dropping `tx` here wakes every idle worker with Disconnected.
 }
@@ -747,6 +752,9 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Shared) {
         };
         match conn {
             Ok(mut stream) => {
+                // Counted when taken into service, so before any of
+                // its requests is answered.
+                shared.obs.accepted.inc();
                 shared.obs.queue_depth.dec();
                 let end = serve_connection(
                     &mut stream,

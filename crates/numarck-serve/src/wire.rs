@@ -205,7 +205,8 @@ pub struct LatencyStat {
 /// writer, and they are not encoded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsReply {
-    /// Connections accepted into service (excludes Busy rejections).
+    /// Connections a worker has taken into service (excludes Busy
+    /// rejections and connections still waiting in the queue).
     pub accepted: u64,
     /// Requests answered (any response kind except Busy).
     pub served: u64,

@@ -219,7 +219,7 @@ fn bounded_queue_overload_returns_busy() {
 
     // Conn B: accepted into the single queue slot (never served while
     // the worker is on A). Give the acceptor a beat to enqueue it.
-    let _conn_b = Client::connect(addr, TIMEOUT).unwrap();
+    let mut conn_b = Client::connect(addr, TIMEOUT).unwrap();
     thread::sleep(Duration::from_millis(100));
 
     // Conn C: queue full — the acceptor must answer Busy, promptly.
@@ -232,6 +232,11 @@ fn bounded_queue_overload_returns_busy() {
     // The rejection is counted, and the server is still fully alive:
     // conn A keeps working.
     let stats = conn_a.stats().unwrap();
+    assert_eq!(stats.busy_rejected, 1);
+    // A connection is counted when a worker takes it off the queue.
+    assert_eq!(stats.accepted, 1, "A in service, B queued, C rejected");
+    drop(conn_a);
+    let stats = conn_b.stats().unwrap();
     assert_eq!(stats.busy_rejected, 1);
     assert_eq!(stats.accepted, 2, "A and B accepted, C rejected");
     server.shutdown();
@@ -302,6 +307,28 @@ fn stats_extension_and_metrics_snapshot_agree_with_traffic() {
         snap.gauges.iter().any(|(n, v)| n == "nck_format_version" && *v == 2),
         "merged snapshot must report nck_format_version = 2"
     );
+    server.shutdown();
+}
+
+/// A connection is counted, and the hand-off queue gauge raised, before
+/// the worker that picks it up answers any of its requests: a Stats on a
+/// fresh connection sees its own connection, and never a negative queue.
+#[test]
+fn a_stats_on_a_fresh_connection_counts_its_own_connection() {
+    let tmp = TempDir::new("serve-accepted");
+    let mut config = ServerConfig::new(tmp.0.join("root"), test_config());
+    config.io_timeout = TIMEOUT;
+    let server = Server::spawn("127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+    let session = client.open_session("accepted").unwrap();
+    client.put_iteration(session, 0, &truth(0, 1, 64)[0]).unwrap();
+    drop(client);
+
+    for k in 2..12u64 {
+        let stats = Client::connect(server.addr(), TIMEOUT).unwrap().stats().unwrap();
+        assert!(stats.gauge("nsrv_queue_depth") >= 0, "connection {k}: {stats:?}");
+        assert!(stats.accepted >= k, "connection {k} read accepted {}", stats.accepted);
+    }
     server.shutdown();
 }
 
